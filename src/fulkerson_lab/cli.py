@@ -36,6 +36,7 @@ from .fulkerson import (
     enumerate_fulkerson_coverings,
     find_fr_triple,
     find_fulkerson_covering,
+    iter_fr_triples,
     verify_covering,
     _STRATEGIES,
 )
@@ -51,9 +52,7 @@ from .generators import (
     theta,
 )
 from .graph_core import CubicGraph, GraphError, Matching, MultiGraph
-from .matchcolor import PerfectMatching
-from itertools import combinations_with_replacement
-from .matchcolor import enumerate_perfect_matchings
+from .matchcolor import PerfectMatching, enumerate_perfect_matchings
 
 
 class ParseError(ValueError):
@@ -296,12 +295,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.target == "fr-triple":
         if args.all:
             pms = enumerate_perfect_matchings(g, limit=budget.limit)
-            for i, j, k in combinations_with_replacement(range(len(pms)), 3):
-                if not budget.spend():
-                    break
-                if pms[i].members & pms[j].members & pms[k].members:
-                    continue
-                certs.append(certificate_of_triple(FRTriple(pms[i], pms[j], pms[k])))
+            certs = [certificate_of_triple(t) for t in iter_fr_triples(pms, budget)]
             complete = not pms.truncated and not budget.exhausted
         else:
             res = find_fr_triple(g, budget=budget)
@@ -358,6 +352,8 @@ def _parse_recipe(text: str) -> tuple[CubicGraph, list[DotStep]]:
                     raise ParseError(f"bad value in {p!r}") from exc
             else:
                 words.append(p)
+        if not words:
+            raise ParseError(f"recipe line {line!r} names no step")
         if words[0] == "base":
             if base is not None:
                 raise ParseError("duplicate base line")

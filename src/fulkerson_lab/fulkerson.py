@@ -11,13 +11,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .budget import Budget, SearchResult
 from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition
 from .matchcolor import (
     EdgeColoring,
     PerfectMatching,
+    PMEnumeration,
     color_classes_as_matchings,
     enumerate_perfect_matchings,
     enumerate_three_edge_colorings,
@@ -206,6 +207,21 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
     return triple
 
 
+def iter_fr_triples(pms: PMEnumeration, budget: Budget) -> Iterator[FRTriple]:
+    """FR-triples among enumerated matchings, canonical order, repeats allowed.
+
+    Spends one budget node per candidate index triple and stops when the
+    budget runs out, so callers tell exhaustion from absence by
+    ``budget.exhausted``.
+    """
+    for i, j, k in combinations_with_replacement(range(len(pms)), 3):
+        if not budget.spend():
+            return
+        if pms[i].members & pms[j].members & pms[k].members:
+            continue
+        yield FRTriple(pms[i], pms[j], pms[k])
+
+
 def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
     """First FR-triple over enumerated perfect matchings, canonical order.
 
@@ -215,14 +231,12 @@ def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[
     """
     if budget is None:
         budget = Budget()
-    pm_limit = budget.limit if budget.limit is not None else None
-    pms = enumerate_perfect_matchings(g, limit=pm_limit)
-    for i, j, k in combinations_with_replacement(range(len(pms)), 3):
-        if not budget.spend():
-            return SearchResult(None, False)
-        if pms[i].members & pms[j].members & pms[k].members:
-            continue
-        return SearchResult(FRTriple(pms[i], pms[j], pms[k]), True)
+    pms = enumerate_perfect_matchings(g, limit=budget.limit)
+    triple = next(iter_fr_triples(pms, budget), None)
+    if triple is not None:
+        return SearchResult(triple, True)
+    if budget.exhausted:
+        return SearchResult(None, False)
     if not pms.truncated:
         return SearchResult(None, True)
     # Truncated enumeration: look for matching pairs whose symmetric
@@ -258,61 +272,80 @@ def _covering_by_color(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonC
     return SearchResult(covering, False)
 
 
-def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
-    """Exact multiset cover over the matching incidence matrix.
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Chooses six enumerated perfect matchings (repetition allowed) so that
-    every edge row sums to 2; depth-first, branching on the edge with the
-    fewest usable matchings.
+
+def _two_covers(g: CubicGraph, pms: PMEnumeration,
+                budget: Budget) -> Iterator[tuple[int, ...]]:
+    """Index 6-tuples of matchings that cover every edge exactly twice.
+
+    The exact-multiplicity cover (after Knuth's Algorithm M) shared by
+    EXACT2COVER and the covering enumeration, on int bitmasks:
+    ``holders[e]`` has bit i set iff edge e lies in matching i; an edge is
+    open twice, open once or closed; a matching is usable while none of
+    its edges is closed.  Each node spends one budget node and branches on
+    the first open edge with the fewest usable holders, trying them in
+    index order with repeats allowed, so one multiset may come out in
+    several orders.  The search unwinds as soon as the budget runs out.
+    """
+    if not pms.matchings:
+        return
+    holders = [0] * g.num_edges
+    edges_of = []
+    for idx, pm in enumerate(pms):
+        mask = 0
+        for e in pm.members:
+            holders[e] |= 1 << idx
+            mask |= 1 << e
+        edges_of.append(mask)
+
+    def search(chosen: tuple[int, ...], usable: int, open_once: int,
+               open_twice: int) -> Iterator[tuple[int, ...]]:
+        if not budget.spend():
+            return
+        if len(chosen) == 6:
+            # Six perfect matchings fill all 3n edge slots and no edge is
+            # ever covered more than twice, so every edge is covered twice.
+            yield chosen
+            return
+        if not open_once:  # only on the graph with no edges
+            return
+        branch = min(_bits(open_once), key=lambda e: (holders[e] & usable).bit_count())
+        for idx in _bits(holders[branch] & usable):
+            closed = edges_of[idx] & ~open_twice
+            rest = usable
+            for e in _bits(closed):
+                rest &= ~holders[e]
+            yield from search(chosen + (idx,), rest, open_once & ~closed,
+                              open_twice & ~edges_of[idx])
+            if budget.exhausted:
+                return
+
+    everything = (1 << g.num_edges) - 1
+    yield from search((), (1 << len(pms)) - 1, everything, everything)
+
+
+def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
+    """EXACT2COVER: the first cover `_two_covers` finds over the matchings.
+
+    Finding none proves absence only when the matching enumeration was not
+    truncated and the budget held out; otherwise the result is unknown.
     """
     pms = enumerate_perfect_matchings(g, limit=budget.limit)
     if not pms.matchings:
         return SearchResult(None, not pms.truncated)
-    by_edge: dict[int, list[int]] = {e: [] for e in g.edge_ids()}
-    for idx, pm in enumerate(pms):
-        for e in pm:
-            by_edge[e].append(idx)
-    need = [2] * g.num_edges
-    chosen: list[int] = []
-    out: list[FulkersonCovering] = []
-
-    def usable(idx: int) -> bool:
-        return all(need[e] >= 1 for e in pms[idx].members)
-
-    def dfs() -> bool:
-        if not budget.spend():
-            return True
-        if len(chosen) == 6:
-            if all(c == 0 for c in need):
-                out.append(FulkersonCovering(tuple(pms[i] for i in chosen)))
-                return True
-            return False
-        open_edges = [e for e in g.edge_ids() if need[e] > 0]
-        if not open_edges:
-            return False
-        branch = min(open_edges, key=lambda e: (sum(1 for i in by_edge[e] if usable(i)), e))
-        for idx in by_edge[branch]:
-            if not usable(idx):
-                continue
-            chosen.append(idx)
-            for e in pms[idx].members:
-                need[e] -= 1
-            stop = dfs()
-            for e in pms[idx].members:
-                need[e] += 1
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    dfs()
-    if out:
-        covering = out[0]
+    chosen = next(_two_covers(g, pms, budget), None)
+    if chosen is not None:
+        covering = FulkersonCovering(tuple(pms[i] for i in chosen))
         if not verify_covering(g, covering).ok:
             raise GraphError("internal invariant failure: exact cover result does not cover")
         return SearchResult(covering, True)
-    complete = not pms.truncated and not budget.exhausted
-    return SearchResult(None, complete)
+    return SearchResult(None, not pms.truncated and not budget.exhausted)
 
 
 def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
@@ -325,12 +358,7 @@ def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCo
     """
     pms = enumerate_perfect_matchings(g, limit=budget.limit)
     seen_pairs: set[tuple[frozenset[int], frozenset[int]]] = set()
-    for i, j, k in combinations_with_replacement(range(len(pms)), 3):
-        if not budget.spend():
-            return SearchResult(None, False)
-        if pms[i].members & pms[j].members & pms[k].members:
-            continue
-        triple = FRTriple(pms[i], pms[j], pms[k])
+    for triple in iter_fr_triples(pms, budget):
         part = t_partition(g, triple)
         key = (part.t2.members, part.t0.members)
         if key in seen_pairs:
@@ -350,51 +378,22 @@ def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCo
 def enumerate_fulkerson_coverings(g: CubicGraph,
                                   budget: Budget | None = None
                                   ) -> SearchResult[list[FulkersonCovering]]:
-    """All coverings (as multisets of enumerated matchings), canonical order."""
+    """All coverings (as multisets of enumerated matchings), canonical order.
+
+    Runs `_two_covers`, the search EXACT2COVER stops at its first cover, to
+    the end; each multiset is kept once, members in index order, and the
+    list is sorted by the members' edge sets.
+    """
     if budget is None:
         budget = Budget()
     pms = enumerate_perfect_matchings(g, limit=budget.limit)
-    by_edge: dict[int, list[int]] = {e: [] for e in g.edge_ids()}
-    for idx, pm in enumerate(pms):
-        for e in pm:
-            by_edge[e].append(idx)
-    need = [2] * g.num_edges
-    chosen: list[int] = []
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out: list[FulkersonCovering] = []
-
-    def dfs() -> None:
-        if not budget.spend():
-            return
-        if len(chosen) == 6:
-            if all(c == 0 for c in need):
-                key = tuple(sorted(tuple(sorted(pms[i].members)) for i in chosen))
-                if key not in seen:
-                    seen.add(key)
-                    members = sorted(chosen)
-                    out.append(FulkersonCovering(tuple(pms[i] for i in members)))
-            return
-        open_edges = [e for e in g.edge_ids() if need[e] > 0]
-        if not open_edges:
-            return
-
-        def usable(idx: int) -> bool:
-            return all(need[e] >= 1 for e in pms[idx].members)
-
-        branch = min(open_edges, key=lambda e: (sum(1 for i in by_edge[e] if usable(i)), e))
-        for idx in by_edge[branch]:
-            if not usable(idx):
-                continue
-            chosen.append(idx)
-            for e in pms[idx].members:
-                need[e] -= 1
-            dfs()
-            for e in pms[idx].members:
-                need[e] += 1
-            chosen.pop()
-
-    if pms.matchings:
-        dfs()
+    for chosen in _two_covers(g, pms, budget):
+        key = tuple(sorted(tuple(sorted(pms[i].members)) for i in chosen))
+        if key not in seen:
+            seen.add(key)
+            out.append(FulkersonCovering(tuple(pms[i] for i in sorted(chosen))))
     out.sort(key=lambda c: tuple(sorted(tuple(sorted(m.members)) for m in c.matchings)))
     return SearchResult(out, not pms.truncated and not budget.exhausted)
 

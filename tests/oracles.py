@@ -5,7 +5,8 @@ from subset enumeration, bridges from edge deletion plus connectivity,
 colorability from matching partitions or raw assignment enumeration.
 """
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 from fulkerson_lab.graph_core import MultiGraph
 
@@ -93,15 +94,21 @@ def count_proper_colorings(g: MultiGraph, colors: int) -> int:
     return total
 
 
+def _covers_twice(g, pms, combo) -> bool:
+    counts = Counter()
+    for i in combo:
+        counts.update(pms[i])
+    return len(counts) == g.num_edges and all(c == 2 for c in counts.values())
+
+
+def covering_exists(g) -> bool:
+    """Exhaustive search for six perfect matchings, repeats allowed, covering twice."""
+    pms = brute_force_perfect_matchings(g)
+    return any(_covers_twice(g, pms, combo)
+               for combo in combinations_with_replacement(range(len(pms)), 6))
+
+
 def proper_covering_exists(g) -> bool:
     """Exhaustive search for six distinct perfect matchings covering twice."""
-    from collections import Counter
-
     pms = brute_force_perfect_matchings(g)
-    for combo in combinations(range(len(pms)), 6):
-        counts = Counter()
-        for i in combo:
-            counts.update(pms[i])
-        if len(counts) == g.num_edges and all(c == 2 for c in counts.values()):
-            return True
-    return False
+    return any(_covers_twice(g, pms, combo) for combo in combinations(range(len(pms)), 6))

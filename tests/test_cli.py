@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from fulkerson_lab.cli import (
     write_certificate,
     write_graph_file,
 )
-from fulkerson_lab.generators import flower_snark, petersen
+from fulkerson_lab.generators import flower_snark, goldberg, petersen
 from fulkerson_lab.cli import ParseError
 
 
@@ -247,6 +248,60 @@ class TestPipeline:
         recipe.write_text("start petersen\n")
         code, _, err = run(capsys, "pipeline", str(recipe))
         assert code == 2
+
+    def test_options_only_line_exits_two(self, capsys, tmp_path):
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\ne1=3\n")
+        code, out, err = run(capsys, "pipeline", str(recipe))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error:")
+
+
+class TestGoldenOutput:
+    """Byte-exact certificates: the CLI's canonical order must not drift."""
+
+    J5_COVERING = """certificate covering
+matching 0 2 6 8 14 17 20 23 26 27
+matching 0 2 6 9 13 16 20 23 25 27
+matching 1 4 8 10 12 16 19 22 24 29
+matching 1 3 10 12 14 15 19 22 25 28
+matching 3 5 7 9 11 15 18 21 26 29
+matching 4 5 7 11 13 17 18 21 24 28
+"""
+    G5_COVERING = """certificate covering
+matching 1 3 7 12 13 14 19 20 21 26 27 28 33 36 40 46 50 56 58 59
+matching 1 3 8 10 13 15 17 20 22 24 27 29 31 36 42 46 52 56 58 59
+matching 2 4 6 9 11 16 18 22 24 28 33 37 40 43 44 47 51 53 54 55
+matching 2 4 6 8 10 14 19 23 25 30 32 37 41 43 44 45 52 53 54 55
+matching 0 5 7 12 15 17 23 25 30 32 34 35 38 39 41 47 48 49 50 57
+matching 0 5 9 11 16 18 21 26 29 31 34 35 38 39 42 45 48 49 51 57
+"""
+    # 20 certificates, 1699 bytes; the first one is spelled out
+    PETERSEN_TRIPLES_SHA256 = "5f7353f83b669e8ca2eb62b5e2b95489263ceac1f1904be970e58b12d9ed5470"
+    PETERSEN_FIRST_TRIPLE = """certificate fr-triple
+matching 0 2 5 6 14
+matching 0 3 8 9 12
+matching 1 3 6 7 10
+
+"""
+
+    @pytest.mark.parametrize("make,want", [
+        (lambda: flower_snark(5), J5_COVERING),
+        (lambda: goldberg(5), G5_COVERING),
+    ], ids=["J5", "G5"])
+    def test_search_covering(self, capsys, tmp_path, make, want):
+        path = tmp_path / "g.graph"
+        path.write_text(write_graph_file(make()))
+        code, out, _ = run(capsys, "search", str(path), "covering")
+        assert code == 0
+        assert out == want
+
+    def test_search_all_petersen_triples(self, capsys, petersen_file):
+        code, out, _ = run(capsys, "search", petersen_file, "fr-triple", "--all")
+        assert code == 0
+        assert out.startswith(self.PETERSEN_FIRST_TRIPLE)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_TRIPLES_SHA256
 
 
 class TestExport:

@@ -1,7 +1,7 @@
 import pytest
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fulkerson_lab.budget import Budget
 from fulkerson_lab.generators import (
@@ -15,7 +15,7 @@ from fulkerson_lab.generators import (
     ten_vertex_c5_example,
     theta,
 )
-from fulkerson_lab.graph_core import GraphError, Matching
+from fulkerson_lab.graph_core import CubicGraph, GraphError, Matching
 from fulkerson_lab.matchcolor import (
     color_classes_as_matchings,
     enumerate_perfect_matchings,
@@ -39,6 +39,7 @@ from fulkerson_lab.fulkerson import (
     t_partition,
     verify_covering,
 )
+from oracles import covering_exists, naive_is_bridgeless, proper_covering_exists
 
 
 def petersen_triples():
@@ -242,6 +243,69 @@ class TestFindCovering:
         assert res.complete
         assert len(res.value) == 1
         assert is_proper(res.value[0])
+
+
+class TestExactCoverEngine:
+    """Node counts, certificate and unknowns of the exact 2-cover.  Any
+    change to its branching, child order or budget spending moves them."""
+
+    G5_COVER = [
+        [1, 3, 7, 12, 13, 14, 19, 20, 21, 26, 27, 28, 33, 36, 40, 46, 50, 56, 58, 59],
+        [1, 3, 8, 10, 13, 15, 17, 20, 22, 24, 27, 29, 31, 36, 42, 46, 52, 56, 58, 59],
+        [2, 4, 6, 9, 11, 16, 18, 22, 24, 28, 33, 37, 40, 43, 44, 47, 51, 53, 54, 55],
+        [2, 4, 6, 8, 10, 14, 19, 23, 25, 30, 32, 37, 41, 43, 44, 45, 52, 53, 54, 55],
+        [0, 5, 7, 12, 15, 17, 23, 25, 30, 32, 34, 35, 38, 39, 41, 47, 48, 49, 50, 57],
+        [0, 5, 9, 11, 16, 18, 21, 26, 29, 31, 34, 35, 38, 39, 42, 45, 48, 49, 51, 57],
+    ]
+
+    @pytest.mark.parametrize("make,spent", [
+        (lambda: flower_snark(5), 8),
+        (lambda: flower_snark(9), 8),
+        (lambda: goldberg(5), 24),
+    ], ids=["J5", "J9", "G5"])
+    def test_node_counts(self, make, spent):
+        budget = Budget(limit=5_000_000)
+        assert find_fulkerson_covering(make(), "exact2cover", budget).found
+        assert budget.spent == spent
+
+    def test_goldberg_five_certificate(self):
+        res = find_fulkerson_covering(goldberg(5), "exact2cover", Budget(limit=5_000_000))
+        assert [sorted(m.members) for m in res.value.matchings] == self.G5_COVER
+
+    def test_small_budget_is_unknown_not_absent(self):
+        g = goldberg(5)
+        res = find_fulkerson_covering(g, "exact2cover", Budget(limit=3))
+        assert res.unknown and not res.definitely_absent
+        res_all = enumerate_fulkerson_coverings(g, Budget(limit=3))
+        assert res_all.value == [] and not res_all.complete
+
+
+def random_bridgeless_cubic(data):
+    """A pairing-model cubic multigraph on at most 10 vertices, rejected
+    unless it is loopless, connected and bridgeless."""
+    n = data.draw(st.sampled_from([2, 4, 6, 8, 10]))
+    points = data.draw(st.permutations(range(3 * n)))
+    pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
+    assume(all(u != v for u, v in pairs))
+    g = CubicGraph(n, pairs)
+    assume(naive_is_bridgeless(g))
+    return g
+
+
+class TestCoveringOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_exact2cover_and_enumeration_match_brute_force(self, data):
+        g = random_bridgeless_cubic(data)
+        res = find_fulkerson_covering(g, "exact2cover")
+        assert res.complete
+        assert res.found == covering_exists(g)
+        if res.found:
+            assert verify_covering(g, res.value).ok
+        res_all = enumerate_fulkerson_coverings(g)
+        assert res_all.complete
+        assert bool(res_all.value) == res.found
+        assert any(is_proper(c) for c in res_all.value) == proper_covering_exists(g)
 
 
 class TestProperness:
