@@ -294,7 +294,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     complete = True
     if args.target == "fr-triple":
         if args.all:
-            pms = enumerate_perfect_matchings(g, limit=budget.limit)
+            pms = enumerate_perfect_matchings(g)
             certs = [certificate_of_triple(t) for t in iter_fr_triples(pms, budget)]
             complete = not pms.truncated and not budget.exhausted
         else:
@@ -477,16 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"search node budget (default from ${DEFAULT_BUDGET_ENV})")
     p_search.add_argument("--all", action="store_true",
                           help="emit every certificate found, not just the first")
-    p_search.add_argument("--threads", type=int, default=1,
-                          help="reserved; searches currently run sequentially")
     p_search.set_defaults(func=cmd_search)
 
     p_pipe = sub.add_parser("pipeline", help="run a dot-product recipe")
     p_pipe.add_argument("recipe")
     p_pipe.add_argument("--emit-intermediate", metavar="DIR",
                         help="write every intermediate graph into DIR")
-    p_pipe.add_argument("--threads", type=int, default=1,
-                        help="reserved; searches currently run sequentially")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_export = sub.add_parser("export", help="render a graph as DOT or JSON")
@@ -500,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     return args.func(args)
 
 

@@ -417,7 +417,7 @@ def find_ffamily(g: CubicGraph, m: PerfectMatching | Iterable[int] | None = None
         matchings: Iterable[PerfectMatching] = [_as_perfect(g, m)]
         complete_source = True
     else:
-        enum = enumerate_perfect_matchings(g, limit=budget.limit)
+        enum = enumerate_perfect_matchings(g)
         matchings = enum.matchings
         complete_source = not enum.truncated
     for pm in matchings:
@@ -433,7 +433,7 @@ def enumerate_ffamilies(g: CubicGraph, budget: Budget | None = None) -> SearchRe
     """All F-families over all perfect matchings (canonical order, budget-capped)."""
     if budget is None:
         budget = Budget(limit=10 ** 12 if g.num_vertices <= 24 else None)
-    enum = enumerate_perfect_matchings(g, limit=budget.limit)
+    enum = enumerate_perfect_matchings(g)
     out: list[FFamily] = []
     for pm in enum.matchings:
         _family_csp(g, pm, budget, collect=out)

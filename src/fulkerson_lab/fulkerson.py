@@ -231,7 +231,7 @@ def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[
     """
     if budget is None:
         budget = Budget()
-    pms = enumerate_perfect_matchings(g, limit=budget.limit)
+    pms = enumerate_perfect_matchings(g)
     triple = next(iter_fr_triples(pms, budget), None)
     if triple is not None:
         return SearchResult(triple, True)
@@ -313,10 +313,12 @@ def _two_covers(g: CubicGraph, pms: PMEnumeration,
             # ever covered more than twice, so every edge is covered twice.
             yield chosen
             return
-        if not open_once:  # only on the graph with no edges
-            return
-        branch = min(_bits(open_once), key=lambda e: (holders[e] & usable).bit_count())
-        for idx in _bits(holders[branch] & usable):
+        if open_once:
+            branch = min(_bits(open_once), key=lambda e: (holders[e] & usable).bit_count())
+            children = holders[branch] & usable
+        else:  # only on the graph with no edges: six empty matchings
+            children = usable
+        for idx in _bits(children):
             closed = edges_of[idx] & ~open_twice
             rest = usable
             for e in _bits(closed):
@@ -336,7 +338,7 @@ def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[Fulk
     Finding none proves absence only when the matching enumeration was not
     truncated and the budget held out; otherwise the result is unknown.
     """
-    pms = enumerate_perfect_matchings(g, limit=budget.limit)
+    pms = enumerate_perfect_matchings(g)
     if not pms.matchings:
         return SearchResult(None, not pms.truncated)
     chosen = next(_two_covers(g, pms, budget), None)
@@ -356,7 +358,7 @@ def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCo
     the double lift yields two compatible triples, hence a covering.  The
     search is complete relative to a complete matching enumeration.
     """
-    pms = enumerate_perfect_matchings(g, limit=budget.limit)
+    pms = enumerate_perfect_matchings(g)
     seen_pairs: set[tuple[frozenset[int], frozenset[int]]] = set()
     for triple in iter_fr_triples(pms, budget):
         part = t_partition(g, triple)
@@ -386,7 +388,7 @@ def enumerate_fulkerson_coverings(g: CubicGraph,
     """
     if budget is None:
         budget = Budget()
-    pms = enumerate_perfect_matchings(g, limit=budget.limit)
+    pms = enumerate_perfect_matchings(g)
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out: list[FulkersonCovering] = []
     for chosen in _two_covers(g, pms, budget):

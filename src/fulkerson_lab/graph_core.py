@@ -212,8 +212,8 @@ class CycleSet:
         return frozenset(e for c in self.cycles for e in c.edges)
 
 
-def _components(g: MultiGraph, removed: frozenset[int] = frozenset()) -> list[list[int]]:
-    """Connected components (vertex lists) of g with `removed` edges deleted."""
+def _components(g: MultiGraph) -> list[list[int]]:
+    """Connected components (vertex lists) of g."""
     seen = [False] * g.num_vertices
     comps = []
     for s in g.vertices():
@@ -225,7 +225,7 @@ def _components(g: MultiGraph, removed: frozenset[int] = frozenset()) -> list[li
         while stack:
             v = stack.pop()
             for e in g.incident(v):
-                if e in removed or g.is_loop(e):
+                if g.is_loop(e):
                     continue
                 w = g.other_end(e, v)
                 if not seen[w]:
@@ -300,48 +300,107 @@ def is_bipartite(g: MultiGraph) -> bool:
     return True
 
 
-def _has_cycle_component(g: MultiGraph, comp: list[int], removed: frozenset[int]) -> bool:
-    # A connected component contains a cycle iff #edges >= #vertices,
-    # counting loops and parallels.
-    vs = set(comp)
-    edge_count = 0
-    for eid, u, v in g.edges:
-        if eid in removed:
-            continue
-        if u in vs:
-            if u == v:
-                return True
-            edge_count += 1
-    return edge_count >= len(comp)
+def _connected_sets(nbrs: list[tuple[int, ...]], root: int, size: int) -> list[frozenset[int]]:
+    """Connected sets of `size` vertices whose least vertex is `root`, sorted."""
+    layer = {frozenset((root,))}
+    for _ in range(size - 1):
+        layer = {s | {w} for s in layer for v in s for w in nbrs[v] if w > root and w not in s}
+    return sorted(layer, key=sorted)
+
+
+def _splits_cyclically(arcs: list[tuple[tuple[int, int, int, int], ...]], num_edges: int,
+                       source: frozenset[int], sink: frozenset[int], c: int) -> bool:
+    """True iff a minimum source-sink cut has at most c edges and a cycle on each side.
+
+    Unit-capacity max flow: augments along breadth-first residual paths and
+    stops after c + 1 of them.  An arc (e, v, w, d) crosses edge e from v to
+    w; flow[e] is +1 or -1 when one unit crosses e in the direction d = +1
+    or -1, and 0 when none does.  When no path is left, the vertices the
+    source still reaches are the smallest source side of a minimum cut, so
+    the rest is its largest sink side.
+    """
+    n = len(arcs)
+    flow = [0] * num_edges
+    value = 0
+    while value <= c:
+        seen = bytearray(n)
+        for v in source:
+            seen[v] = 1
+        entry: list[tuple[int, int, int, int] | None] = [None] * n
+        queue = list(source)
+        hit = -1
+        for v in queue:  # the list grows while it is walked
+            for arc in arcs[v]:
+                e, _, w, d = arc
+                if seen[w] or flow[e] == d:
+                    continue
+                seen[w] = 1
+                entry[w] = arc
+                if w in sink:
+                    hit = w
+                    break
+                queue.append(w)
+            if hit >= 0:
+                break
+        if hit < 0:
+            # Both sides are connected; such a side with f boundary edges in
+            # a cubic graph contains a cycle iff it has at least f vertices.
+            return len(queue) >= value and n - len(queue) >= value
+        value += 1
+        arc = entry[hit]
+        while arc is not None:
+            flow[arc[0]] += arc[3]
+            arc = entry[arc[1]]
+    return False
 
 
 def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     """True iff no edge cut of size < k leaves two components that both contain cycles.
 
-    Brute-force cut enumeration with early exit; meant for desk scale
-    (n up to roughly 60 with k = 4).
-    """
-    from itertools import combinations
+    Flow-based, after Dvořák, Kára, Král' and Pangrác, "An algorithm for
+    cyclic edge connectivity of cubic graphs" (SWAT 2004, LNCS 3111).  A
+    cyclic cut of fewer than k edges exists iff some bond (a cut whose two
+    sides are connected) of size c < k has a cycle on each side.
 
+    For each such c the search pairs a connected source seed X containing
+    vertex 0 with each disjoint connected sink seed Y, of max(1, c - 1) and
+    max(1, c - 2) vertices, and reads the minimum X-Y cut with the largest
+    sink side (`_splits_cyclically`).
+
+    - Sound: a minimum cut between connected seeds is a bond.  In a cubic
+      graph a connected side S with f boundary edges has (3|S| - f) / 2
+      edges, so it contains a cycle iff |S| >= f; both sides are checked.
+    - Complete: let the bond have c edges, cycles on both sides and vertex
+      0 on side S.  Each side has at least c vertices, so some X fits in S
+      and some Y in the other side T.  A side that is a tree has two
+      vertices fewer than the cut has edges.  The minimum X-Y cut has
+      f <= c edges and its source side holds at least c - 1 >= f - 1
+      vertices.  If f = c, the bond is a minimum cut, so the largest sink
+      side contains T; if f < c, that side holds at least c - 2 >= f - 1
+      vertices.  Either way neither side is a tree.
+
+    For each c there are O(1) seeds X and O(n) seeds Y, and each flow
+    stops after c + 1 breadth-first searches, so the test is quadratic in
+    n for each k.  The input must be 3-regular and loopless.
+    """
     if not isinstance(k, int) or not 1 <= k <= 6:
         raise GraphError(f"supported connectivity range is 1..6, got {k}")
+    if g.has_loops() or any(g.degree(v) != 3 for v in g.vertices()):
+        raise GraphError("cyclic edge connectivity requires a loopless cubic graph")
     if not is_connected(g):
         raise GraphError("cyclic edge connectivity requires a connected graph")
-    all_edges = range(g.num_edges)
-    for size in range(1, k):
-        for cut in combinations(all_edges, size):
-            removed = frozenset(cut)
-            comps = _components(g, removed)
-            if len(comps) < 2:
-                continue
-            cyclic = 0
-            for comp in comps:
-                if _has_cycle_component(g, comp, removed):
-                    cyclic += 1
-                    if cyclic >= 2:
-                        break
-            if cyclic >= 2:
-                return False
+    n = g.num_vertices
+    if n == 0:
+        return True
+    arcs = [tuple((e, v, g.other_end(e, v), 1 if g.endpoints(e)[0] == v else -1)
+                  for e in g.incident(v)) for v in g.vertices()]
+    nbrs = [g.neighbors(v) for v in g.vertices()]
+    for c in range(1, k):
+        sinks = [y for root in range(1, n) for y in _connected_sets(nbrs, root, max(1, c - 2))]
+        for x in _connected_sets(nbrs, 0, max(1, c - 1)):
+            for y in sinks:
+                if not x & y and _splits_cyclically(arcs, g.num_edges, x, y, c):
+                    return False
     return True
 
 

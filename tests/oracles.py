@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's search code paths: matchings come
 from subset enumeration, bridges from edge deletion plus connectivity,
-colorability from matching partitions or raw assignment enumeration.
+cyclic cuts from edge-subset enumeration, colorability from matching
+partitions or raw assignment enumeration.
 """
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
-from fulkerson_lab.graph_core import MultiGraph
+from fulkerson_lab.graph_core import GraphError, MultiGraph
 
 
 def brute_force_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
@@ -50,6 +51,72 @@ def naive_is_bridgeless(g: MultiGraph) -> bool:
         return len(seen) == g.num_vertices
 
     return all(connected_without(e) for e in range(g.num_edges))
+
+
+def _components(g: MultiGraph, removed: frozenset[int]) -> list[list[int]]:
+    """Connected components (vertex lists) of g with `removed` edges deleted."""
+    seen = [False] * g.num_vertices
+    comps = []
+    for s in g.vertices():
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for e in g.incident(v):
+                if e in removed or g.is_loop(e):
+                    continue
+                w = g.other_end(e, v)
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _has_cycle_component(g: MultiGraph, comp: list[int], removed: frozenset[int]) -> bool:
+    # A connected component contains a cycle iff #edges >= #vertices,
+    # counting loops and parallels.
+    vs = set(comp)
+    edge_count = 0
+    for eid, u, v in g.edges:
+        if eid in removed:
+            continue
+        if u in vs:
+            if u == v:
+                return True
+            edge_count += 1
+    return edge_count >= len(comp)
+
+
+def naive_cyclic_edge_connectivity_at_least(g: MultiGraph, k: int) -> bool:
+    """True iff no edge cut of size < k leaves two components that both contain cycles.
+
+    Tries every edge subset of fewer than k edges, smallest first.
+    """
+    if not isinstance(k, int) or not 1 <= k <= 6:
+        raise GraphError(f"supported connectivity range is 1..6, got {k}")
+    if len(_components(g, frozenset())) > 1:
+        raise GraphError("cyclic edge connectivity requires a connected graph")
+    all_edges = range(g.num_edges)
+    for size in range(1, k):
+        for cut in combinations(all_edges, size):
+            removed = frozenset(cut)
+            comps = _components(g, removed)
+            if len(comps) < 2:
+                continue
+            cyclic = 0
+            for comp in comps:
+                if _has_cycle_component(g, comp, removed):
+                    cyclic += 1
+                    if cyclic >= 2:
+                        break
+            if cyclic >= 2:
+                return False
+    return True
 
 
 def colorable_via_matching_partition(g: MultiGraph) -> bool:

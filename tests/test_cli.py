@@ -338,11 +338,8 @@ class TestExport:
 
 
 class TestThreadsFlag:
-    def test_threads_accepted(self, capsys, petersen_file):
-        code, out, _ = run(capsys, "search", petersen_file, "covering", "--threads", "4")
-        assert code == 0
-
-    def test_threads_must_be_positive(self, capsys, petersen_file):
+    def test_threads_is_a_usage_error(self, capsys, petersen_file):
         with pytest.raises(SystemExit) as exc:
-            main(["search", petersen_file, "covering", "--threads", "0"])
+            main(["search", petersen_file, "covering", "--threads", "4"])
         assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

@@ -279,6 +279,26 @@ class TestExactCoverEngine:
         res_all = enumerate_fulkerson_coverings(g, Budget(limit=3))
         assert res_all.value == [] and not res_all.complete
 
+    def test_node_budget_does_not_cap_the_matchings(self):
+        # The enumeration keeps its own cap: over all of G5's matchings the
+        # search spends its three nodes and runs out, rather than running out
+        # of branches among the first three matchings with budget to spare.
+        budget = Budget(limit=3)
+        res = find_fulkerson_covering(goldberg(5), "exact2cover", budget)
+        assert res.unknown
+        assert budget.exhausted and budget.spent == 4
+
+    def test_edgeless_graph_is_covered_by_six_empty_matchings(self):
+        g = CubicGraph(0, [])
+        for strategy in ("exact2cover", "color", "auto"):
+            res = find_fulkerson_covering(g, strategy)
+            assert [m.members for m in res.value.matchings] == [frozenset()] * 6
+            assert verify_covering(g, res.value).ok
+        assert find_fulkerson_covering(g, "exact2cover").complete
+        res_all = enumerate_fulkerson_coverings(g)
+        assert res_all.complete
+        assert [[m.members for m in c.matchings] for c in res_all.value] == [[frozenset()] * 6]
+
 
 def random_bridgeless_cubic(data):
     """A pairing-model cubic multigraph on at most 10 vertices, rejected

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fulkerson_lab.graph_core import (
     CubicGraph,
@@ -18,6 +18,7 @@ from fulkerson_lab.generators import (
     cube_q3,
     doubled_matching_cycle,
     flower_snark,
+    goldberg,
     k4,
     k33,
     petersen,
@@ -26,7 +27,7 @@ from fulkerson_lab.generators import (
 )
 from fulkerson_lab.matchcolor import enumerate_perfect_matchings, shrink_to_gstar, two_factor_cycles
 
-from oracles import naive_is_bridgeless
+from oracles import naive_cyclic_edge_connectivity_at_least, naive_is_bridgeless
 
 
 ALL_GENERATORS = [theta, k4, k33, cube_q3, petersen, ten_vertex_c5_example,
@@ -178,6 +179,77 @@ class TestCyclicEdgeConnectivity:
     def test_rejects_bad_k(self):
         with pytest.raises(GraphError):
             cyclic_edge_connectivity_at_least(petersen(), 9)
+
+    @pytest.mark.parametrize("g", [
+        MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        MultiGraph(2, [(0, 0), (0, 1), (1, 1)]),
+    ], ids=["four_cycle", "loops"])
+    def test_rejects_non_cubic_input(self, g):
+        with pytest.raises(GraphError):
+            cyclic_edge_connectivity_at_least(g, 4)
+
+    def test_rejects_disconnected_input(self):
+        with pytest.raises(GraphError):
+            cyclic_edge_connectivity_at_least(CubicGraph(4, [(0, 1)] * 3 + [(2, 3)] * 3), 2)
+
+    def test_edgeless_graph_has_no_cyclic_cut(self):
+        assert cyclic_edge_connectivity_at_least(CubicGraph(0, []), 6)
+
+
+# The brute force tries every cut of fewer than k edges, which takes 0.5 to
+# 35 s on J5 from k = 5 and on J7 from k = 4; these values come from one run
+# of `naive_cyclic_edge_connectivity_at_least` and are pinned.
+PINNED_ORACLE = {("J5", 5): True, ("J5", 6): False,
+                 ("J7", 4): True, ("J7", 5): True, ("J7", 6): True}
+
+
+def oracle_by_k(g, name=None):
+    """The brute force at k = 1..6.  A cut of fewer than k edges has fewer
+    than k + 1 too, so after the first False every value is False."""
+    values = []
+    for k in range(1, 7):
+        if values and not values[-1]:
+            values.append(False)
+        elif (name, k) in PINNED_ORACLE:
+            values.append(PINNED_ORACLE[name, k])
+        else:
+            values.append(naive_cyclic_edge_connectivity_at_least(g, k))
+    return values
+
+
+NAMED_GRAPHS = {
+    "petersen": petersen, "J3": lambda: flower_snark(3), "J5": lambda: flower_snark(5),
+    "J7": lambda: flower_snark(7), "theta": theta, "K4": k4, "K33": k33, "Q3": cube_q3,
+    "G5": lambda: goldberg(5), "dmc6": lambda: doubled_matching_cycle(6),
+    "ten_vertex": ten_vertex_c5_example,
+}
+
+
+def random_connected_cubic(data):
+    """A pairing-model cubic multigraph on at most 12 vertices, rejected
+    unless it is loopless and connected; bridges and parallel edges stay."""
+    n = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    points = data.draw(st.permutations(range(3 * n)))
+    pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
+    assume(all(u != v for u, v in pairs))
+    g = CubicGraph(n, pairs)
+    assume(is_connected(g))
+    return g
+
+
+class TestCyclicEdgeConnectivityOracle:
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_agrees_with_brute_force_on_named_graphs(self, name):
+        g = NAMED_GRAPHS[name]()
+        values = [cyclic_edge_connectivity_at_least(g, k) for k in range(1, 7)]
+        assert values == oracle_by_k(g, name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_agrees_with_brute_force_on_random_multigraphs(self, data):
+        g = random_connected_cubic(data)
+        values = [cyclic_edge_connectivity_at_least(g, k) for k in range(1, 7)]
+        assert values == oracle_by_k(g)
 
 
 class TestCycleDecomposition:
