@@ -116,18 +116,22 @@ def _pairing_candidates(cycle: Cycle, posns: Sequence[int]) -> list[frozenset[in
     return cands
 
 
-def _cycle_condition(cycle: Cycle, per_member: Sequence[Sequence[int]]) -> str | None:
-    """First violated incidence condition on one cycle, or None."""
+def _count_violation(cycle: Cycle, per_member: Sequence[Sequence[int]]) -> str | None:
+    """The violated odd- or even-cycle incidence count on one cycle, or None."""
     counts = [len(p) for p in per_member]
-    total = sum(counts)
     if cycle.is_odd:
         if counts != [1, 1, 1, 1]:
             return "an odd cycle must meet each member exactly once"
-    else:
-        if total == 0:
-            return None
-        if total != 4 or sorted(c for c in counts if c) not in ([2, 2], [4]):
-            return "an even cycle must meet the family in a 2+2 or 4+0 pattern"
+    elif sorted(c for c in counts if c) not in ([], [2, 2], [4]):
+        return "an even cycle must meet the family in a 2+2 or 4+0 pattern"
+    return None
+
+
+def _cycle_condition(cycle: Cycle, per_member: Sequence[Sequence[int]]) -> str | None:
+    """First violated incidence condition on one cycle, or None."""
+    problem = _count_violation(cycle, per_member)
+    if problem is not None or not any(per_member):
+        return problem
     for mi, posns in enumerate(per_member):
         if posns and any(gap % 2 == 0 for gap in _arc_gaps(len(cycle), posns)):
             return f"member {mi} splits the cycle into an even arc (not balanced)"
@@ -186,14 +190,11 @@ def derive_n(g: CubicGraph, m: PerfectMatching | Iterable[int],
     n_total: set[int] = set()
     for ci, cyc in enumerate(cycles):
         per_member = positions[ci]
-        counts = [len(p) for p in per_member]
-        total = sum(counts)
-        if total == 0 and not cyc.is_odd:
+        problem = _count_violation(cyc, per_member)
+        if problem is not None:
+            raise GraphError(f"cycle {ci}: {problem}")
+        if not any(per_member):
             continue
-        if cyc.is_odd and counts != [1, 1, 1, 1]:
-            raise GraphError(f"cycle {ci} violates the odd-cycle incidence condition")
-        if not cyc.is_odd and (total != 4 or sorted(c for c in counts if c) not in ([2, 2], [4])):
-            raise GraphError(f"cycle {ci} violates the even-cycle incidence condition")
         cands = _pairing_candidates(cyc, sorted(p for posns in per_member for p in posns))
         if not cands:
             return None

@@ -10,7 +10,7 @@ be pulled back to the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget
@@ -130,43 +130,72 @@ class PMEnumeration:
 DEFAULT_PM_LIMIT = 1_000_000
 
 
+def _perfect_matchings(g: MultiGraph, include: frozenset[int] = frozenset(),
+                       exclude: frozenset[int] = frozenset()) -> Iterator[frozenset[int]]:
+    """Perfect matchings containing the matching `include` and avoiding `exclude`.
+
+    Depth first on an explicit stack: branch on the lowest unsaturated
+    vertex and try its non-excluded edges in ascending id.  Every vertex
+    below a branching vertex stays saturated, so the next one is looked up
+    from there onward.
+    """
+    n = g.num_vertices
+    if n % 2 == 1:
+        return
+    saturated = [False] * n
+    for e in include:
+        u, v = g.endpoints(e)
+        saturated[u] = saturated[v] = True
+    options = [[(e, g.other_end(e, v)) for e in g.incident(v) if e not in exclude]
+               for v in g.vertices()]
+    chosen = list(include)
+    stack: list[list[int]] = []  # [branching vertex, index of the edge taken there]
+    u = 0
+    while True:
+        while u < n and saturated[u]:
+            u += 1
+        if u == n:
+            yield frozenset(chosen)
+        else:
+            saturated[u] = True
+            stack.append([u, -1])
+        # Backtrack to the deepest vertex with an untried edge and take it.
+        while stack:
+            frame = stack[-1]
+            v, i = frame
+            opts = options[v]
+            if i >= 0:
+                saturated[opts[i][1]] = False
+                chosen.pop()
+            i += 1
+            while i < len(opts) and saturated[opts[i][1]]:
+                i += 1
+            if i < len(opts):
+                frame[1] = i
+                e, w = opts[i]
+                saturated[w] = True
+                chosen.append(e)
+                u = v + 1
+                break
+            saturated[v] = False
+            stack.pop()
+        else:
+            return
+
+
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> PMEnumeration:
     """All perfect matchings of g, lexicographic by sorted edge-id tuple.
 
-    Stops after `limit` matchings (default one million) and flags the
-    truncation.  An odd vertex count yields the empty, complete enumeration.
+    Keeps the first `limit` matchings the search finds (default one
+    million) and flags the enumeration truncated when there are more.  An
+    odd vertex count yields the empty, complete enumeration.
     """
     if limit is None:
         limit = DEFAULT_PM_LIMIT
-    found: list[frozenset[int]] = []
-    truncated = False
-    if g.num_vertices % 2 == 1:
-        return PMEnumeration((), False)
-    saturated = [False] * g.num_vertices
-
-    def backtrack(chosen: list[int]) -> bool:
-        # Returns False when the limit got hit and the search must stop.
-        v = next((u for u in g.vertices() if not saturated[u]), None)
-        if v is None:
-            found.append(frozenset(chosen))
-            return len(found) < limit
-        for e in g.incident(v):
-            w = g.other_end(e, v)
-            if saturated[w]:
-                continue
-            saturated[v] = saturated[w] = True
-            chosen.append(e)
-            ok = backtrack(chosen)
-            chosen.pop()
-            saturated[v] = saturated[w] = False
-            if not ok:
-                return False
-        return True
-
-    truncated = not backtrack([])
-    matchings = tuple(
-        PerfectMatching(g, s) for s in sorted(found, key=lambda s: tuple(sorted(s)))
-    )
+    found = list(islice(_perfect_matchings(g), limit + 1))
+    truncated = len(found) > limit
+    matchings = tuple(PerfectMatching(g, s)
+                      for s in sorted(found[:limit], key=lambda s: tuple(sorted(s))))
     return PMEnumeration(matchings, truncated)
 
 
@@ -175,41 +204,18 @@ def find_perfect_matching(
     include: Matching | Iterable[int] = (),
     exclude: EdgeSet | Iterable[int] = (),
 ) -> PerfectMatching | None:
-    """First perfect matching (canonical order) containing `include` and avoiding `exclude`."""
+    """The first perfect matching containing `include` and avoiding `exclude`.
+
+    First in the depth-first order of the shared search (lowest unsaturated
+    vertex, its edges in ascending id), which is not the canonical order of
+    `enumerate_perfect_matchings`.
+    """
     inc = _as_matching(g, include)
     excl = frozenset(exclude.members if isinstance(exclude, EdgeSet) else exclude)
     if inc.members & excl:
         raise GraphError("include and exclude overlap")
-    if g.num_vertices % 2 == 1:
-        return None
-    saturated = [False] * g.num_vertices
-    for e in inc:
-        u, v = g.endpoints(e)
-        saturated[u] = saturated[v] = True
-
-    chosen = list(inc.members)
-
-    def backtrack() -> bool:
-        v = next((u for u in g.vertices() if not saturated[u]), None)
-        if v is None:
-            return True
-        for e in g.incident(v):
-            if e in excl:
-                continue
-            w = g.other_end(e, v)
-            if saturated[w]:
-                continue
-            saturated[v] = saturated[w] = True
-            chosen.append(e)
-            if backtrack():
-                return True
-            chosen.pop()
-            saturated[v] = saturated[w] = False
-        return False
-
-    if backtrack():
-        return PerfectMatching(g, chosen)
-    return None
+    found = next(_perfect_matchings(g, inc.members, excl), None)
+    return None if found is None else PerfectMatching(g, found)
 
 
 def is_m_balanced(g: CubicGraph, m: PerfectMatching, a: Matching | Iterable[int]) -> bool:
@@ -361,92 +367,90 @@ def split_and_suppress(
                            tuple(provenance), tuple(loops))
 
 
-def _edge_coloring_search(
-    g: MultiGraph,
-    colors: int,
-    fix_first_vertex: bool,
-    collect_all: bool,
-    budget: Budget | None = None,
-) -> list[tuple[int, ...]]:
-    """Deterministic backtracking proper edge coloring.
+def _edge_colorings(g: MultiGraph, colors: int,
+                    budget: Budget | None = None) -> Iterator[tuple[int, ...]]:
+    """Proper edge colorings by deterministic backtracking on an explicit stack.
 
-    Picks the uncolored edge with the fewest available colors (ties by id);
-    optionally pre-colors the lowest vertex's edges 0, 1, 2, ... which
-    breaks global color symmetry without losing existence.
+    Pre-colors the lowest non-isolated vertex's edges 0, 1, 2, ..., which
+    breaks global color symmetry without losing existence, then branches
+    on the uncolored edge with the fewest available colors (ties by id),
+    trying them in ascending order.  Each search node, leaves and dead ends
+    included, spends one budget node; the search stops when the budget
+    runs out.  The uncolored edges sit in buckets by their number of free
+    colors, so a node costs time in proportion to one bucket, not to m.
     """
     m = g.num_edges
     if g.has_loops():
-        return []
+        return
     if m == 0:
-        return [()]
+        yield ()
+        return
+    ends = [g.endpoints(e) for e in range(m)]
+    # (f, ends of f) for each edge f sharing an end with e, e included, once.
+    near = [tuple({(f, *ends[f]) for x in ends[e] for f in g.incident(x)}) for e in range(m)]
     assignment = [-1] * m
-    used: list[set[int]] = [set() for _ in range(g.num_vertices)]
-    solutions: list[tuple[int, ...]] = []
+    used = [0] * g.num_vertices  # bitmask of the colors at each vertex
+    full = (1 << colors) - 1
+    # buckets[k] holds the uncolored edges with k free colors; the last
+    # bucket holds the colored edges.  where[e] is the bucket of edge e.
+    buckets: list[set[int]] = [set() for _ in range(colors + 2)]
+    buckets[colors].update(range(m))
+    where = [colors] * m
 
-    def place(e: int, c: int) -> None:
-        assignment[e] = c
-        u, v = g.endpoints(e)
-        used[u].add(c)
-        used[v].add(c)
+    def toggle(e: int, c: int) -> None:
+        # Places color c on the uncolored edge e, or takes it off again.
+        u, v = ends[e]
+        used[u] ^= 1 << c
+        used[v] ^= 1 << c
+        assignment[e] = -1 if assignment[e] == c else c
+        for f, x, y in near[e]:
+            k = colors + 1 if assignment[f] != -1 else (full & ~(used[x] | used[y])).bit_count()
+            if k != where[f]:
+                buckets[where[f]].remove(f)
+                buckets[k].add(f)
+                where[f] = k
 
-    def unplace(e: int) -> None:
-        c = assignment[e]
-        assignment[e] = -1
-        u, v = g.endpoints(e)
-        used[u].discard(c)
-        used[v].discard(c)
+    anchor = next(v for v in g.vertices() if g.incident(v))
+    for c, e in enumerate(g.incident(anchor)):
+        if c >= colors or used[g.other_end(e, anchor)] >> c & 1:
+            return
+        toggle(e, c)
 
-    if fix_first_vertex and g.num_vertices:
-        anchor = min(v for v in g.vertices() if g.degree(v) > 0)
-        for c, e in enumerate(g.incident(anchor)):
-            if c >= colors or c in used[g.other_end(e, anchor)]:
-                return []
-            place(e, c)
-
-    def options(e: int) -> list[int]:
-        u, v = g.endpoints(e)
-        taken = used[u] | used[v]
-        return [c for c in range(colors) if c not in taken]
-
-    def search() -> bool:
-        # Returns True when the whole search must stop (solution found in
-        # existence mode, or budget exhausted).
+    stack: list[list] = []  # [edge, its color options, index of the next option]
+    while True:
         if budget is not None and not budget.spend():
-            return True
-        best_e = -1
-        best_opts: list[int] = []
-        for e in range(m):
+            return
+        # Branch on the first edge in id order with at most one free color
+        # (none: a dead end), or else on the first with the fewest.
+        low = buckets[0] | buckets[1]
+        e = min(low) if low else next((min(b) for b in buckets[2:-1] if b), -1)
+        if e == -1:
+            yield tuple(assignment)
+        else:
+            u, v = ends[e]
+            free = full & ~(used[u] | used[v])
+            if free:
+                stack.append([e, [c for c in range(colors) if free >> c & 1], 0])
+        # Backtrack to the deepest edge with an untried color and place it.
+        while stack:
+            frame = stack[-1]
+            e, opts, i = frame
             if assignment[e] != -1:
+                toggle(e, assignment[e])
+            if i == len(opts):
+                stack.pop()
                 continue
-            opts = options(e)
-            if not opts:
-                return False  # dead end, backtrack
-            if best_e == -1 or len(opts) < len(best_opts):
-                best_e, best_opts = e, opts
-                if len(opts) == 1:
-                    break
-        if best_e == -1:
-            solutions.append(tuple(assignment))
-            return not collect_all
-        for c in best_opts:
-            place(best_e, c)
-            done = search()
-            unplace(best_e)
-            if done:
-                return True
-        return False
-
-    search()
-    return solutions
+            toggle(e, opts[i])
+            frame[2] = i + 1
+            break
+        else:
+            return
 
 
 def three_edge_coloring(g: MultiGraph, budget: Budget | None = None) -> EdgeColoring | None:
     """A proper 3-edge-coloring, or None when none exists."""
-    sols = _edge_coloring_search(g, 3, fix_first_vertex=True, collect_all=False,
-                                 budget=budget)
-    if not sols:
-        return None
-    return EdgeColoring(g, sols[0], 3)
+    sol = next(_edge_colorings(g, 3, budget), None)
+    return None if sol is None else EdgeColoring(g, sol, 3)
 
 
 def three_edge_colorable(s: SuppressedGraph,
@@ -466,12 +470,7 @@ def three_edge_colorable(s: SuppressedGraph,
 
 
 def _canonical_color_form(assignment: tuple[int, ...], colors: int) -> tuple[int, ...]:
-    best = None
-    for perm in permutations(range(colors)):
-        mapped = tuple(perm[c] for c in assignment)
-        if best is None or mapped < best:
-            best = mapped
-    return best
+    return min(tuple(perm[c] for c in assignment) for perm in permutations(range(colors)))
 
 
 def enumerate_three_edge_colorings(g: MultiGraph) -> list[EdgeColoring]:
@@ -480,8 +479,7 @@ def enumerate_three_edge_colorings(g: MultiGraph) -> list[EdgeColoring]:
     Each orbit is represented by its lexicographically minimal assignment;
     the list is sorted by that assignment.
     """
-    raw = _edge_coloring_search(g, 3, fix_first_vertex=True, collect_all=True)
-    reps = sorted({_canonical_color_form(sol, 3) for sol in raw})
+    reps = sorted({_canonical_color_form(sol, 3) for sol in _edge_colorings(g, 3)})
     return [EdgeColoring(g, rep, 3) for rep in reps]
 
 
@@ -596,8 +594,5 @@ def five_edge_coloring(gstar: MultiGraph, budget: Budget | None = None) -> EdgeC
     for v in gstar.vertices():
         if gstar.degree(v) != 5:
             raise GraphError(f"vertex {v} has degree {gstar.degree(v)}, expected 5")
-    sols = _edge_coloring_search(gstar, 5, fix_first_vertex=True, collect_all=False,
-                                 budget=budget)
-    if not sols:
-        return None
-    return EdgeColoring(gstar, sols[0], 5)
+    sol = next(_edge_colorings(gstar, 5, budget), None)
+    return None if sol is None else EdgeColoring(gstar, sol, 5)

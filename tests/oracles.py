@@ -3,13 +3,16 @@
 These deliberately avoid the library's search code paths: matchings come
 from subset enumeration, bridges from edge deletion plus connectivity,
 cyclic cuts from edge-subset enumeration, colorability from matching
-partitions or raw assignment enumeration.
+partitions or raw assignment enumeration.  The random cubic multigraphs
+that the differential tests feed them come from one Hypothesis helper here.
 """
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
-from fulkerson_lab.graph_core import GraphError, MultiGraph
+from hypothesis import assume, strategies as st
+
+from fulkerson_lab.graph_core import CubicGraph, GraphError, MultiGraph
 
 
 def brute_force_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
@@ -31,6 +34,21 @@ def brute_force_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
         if ok and len(seen) == n:
             out.append(frozenset(combo))
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def random_cubic_multigraph(data, max_order: int, bridgeless: bool = False) -> CubicGraph:
+    """A pairing-model cubic multigraph on an even number of vertices up to
+    `max_order`, drawn with Hypothesis's `data` and rejected unless it is
+    loopless and connected (and bridgeless, when asked); parallel edges stay."""
+    n = data.draw(st.sampled_from(range(2, max_order + 1, 2)))
+    points = data.draw(st.permutations(range(3 * n)))
+    pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
+    assume(all(u != v for u, v in pairs))
+    g = CubicGraph(n, pairs)
+    assume(len(_components(g, frozenset())) == 1)
+    if bridgeless:
+        assume(naive_is_bridgeless(g))
+    return g
 
 
 def naive_is_bridgeless(g: MultiGraph) -> bool:

@@ -1,7 +1,7 @@
 import pytest
 from itertools import combinations
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fulkerson_lab.budget import Budget
 from fulkerson_lab.generators import (
@@ -39,7 +39,7 @@ from fulkerson_lab.fulkerson import (
     t_partition,
     verify_covering,
 )
-from oracles import covering_exists, naive_is_bridgeless, proper_covering_exists
+from oracles import covering_exists, proper_covering_exists, random_cubic_multigraph
 
 
 def petersen_triples():
@@ -300,23 +300,11 @@ class TestExactCoverEngine:
         assert [[m.members for m in c.matchings] for c in res_all.value] == [[frozenset()] * 6]
 
 
-def random_bridgeless_cubic(data):
-    """A pairing-model cubic multigraph on at most 10 vertices, rejected
-    unless it is loopless, connected and bridgeless."""
-    n = data.draw(st.sampled_from([2, 4, 6, 8, 10]))
-    points = data.draw(st.permutations(range(3 * n)))
-    pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
-    assume(all(u != v for u, v in pairs))
-    g = CubicGraph(n, pairs)
-    assume(naive_is_bridgeless(g))
-    return g
-
-
 class TestCoveringOracle:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_exact2cover_and_enumeration_match_brute_force(self, data):
-        g = random_bridgeless_cubic(data)
+        g = random_cubic_multigraph(data, max_order=10, bridgeless=True)
         res = find_fulkerson_covering(g, "exact2cover")
         assert res.complete
         assert res.found == covering_exists(g)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fulkerson_lab.graph_core import (
     CubicGraph,
@@ -27,7 +27,11 @@ from fulkerson_lab.generators import (
 )
 from fulkerson_lab.matchcolor import enumerate_perfect_matchings, shrink_to_gstar, two_factor_cycles
 
-from oracles import naive_cyclic_edge_connectivity_at_least, naive_is_bridgeless
+from oracles import (
+    naive_cyclic_edge_connectivity_at_least,
+    naive_is_bridgeless,
+    random_cubic_multigraph,
+)
 
 
 ALL_GENERATORS = [theta, k4, k33, cube_q3, petersen, ten_vertex_c5_example,
@@ -225,18 +229,6 @@ NAMED_GRAPHS = {
 }
 
 
-def random_connected_cubic(data):
-    """A pairing-model cubic multigraph on at most 12 vertices, rejected
-    unless it is loopless and connected; bridges and parallel edges stay."""
-    n = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
-    points = data.draw(st.permutations(range(3 * n)))
-    pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
-    assume(all(u != v for u, v in pairs))
-    g = CubicGraph(n, pairs)
-    assume(is_connected(g))
-    return g
-
-
 class TestCyclicEdgeConnectivityOracle:
     @pytest.mark.parametrize("name", NAMED_GRAPHS)
     def test_agrees_with_brute_force_on_named_graphs(self, name):
@@ -247,7 +239,7 @@ class TestCyclicEdgeConnectivityOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_agrees_with_brute_force_on_random_multigraphs(self, data):
-        g = random_connected_cubic(data)
+        g = random_cubic_multigraph(data, max_order=12)
         values = [cyclic_edge_connectivity_at_least(g, k) for k in range(1, 7)]
         assert values == oracle_by_k(g)
 

@@ -1,10 +1,14 @@
 import pytest
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
+from fulkerson_lab.budget import Budget
 from fulkerson_lab.generators import (
     cube_q3,
     doubled_matching_cycle,
     flower_snark,
+    goldberg,
     k4,
     k33,
     petersen,
@@ -15,6 +19,7 @@ from fulkerson_lab.generators import (
 from fulkerson_lab.graph_core import GraphError, MultiGraph, cycle_decomposition
 from fulkerson_lab.matchcolor import (
     EdgeColoring,
+    PerfectMatching,
     color_classes_as_matchings,
     enumerate_perfect_matchings,
     enumerate_three_edge_colorings,
@@ -31,7 +36,11 @@ from fulkerson_lab.matchcolor import (
     two_factor_cycles,
 )
 
-from oracles import brute_force_perfect_matchings, count_proper_colorings
+from oracles import (
+    brute_force_perfect_matchings,
+    count_proper_colorings,
+    random_cubic_multigraph,
+)
 
 
 class TestEnumeratePerfectMatchings:
@@ -60,6 +69,12 @@ class TestEnumeratePerfectMatchings:
         assert len(enum) == 2
         assert enum.truncated
 
+    @pytest.mark.parametrize("make,count", [(petersen, 6), (k4, 3)])
+    def test_limit_equal_to_count_is_not_truncated(self, make, count):
+        enum = enumerate_perfect_matchings(make(), limit=count)
+        assert len(enum) == count
+        assert not enum.truncated
+
     def test_limit_at_least_count_finds_the_same_set(self):
         full = {m.members for m in enumerate_perfect_matchings(petersen())}
         capped = {m.members for m in enumerate_perfect_matchings(petersen(), limit=6)}
@@ -72,6 +87,13 @@ class TestEnumeratePerfectMatchings:
 
 
 class TestFindPerfectMatching:
+    def test_first_in_search_order_not_canonical_order(self):
+        g = goldberg(5)
+        found = sorted(find_perfect_matching(g).members)
+        canonical = sorted(enumerate_perfect_matchings(g)[0].members)
+        assert found[:3] == [3, 4, 5]
+        assert canonical[:3] == [0, 5, 6]
+
     def test_every_petersen_edge_extends(self):
         g = petersen()
         for e in g.edge_ids():
@@ -380,6 +402,54 @@ class TestFiveEdgeColoring:
         assert all(g.degree(v) == 5 for v in g.vertices())
         found = five_edge_coloring(g) is not None
         assert found == (count_proper_colorings(g, 5) > 0)
+
+
+class TestDepthAndNodeCounts:
+    def test_matching_of_a_long_doubled_cycle(self):
+        g = doubled_matching_cycle(2400)
+        assert PerfectMatching(g, find_perfect_matching(g).members)
+
+    def test_coloring_of_a_long_doubled_cycle(self):
+        g = doubled_matching_cycle(700)
+        assert EdgeColoring(g, three_edge_coloring(g).assignment, 3)
+
+    @pytest.mark.parametrize("make,spent", [
+        (petersen, 33), (lambda: flower_snark(5), 358), (lambda: goldberg(5), 900),
+        (cube_q3, 10), (lambda: flower_snark(7), 2402), (lambda: flower_snark(9), 13541),
+    ])
+    def test_coloring_node_counts(self, make, spent):
+        budget = Budget(limit=5_000_000)
+        three_edge_coloring(make(), budget=budget)
+        assert budget.spent == spent
+        assert not budget.exhausted
+
+
+class TestOracleDifferential:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matchings_and_colorings_match_brute_force(self, data):
+        g = random_cubic_multigraph(data, max_order=12)
+        brute = brute_force_perfect_matchings(g)
+        enum = enumerate_perfect_matchings(g)
+        assert [m.members for m in enum] == brute
+        assert not enum.truncated
+
+        include = frozenset()
+        if brute:
+            base = data.draw(st.sampled_from(brute))
+            include = frozenset(data.draw(st.sets(st.sampled_from(sorted(base)))))
+        others = sorted(set(g.edge_ids()) - include)
+        exclude = frozenset(data.draw(st.sets(st.sampled_from(others), max_size=4)))
+        found = find_perfect_matching(g, include, exclude)
+        extends = any(include <= m and not m & exclude for m in brute)
+        assert (found is not None) == extends
+        if found is not None:
+            assert include <= found.members
+            assert not found.members & exclude
+
+        count = count_proper_colorings(g, 3)
+        assert (three_edge_coloring(g) is None) == (count == 0)
+        assert len(enumerate_three_edge_colorings(g)) == count // 6
 
 
 def test_coloring_rejects_loops():
