@@ -279,17 +279,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_NONE
 
 
-def _search_budget(args: argparse.Namespace) -> Budget:
-    return Budget(limit=args.budget)
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     try:
         g = parse_graph_file(_read(args.graph))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    budget = _search_budget(args)
+    budget = Budget(limit=args.budget)
     certs: list[Certificate] = []
     complete = True
     if args.target == "fr-triple":
@@ -451,6 +447,16 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_FOUND
 
 
+def _node_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative node count, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fulkerson-lab",
@@ -472,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("graph")
     p_search.add_argument("target", choices=("fr-triple", "covering", "ffamily"))
     p_search.add_argument("--strategy", choices=_STRATEGIES, default=AUTO)
-    p_search.add_argument("--budget", type=int,
+    p_search.add_argument("--budget", type=_node_budget,
                           default=None,
                           help=f"search node budget (default from ${DEFAULT_BUDGET_ENV})")
     p_search.add_argument("--all", action="store_true",

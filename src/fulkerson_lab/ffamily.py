@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, SearchResult
 from .generators import DotProductResult, DotProductSpec, dot_product, petersen
@@ -306,141 +306,133 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
     return covering
 
 
-def _family_csp(g: CubicGraph, m: PerfectMatching, budget: Budget,
-                collect: list[FFamily] | None = None) -> FFamily | None:
-    """Backtracking label assignment of m-edges to members, cycle by cycle.
+def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:
+    """Every family for m in canonical order: member labels for m-edges on an explicit stack.
 
-    Returns the first family in canonical order, or (with `collect`) keeps
-    searching and appends every family found.
+    Cycles are settled shortest first.  Each m-edge gets a slot at the
+    first cycle it touches, and each cycle ends in a close slot, so the
+    search walks one flat list of slots and spends one node per visit.  An
+    edge slot checks the cycle's caps, then tries label -1 (no member) and
+    the members in order of first use, -1..min(used + 1, 3).  A close slot
+    checks the cycle's incidence conditions.
     """
-    cycles = two_factor_cycles(g, m)
-    where = {}
-    for ci, cyc in enumerate(cycles):
-        for pos, v in enumerate(cyc.vertices):
-            where[v] = (ci, pos)
-    m_edges = sorted(m.members)
-    incident: list[list[int]] = [[] for _ in cycles]
-    for e in m_edges:
-        touched = {where[v][0] for v in g.endpoints(e)}
-        for ci in touched:
-            incident[ci].append(e)
+    if budget.exhausted:  # skip the set-up for the matchings left after the budget ran out
+        return
+    cycles = two_factor_cycles(g, m).cycles
+    where = {v: (ci, pos) for ci, cyc in enumerate(cycles) for pos, v in enumerate(cyc.vertices)}
+    counts = [[0, 0, 0, 0] for _ in cycles]  # counts[ci][mi]: ends of member mi on cycle ci
+    around: list[list[tuple[int, list[int]]]] = [[] for _ in cycles]  # (m-edge, its positions)
+    hits: dict[int, list[tuple[list[int], int]]] = {}  # m-edge -> (a cycle's counts, ends on it)
+    for e in sorted(m.members):
+        on: dict[int, list[int]] = {}
+        for v in g.endpoints(e):
+            ci, pos = where[v]
+            on.setdefault(ci, []).append(pos)
+        for ci, posns in on.items():
+            around[ci].append((e, posns))
+        hits[e] = [(counts[ci], len(posns)) for ci, posns in on.items()]
     # Short cycles carry the tightest incidence constraints; settle them first.
-    order = sorted(range(len(cycles)), key=lambda ci: (len(cycles.cycles[ci]), ci))
-    labels: dict[int, int] = {e: -2 for e in m_edges}  # -2 undecided, -1 none, 0..3 member
-
-    def cycle_ok(ci: int) -> bool:
-        per_member: list[list[int]] = [[], [], [], []]
-        for e in incident[ci]:
-            if labels[e] < 0:
-                continue
-            for v in g.endpoints(e):
-                c2, pos = where[v]
-                if c2 == ci:
-                    per_member[labels[e]].append(pos)
-        for lst in per_member:
-            lst.sort()
-        return _cycle_condition(cycles.cycles[ci], per_member) is None
-
-    def materialize() -> FFamily | None:
-        members = [Matching(g, [e for e, lab in labels.items() if lab == mi])
-                   for mi in range(4)]
-        n = derive_n(g, m, members)
-        if n is None:
-            return None
-        fam = FFamily(m, *members, n)
-        report = verify_ffamily(g, fam)
-        if not report.ok:
-            raise GraphError("internal invariant failure: searched family fails "
-                             "verification: " + "; ".join(report.diagnostics))
-        return fam
-
-    def hits_on(e: int, ci: int) -> int:
-        return sum(1 for v in g.endpoints(e) if where[v][0] == ci)
-
-    def solve(step: int, max_used: int) -> FFamily | None:
-        if step == len(order):
-            if max_used != 3:
-                return None
-            fam = materialize()
-            if fam is not None and collect is not None:
-                collect.append(fam)
-                return None
-            return fam
-        ci = order[step]
-        cyc = cycles.cycles[ci]
-        undecided = [e for e in incident[ci] if labels[e] == -2]
-        member_cap = 1 if cyc.is_odd else 4
-        counts = [0, 0, 0, 0]
-        for e in incident[ci]:
-            if labels[e] >= 0:
-                counts[labels[e]] += hits_on(e, ci)
-
-        def assign(idx: int, used: int) -> FFamily | None:
-            if not budget.spend():
-                return None
+    slots: list[tuple[int, int | None]] = []  # (cycle, m-edge), or (cycle, None) to close it
+    slotted: set[int] = set()
+    for ci in sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci)):
+        for e, _ in around[ci]:
+            if e not in slotted:
+                slotted.add(e)
+                slots.append((ci, e))
+        slots.append((ci, None))
+    caps = [1 if cyc.is_odd else 4 for cyc in cycles]
+    label = dict.fromkeys(hits, -1)
+    stack: list[list[int]] = []  # [slot, label, used before the slot] per open edge slot
+    i, used = 0, -1
+    while True:
+        if i == len(slots):
+            if used == 3:
+                fam = _family_of(g, m, label)
+                if fam is not None:
+                    yield fam
+        elif not budget.spend():
+            return
+        else:
+            ci, e = slots[i]
             # determined vertices on the cycle never exceed four in total
-            if sum(counts) > 4 or any(c > member_cap for c in counts):
-                return None
-            if idx == len(undecided):
-                if not cycle_ok(ci):
-                    return None
-                return solve(step + 1, used)
-            e = undecided[idx]
-            hits = hits_on(e, ci)
-            for lab in range(-1, min(used + 1, 3) + 1):
-                labels[e] = lab
-                if lab >= 0:
-                    counts[lab] += hits
-                res = assign(idx + 1, max(used, lab))
-                if lab >= 0:
-                    counts[lab] -= hits
-                labels[e] = -2
-                if res is not None or budget.exhausted:
-                    return res
-            return None
+            if sum(counts[ci]) <= 4 and max(counts[ci]) <= caps[ci]:
+                if e is not None:
+                    stack.append([i, -1, used])
+                    label[e] = -1
+                    i += 1
+                    continue
+                per_member: list[list[int]] = [[], [], [], []]
+                for f, posns in around[ci]:
+                    if label[f] >= 0:
+                        per_member[label[f]] += posns
+                if _cycle_condition(cycles[ci], [sorted(p) for p in per_member]) is None:
+                    i += 1
+                    continue
+        # backtrack to the deepest edge slot with a label left to try
+        while stack:
+            frame = stack[-1]
+            i, lab, used = frame
+            e = slots[i][1]
+            if lab >= 0:
+                for cnt, k in hits[e]:
+                    cnt[lab] -= k
+            if lab <= used and lab < 3:
+                lab = label[e] = frame[1] = lab + 1
+                for cnt, k in hits[e]:
+                    cnt[lab] += k
+                used = max(used, lab)
+                i += 1
+                break
+            stack.pop()
+        else:
+            return
 
-        return assign(0, max_used)
 
-    return solve(0, -1)
+def _family_of(g: CubicGraph, m: PerfectMatching, label: dict[int, int]) -> FFamily | None:
+    """The verified family that a complete labelling of m's edges describes, if N exists."""
+    members = [Matching(g, [e for e, lab in label.items() if lab == mi]) for mi in range(4)]
+    n = derive_n(g, m, members)
+    if n is None:
+        return None
+    fam = FFamily(m, *members, n)
+    report = verify_ffamily(g, fam)
+    if not report.ok:
+        raise GraphError("internal invariant failure: searched family fails "
+                         "verification: " + "; ".join(report.diagnostics))
+    return fam
+
+
+def _families(g: CubicGraph, m: PerfectMatching | Iterable[int] | None,
+              budget: Budget) -> tuple[Iterator[FFamily], bool]:
+    """Families over m, or over every perfect matching, and whether that source is complete."""
+    if m is not None:
+        matchings: Sequence[PerfectMatching] = [_as_perfect(g, m)]
+        complete = True
+    else:
+        enum = enumerate_perfect_matchings(g)
+        matchings, complete = enum.matchings, not enum.truncated
+    return (fam for pm in matchings for fam in _ffamilies(g, pm, budget)), complete
 
 
 def find_ffamily(g: CubicGraph, m: PerfectMatching | Iterable[int] | None = None,
                  budget: Budget | None = None) -> SearchResult[FFamily]:
     """Search for an F-family, over one matching or all of them.
 
-    Members are required to be nonempty.  Exhausts the space for graphs
-    with at most 24 vertices by default; larger graphs run under the node
-    budget and report unknown when it is exceeded.
+    Members are required to be nonempty.  The search runs under the node
+    budget (by default `Budget()`) and reports unknown when it is exceeded.
     """
-    if budget is None:
-        budget = Budget(limit=10 ** 12 if g.num_vertices <= 24 else None)
-    if m is not None:
-        matchings: Iterable[PerfectMatching] = [_as_perfect(g, m)]
-        complete_source = True
-    else:
-        enum = enumerate_perfect_matchings(g)
-        matchings = enum.matchings
-        complete_source = not enum.truncated
-    for pm in matchings:
-        fam = _family_csp(g, pm, budget)
-        if fam is not None:
-            return SearchResult(fam, True)
-        if budget.exhausted:
-            return SearchResult(None, False)
-    return SearchResult(None, complete_source)
+    budget = Budget() if budget is None else budget
+    families, complete = _families(g, m, budget)
+    fam = next(families, None)
+    return SearchResult(fam, fam is not None or (complete and not budget.exhausted))
 
 
 def enumerate_ffamilies(g: CubicGraph, budget: Budget | None = None) -> SearchResult[list[FFamily]]:
     """All F-families over all perfect matchings (canonical order, budget-capped)."""
-    if budget is None:
-        budget = Budget(limit=10 ** 12 if g.num_vertices <= 24 else None)
-    enum = enumerate_perfect_matchings(g)
-    out: list[FFamily] = []
-    for pm in enum.matchings:
-        _family_csp(g, pm, budget, collect=out)
-        if budget.exhausted:
-            return SearchResult(out, False)
-    return SearchResult(out, not enum.truncated)
+    budget = Budget() if budget is None else budget
+    families, complete = _families(g, None, budget)
+    out = list(families)
+    return SearchResult(out, complete and not budget.exhausted)
 
 
 @dataclass(frozen=True)
@@ -472,6 +464,27 @@ def _map_matching(result_map: dict[int, int], mem: Matching | PerfectMatching,
             raise TransportError(f"edge {e} does not survive the dot product")
         out.add(result_map[e])
     return out
+
+
+def _transport(g1: CubicGraph, m1: PerfectMatching, g2: CubicGraph, m2: PerfectMatching,
+               spec: DotProductSpec, fam: FFamily, from_first: bool) -> TransportResult:
+    """Dot g1 with g2 and carry fam, from g1 or from g2, onto the product.
+
+    The product's matching is m1 and m2 minus the spec's removed edge e3.
+    """
+    product = dot_product(g1, g2, spec)
+    graph = product.graph
+    new_m = _map_matching(product.g1_edges, m1, graph)
+    new_m |= _map_matching(product.g2_edges, m2, graph, drop=frozenset((spec.e3,)))
+    edge_map = product.g1_edges if from_first else product.g2_edges
+    members = [Matching(graph, _map_matching(edge_map, mem, graph)) for mem in fam.members]
+    n = Matching(graph, _map_matching(edge_map, fam.n_edges, graph))
+    moved = FFamily(PerfectMatching(graph, new_m), *members, n)
+    out = verify_ffamily(graph, moved)
+    if not out.ok:
+        raise TransportError("transported family fails verification: "
+                             + "; ".join(out.diagnostics))
+    return TransportResult(product, moved)
 
 
 def dot_preserve_type1(g1: CubicGraph, m1: PerfectMatching | Iterable[int],
@@ -508,19 +521,7 @@ def dot_preserve_type1(g1: CubicGraph, m1: PerfectMatching | Iterable[int],
     in_second = spec.e2 in cycles1.cycles[0].edges and spec.e1 in cycles1.cycles[1].edges
     if not (in_first or in_second):
         raise TransportError("e1 and e2 must lie on the two distinct odd cycles of g1")
-    product = dot_product(g1, g2, spec)
-    graph = product.graph
-    new_m = _map_matching(product.g1_edges, m1, graph)
-    new_m |= _map_matching(product.g2_edges, fam2.m, graph, drop=frozenset((xy,)))
-    members = [Matching(graph, _map_matching(product.g2_edges, mem, graph))
-               for mem in fam2.members]
-    n = Matching(graph, _map_matching(product.g2_edges, fam2.n_edges, graph))
-    fam = FFamily(PerfectMatching(graph, new_m), *members, n)
-    out = verify_ffamily(graph, fam)
-    if not out.ok:
-        raise TransportError("transported family fails verification: "
-                             + "; ".join(out.diagnostics))
-    return TransportResult(product, fam)
+    return _transport(g1, m1, g2, fam2.m, spec, fam2, from_first=False)
 
 
 def dot_preserve_type2(g1: CubicGraph, fam1: FFamily, xy: int, zt: int,
@@ -553,19 +554,7 @@ def dot_preserve_type2(g1: CubicGraph, fam1: FFamily, xy: int, zt: int,
         raise TransportError("e3 must join the two odd cycles of g2's 2-factor")
     if spec.e3 != e3:
         raise TransportError("the spec must remove e3 from the second factor")
-    product = dot_product(g1, g2, spec)
-    graph = product.graph
-    new_m = _map_matching(product.g1_edges, fam1.m, graph)
-    new_m |= _map_matching(product.g2_edges, m2, graph, drop=frozenset((e3,)))
-    members = [Matching(graph, _map_matching(product.g1_edges, mem, graph))
-               for mem in fam1.members]
-    n = Matching(graph, _map_matching(product.g1_edges, fam1.n_edges, graph))
-    fam = FFamily(PerfectMatching(graph, new_m), *members, n)
-    out = verify_ffamily(graph, fam)
-    if not out.ok:
-        raise TransportError("transported family fails verification: "
-                             + "; ".join(out.diagnostics))
-    return TransportResult(product, fam)
+    return _transport(g1, fam1.m, g2, m2, spec, fam1, from_first=True)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,6 @@ class NamedVertexMap:
     def __getitem__(self, label: str) -> int:
         return self.names[label]
 
-    def label_of(self, vid: int) -> str:
-        for lab, v in self.names.items():
-            if v == vid:
-                return lab
-        raise KeyError(vid)
-
 
 def petersen() -> CubicGraph:
     """The Petersen graph.

@@ -106,9 +106,6 @@ class SuppressedGraph:
     def loop_count(self) -> int:
         return len(self.loops)
 
-    def absorbed_edges(self, component: int, eid: int) -> tuple[int, ...]:
-        return self.provenance[component][eid]
-
 
 @dataclass
 class PMEnumeration:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's search code paths: matchings come
 from subset enumeration, bridges from edge deletion plus connectivity,
 cyclic cuts from edge-subset enumeration, colorability from matching
-partitions or raw assignment enumeration.  The random cubic multigraphs
-that the differential tests feed them come from one Hypothesis helper here.
+partitions or raw assignment enumeration, F-families from balanced subsets
+of the matching.  The random cubic multigraphs that the differential tests
+feed them come from one Hypothesis helper here.
 """
 
 from collections import Counter
@@ -197,3 +198,45 @@ def proper_covering_exists(g) -> bool:
     """Exhaustive search for six distinct perfect matchings covering twice."""
     pms = brute_force_perfect_matchings(g)
     return any(_covers_twice(g, pms, combo) for combo in combinations(range(len(pms)), 6))
+
+
+def ffamily_exists(g: MultiGraph, m) -> bool:
+    """True iff the perfect matching m (edge ids) carries an F-family.
+
+    Straight from the definition: four pairwise disjoint nonempty members,
+    each equal to m & m' for some perfect matching m'; every odd cycle of
+    the complementary 2-factor meets each member in exactly one endpoint;
+    every even cycle meets them in no endpoint, 2+2 or 4 endpoints of one
+    member; and on every cycle the determined vertices are the ends of two
+    disjoint edges of that cycle.
+    """
+    m = frozenset(m)
+    balanced = sorted({frozenset(m & other) for other in brute_force_perfect_matchings(g)}
+                      - {frozenset()}, key=lambda s: tuple(sorted(s)))
+    cycles = []
+    for comp in _components(g, m):
+        vs = set(comp)
+        cycle_edges = [eid for eid, u, v in g.edges if eid not in m and u in vs]
+        cycles.append((vs, cycle_edges))
+
+    def cycle_ok(vs, cycle_edges, members) -> bool:
+        ends = [[v for e in mem for v in g.endpoints(e) if v in vs] for mem in members]
+        counts = sorted(len(x) for x in ends)
+        if len(vs) % 2:
+            if counts != [1, 1, 1, 1]:
+                return False
+        elif counts not in ([0, 0, 0, 0], [0, 0, 2, 2], [0, 0, 0, 4]):
+            return False
+        determined = {v for x in ends for v in x}
+        if not determined:
+            return True
+        return any(set(g.endpoints(e)) | set(g.endpoints(f)) == determined
+                   for e, f in combinations(cycle_edges, 2)
+                   if not set(g.endpoints(e)) & set(g.endpoints(f)))
+
+    for members in combinations(balanced, 4):
+        if sum(len(mem) for mem in members) != len(frozenset().union(*members)):
+            continue
+        if all(cycle_ok(vs, edges, members) for vs, edges in cycles):
+            return True
+    return False

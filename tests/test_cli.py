@@ -152,6 +152,12 @@ class TestSearchAndVerify:
         code, _, _ = run(capsys, "search", str(path), "ffamily", "--budget", "2")
         assert code == 3
 
+    def test_negative_budget_is_a_usage_error(self, capsys, petersen_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", petersen_file, "covering", "--budget", "-5"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
     def test_bad_covering_exits_one_with_report(self, capsys, tmp_path, petersen_file):
         code, out, _ = run(capsys, "search", petersen_file, "covering")
         lines = out.splitlines()
@@ -285,6 +291,25 @@ matching 0 3 8 9 12
 matching 1 3 6 7 10
 
 """
+    J5_FFAMILY = """certificate ffamily
+m 0 2 6 8 14 17 20 23 26 27
+member 8
+member 14
+member 17
+member 26
+n 9 13 16 25
+"""
+    # 30 certificates, 2499 bytes; the first one is spelled out
+    PETERSEN_FAMILIES_SHA256 = "e1016d246583ee2989baa6130def3ac446cf5a1e6a5808c0c4fccf2451a36bce"
+    PETERSEN_FIRST_FAMILY = """certificate ffamily
+m 0 2 5 6 14
+member 2
+member 5
+member 6
+member 14
+n 3 8 9 12
+
+"""
 
     @pytest.mark.parametrize("make,want", [
         (lambda: flower_snark(5), J5_COVERING),
@@ -302,6 +327,20 @@ matching 1 3 6 7 10
         assert code == 0
         assert out.startswith(self.PETERSEN_FIRST_TRIPLE)
         assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_TRIPLES_SHA256
+
+    def test_search_j5_ffamily(self, capsys, tmp_path):
+        path = tmp_path / "j5.graph"
+        path.write_text(write_graph_file(flower_snark(5)))
+        code, out, _ = run(capsys, "search", str(path), "ffamily")
+        assert code == 0
+        assert out == self.J5_FFAMILY
+
+    def test_search_all_petersen_families(self, capsys, petersen_file):
+        code, out, _ = run(capsys, "search", petersen_file, "ffamily", "--all")
+        assert code == 0
+        assert out.count("certificate ffamily") == 30
+        assert out.startswith(self.PETERSEN_FIRST_FAMILY)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_FAMILIES_SHA256
 
 
 class TestExport:

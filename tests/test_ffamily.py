@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fulkerson_lab.budget import Budget
 from fulkerson_lab.generators import (
     DotProductSpec,
+    cube_q3,
+    doubled_matching_cycle,
     flower_snark,
     goldberg,
     k4,
+    k33,
     petersen,
     ten_vertex_c5_example,
     ten_vertex_c5_names,
@@ -40,6 +44,8 @@ from fulkerson_lab.ffamily import (
     petersen_expansion,
     verify_ffamily,
 )
+
+from oracles import brute_force_perfect_matchings, ffamily_exists, random_cubic_multigraph
 
 
 def ten_vertex_family():
@@ -515,3 +521,68 @@ class TestGoldbergFamilies:
         res = find_ffamily(goldberg(3))
         assert not res.found
         assert res.definitely_absent
+
+
+class TestSearchPins:
+    """Results and node counts of the F-family search, pinned across rewrites."""
+
+    @pytest.mark.parametrize("make,found,spent", [
+        (petersen, True, 50), (lambda: flower_snark(5), True, 673),
+        (lambda: flower_snark(7), True, 2315), (lambda: flower_snark(9), True, 6201),
+        (ten_vertex_c5_example, True, 919), (lambda: goldberg(3), False, 2422),
+        (k4, False, 24), (cube_q3, False, 567), (k33, False, 138),
+        (lambda: pentagons_and_hexagon(chords=True), True, 120),
+    ], ids=["petersen", "J5", "J7", "J9", "ten", "G3", "K4", "Q3", "K33", "hexagon"])
+    def test_find_node_counts(self, make, found, spent):
+        budget = Budget()
+        res = find_ffamily(make(), budget=budget)
+        assert res.found == found
+        assert res.complete
+        assert budget.spent == spent
+
+    @pytest.mark.parametrize("make,families,spent", [
+        (petersen, 30, 696), (lambda: flower_snark(5), 40, 32_322),
+        (ten_vertex_c5_example, 5, 985),
+        # most of these families meet the hexagon, in 2+2 or 4+0 shape
+        (lambda: pentagons_and_hexagon(chords=True), 80, 14_530),
+        (lambda: pentagons_and_hexagon(chords=False), 208, 22_782),
+    ], ids=["petersen", "J5", "ten", "hexagon-chords", "hexagon-doubled"])
+    def test_enumerate_counts(self, make, families, spent):
+        g = make()
+        budget = Budget()
+        res = enumerate_ffamilies(g, budget=budget)
+        assert res.complete
+        assert len(res.value) == families
+        assert budget.spent == spent
+        assert all(verify_ffamily(g, fam).ok for fam in res.value)
+
+    def test_goldberg5_is_unknown_within_500k_nodes(self):
+        budget = Budget(limit=500_000)
+        res = find_ffamily(goldberg(5), budget=budget)
+        assert res.unknown
+        assert budget.spent == 500_001
+
+    def test_long_even_cycle_gives_unknown_not_recursion_error(self):
+        # the second copies of the doubled edges leave one 2400-cycle, and
+        # all 1200 matching edges are chords of it
+        g = doubled_matching_cycle(2400)
+        budget = Budget(limit=20_000)
+        res = find_ffamily(g, m=range(2400, 3600), budget=budget)
+        assert res.unknown
+        assert budget.exhausted
+
+
+class TestOracleDifferential:
+    @pytest.mark.parametrize("make", [petersen, ten_vertex_c5_example, k4, cube_q3, k33],
+                             ids=["petersen", "ten", "K4", "Q3", "K33"])
+    def test_named_graphs_agree_with_brute_force(self, make):
+        g = make()
+        for m in brute_force_perfect_matchings(g):
+            assert find_ffamily(g, m=m).found == ffamily_exists(g, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_find_agrees_with_brute_force(self, data):
+        g = random_cubic_multigraph(data, max_order=10, bridgeless=True)
+        for m in brute_force_perfect_matchings(g):
+            assert find_ffamily(g, m=m).found == ffamily_exists(g, m)
