@@ -26,6 +26,10 @@ def default_node_budget() -> int:
         return DEFAULT_NODE_BUDGET
 
 
+class BudgetExhausted(RuntimeError):
+    """A search whose answer a caller needs ran out of its node budget."""
+
+
 @dataclass
 class Budget:
     """Cooperative node budget with an optional cancellation callback.

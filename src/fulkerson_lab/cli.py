@@ -20,10 +20,11 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .budget import Budget, DEFAULT_BUDGET_ENV
+from .budget import Budget, BudgetExhausted, DEFAULT_BUDGET_ENV
 from .ffamily import (
     DotStep,
     FFamily,
+    StepOptionError,
     enumerate_ffamilies,
     find_ffamily,
     iterate_dot_sequence,
@@ -380,9 +381,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         result = iterate_dot_sequence(base, steps)
-    except GraphError as exc:
+    except StepOptionError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (GraphError, BudgetExhausted) as exc:
         print(f"pipeline failed: {exc}", file=sys.stderr)
-        return EXIT_NONE
+        return EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_NONE
     if args.emit_intermediate:
         os.makedirs(args.emit_intermediate, exist_ok=True)
         for i, (graph, _fam) in enumerate(result.stages):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .budget import Budget, SearchResult
+from .budget import DEFAULT_BUDGET_ENV, Budget, BudgetExhausted, SearchResult
 from .generators import DotProductResult, DotProductSpec, dot_product, petersen
 from .graph_core import CubicGraph, Cycle, CycleSet, GraphError, Matching
 from .matchcolor import (
@@ -23,17 +23,21 @@ from .matchcolor import (
     enumerate_perfect_matchings,
     find_c5_two_factor,
     five_edge_coloring,
-    is_m_balanced,
     shrink_to_gstar,
     two_factor_cycles,
     _as_matching,
     _as_perfect,
+    _odd_arcs,
 )
 from .fulkerson import FulkersonCovering, verify_covering, is_proper
 
 
 class TransportError(GraphError):
     """A precondition of an F-family-preserving dot product failed."""
+
+
+class StepOptionError(GraphError):
+    """An explicit edge option of a dot step names no edge of its graph."""
 
 
 @dataclass(frozen=True)
@@ -97,12 +101,6 @@ def _member_positions(g: CubicGraph, cycles: CycleSet,
     return positions
 
 
-def _arc_gaps(length: int, posns: Sequence[int]) -> list[int]:
-    if len(posns) == 1:
-        return [length]
-    return [(posns[(i + 1) % len(posns)] - p) % length for i, p in enumerate(posns)]
-
-
 def _pairing_candidates(cycle: Cycle, posns: Sequence[int]) -> list[frozenset[int]]:
     """2-edge cycle matchings covering the four given positions, canonical order."""
     length = len(cycle)
@@ -127,40 +125,38 @@ def _count_violation(cycle: Cycle, per_member: Sequence[Sequence[int]]) -> str |
     return None
 
 
-def _cycle_condition(cycle: Cycle, per_member: Sequence[Sequence[int]]) -> str | None:
-    """First violated incidence condition on one cycle, or None."""
+def _cycle_condition(cycle: Cycle, per_member: Sequence[Sequence[int]]
+                     ) -> tuple[str | None, list[frozenset[int]]]:
+    """First violated incidence condition on one cycle, or None, and its candidates for N."""
     problem = _count_violation(cycle, per_member)
     if problem is not None or not any(per_member):
-        return problem
+        return problem, []
     for mi, posns in enumerate(per_member):
-        if posns and any(gap % 2 == 0 for gap in _arc_gaps(len(cycle), posns)):
-            return f"member {mi} splits the cycle into an even arc (not balanced)"
-    all_pos = sorted(p for posns in per_member for p in posns)
-    if not _pairing_candidates(cycle, all_pos):
-        return "the four determined vertices admit no 2-edge cycle matching"
-    return None
+        if not _odd_arcs(len(cycle), posns):
+            return f"member {mi} splits the cycle into an even arc (not balanced)", []
+    cands = _pairing_candidates(cycle, sorted(p for posns in per_member for p in posns))
+    if not cands:
+        return "the four determined vertices admit no 2-edge cycle matching", []
+    return None, cands
 
 
 def verify_ffamily(g: CubicGraph, fam: FFamily) -> FFamilyReport:
-    """Check balancedness and the per-cycle incidence conditions of a family."""
+    """Check balancedness (odd arcs, as in `is_m_balanced`) and the per-cycle conditions."""
     if fam.graph != g:
         raise GraphError("family belongs to a different graph")
-    diagnostics: list[str] = []
-    for mi, mem in enumerate(fam.members):
-        if not is_m_balanced(g, fam.m, mem):
-            diagnostics.append(f"member {mi} is not balanced for the perfect matching")
     cycles = two_factor_cycles(g, fam.m)
     positions = _member_positions(g, cycles, fam.members)
+    diagnostics = [f"member {mi} is not balanced for the perfect matching" for mi in range(4)
+                   if not all(_odd_arcs(len(cyc), positions[ci][mi])
+                              for ci, cyc in enumerate(cycles))]
     expected_n: set[int] = set()
     for ci, cyc in enumerate(cycles):
-        problem = _cycle_condition(cyc, positions[ci])
+        problem, cands = _cycle_condition(cyc, positions[ci])
         if problem is not None:
             diagnostics.append(f"cycle {ci} (at vertex {cyc.vertices[0]}): {problem}")
             continue
-        all_pos = sorted(p for posns in positions[ci] for p in posns)
-        if not all_pos:
+        if not cands:
             continue
-        cands = _pairing_candidates(cyc, all_pos)
         chosen = fam.n_edges.members & set(cyc.edges)
         if chosen not in cands:
             diagnostics.append(
@@ -207,16 +203,14 @@ def _alternating_classes(cycle: Cycle) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _restriction(cycle: Cycle, posns: Sequence[int]) -> frozenset[int]:
-    """Cycle-edge matching saturating every cycle vertex except the given positions."""
+    """Cycle-edge matching saturating every cycle vertex except the given sorted positions."""
+    if not _odd_arcs(len(cycle), posns):
+        raise GraphError("internal invariant failure: even arc in a balanced member")
     length = len(cycle)
-    picked: set[int] = set()
-    gaps = _arc_gaps(length, posns)
-    for p, gap in zip(posns, gaps):
-        if gap % 2 == 0:
-            raise GraphError("internal invariant failure: even arc in a balanced member")
-        for step in range(1, gap - 1, 2):
-            picked.add(cycle.edges[(p + step) % length])
-    return frozenset(picked)
+    # each odd arc from p to the next position q is matched from its first inner vertex on
+    return frozenset(cycle.edges[(p + step) % length]
+                     for p, q in zip(posns, [*posns[1:], posns[0] + length])
+                     for step in range(1, q - p - 1, 2))
 
 
 def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
@@ -224,9 +218,10 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
 
     Each member extends to a perfect matching by per-cycle restrictions
     (forced wherever the member touches the cycle, a two-way choice
-    elsewhere); M' replaces the members inside m by the pair set N.  The
-    per-cycle choices are searched independently and the result is
-    verified; the six matchings are always pairwise distinct.
+    elsewhere); M' replaces the members inside m by the pair set N.  On
+    every cycle the restrictions and N leave an alternating coverage that
+    the free members' choices, searched per cycle, level out to two; the
+    result is verified, and the six matchings are always pairwise distinct.
     """
     report = verify_ffamily(g, fam)
     if not report.ok:
@@ -234,62 +229,32 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
     cycles = two_factor_cycles(g, fam.m)
     positions = _member_positions(g, cycles, fam.members)
     extensions: list[set[int]] = [set(mem.members) for mem in fam.members]
-    n_total: set[int] = set()
     for ci, cyc in enumerate(cycles):
-        per_member = positions[ci]
-        fixed: list[frozenset[int] | None] = []
-        free_idx: list[int] = []
-        for mi in range(4):
-            if per_member[mi]:
-                fixed.append(_restriction(cyc, per_member[mi]))
+        cover = Counter(fam.n_edges.members & set(cyc.edges))
+        free: list[int] = []
+        for mi, posns in enumerate(positions[ci]):
+            if posns:
+                fixed = _restriction(cyc, posns)
+                cover.update(fixed)
+                extensions[mi] |= fixed
             else:
-                fixed.append(None)
-                free_idx.append(mi)
-        all_pos = sorted(p for posns in per_member for p in posns)
-        if all_pos:
-            cands = _pairing_candidates(cyc, all_pos)
-            given = fam.n_edges.members & set(cyc.edges)
-            if given in cands:
-                cands.sort(key=lambda s: (s != given, tuple(sorted(s))))
-        else:
-            cands = [frozenset()]
+                free.append(mi)
         classes = _alternating_classes(cyc)
-        solution = None
-        for n_choice in cands:
-            base = Counter()
-            for e in n_choice:
-                base[e] += 1
-            for mi in range(4):
-                if fixed[mi] is not None:
-                    base.update(fixed[mi])
-            for combo_bits in range(2 ** len(free_idx)):
-                cover = Counter(base)
-                picks = []
-                for slot, mi in enumerate(free_idx):
-                    cls = classes[(combo_bits >> slot) & 1]
-                    picks.append((mi, cls))
-                    cover.update(cls)
-                if all(cover[e] == 2 for e in cyc.edges):
-                    solution = (n_choice, picks)
-                    break
-            if solution:
+        for bits in range(2 ** len(free)):
+            picks = [classes[bits >> slot & 1] for slot in range(len(free))]
+            if all(cover[e] + sum(e in cls for cls in picks) == 2 for e in cyc.edges):
                 break
-        if solution is None:
+        else:
             raise GraphError(
                 f"no per-cycle assignment covers cycle {ci} (at vertex "
                 f"{cyc.vertices[0]}); family or construction invalid")
-        n_choice, picks = solution
-        n_total |= n_choice
-        for mi in range(4):
-            if fixed[mi] is not None:
-                extensions[mi] |= fixed[mi]
-        for mi, cls in picks:
+        for mi, cls in zip(free, picks):
             extensions[mi] |= cls
 
     member_union = set()
     for mem in fam.members:
         member_union |= mem.members
-    m_prime = (fam.m.members - member_union) | n_total
+    m_prime = (fam.m.members - member_union) | fam.n_edges.members
     covering = FulkersonCovering((
         fam.m,
         PerfectMatching(g, extensions[0]),
@@ -347,9 +312,8 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
     while True:
         if i == len(slots):
             if used == 3:
-                fam = _family_of(g, m, label)
-                if fam is not None:
-                    yield fam
+                yield _checked_family(g, m, [[e for e, lab in label.items() if lab == mi]
+                                             for mi in range(4)], "searched members")
         elif not budget.spend():
             return
         else:
@@ -365,7 +329,7 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
                 for f, posns in around[ci]:
                     if label[f] >= 0:
                         per_member[label[f]] += posns
-                if _cycle_condition(cycles[ci], [sorted(p) for p in per_member]) is None:
+                if _cycle_condition(cycles[ci], [sorted(p) for p in per_member])[0] is None:
                     i += 1
                     continue
         # backtrack to the deepest edge slot with a label left to try
@@ -388,16 +352,17 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
             return
 
 
-def _family_of(g: CubicGraph, m: PerfectMatching, label: dict[int, int]) -> FFamily | None:
-    """The verified family that a complete labelling of m's edges describes, if N exists."""
-    members = [Matching(g, [e for e, lab in label.items() if lab == mi]) for mi in range(4)]
+def _checked_family(g: CubicGraph, m: PerfectMatching, members: Sequence[Iterable[int]],
+                    what: str) -> FFamily:
+    """The family of m with these members and their N; the callers ensure that it verifies."""
+    members = [Matching(g, mem) for mem in members]
     n = derive_n(g, m, members)
     if n is None:
-        return None
+        raise GraphError(f"internal invariant failure: {what} admit no pair set")
     fam = FFamily(m, *members, n)
     report = verify_ffamily(g, fam)
     if not report.ok:
-        raise GraphError("internal invariant failure: searched family fails "
+        raise GraphError(f"internal invariant failure: the family of {what} fails "
                          "verification: " + "; ".join(report.diagnostics))
     return fam
 
@@ -601,12 +566,21 @@ def _joining_edge(g: CubicGraph, m: PerfectMatching, cycles: CycleSet,
     raise TransportError("no matching edge joins the two odd cycles")
 
 
+def _searched_family(g: CubicGraph, what: str) -> FFamily:
+    """The first F-family of g under the default budget; raises when none is known."""
+    budget = Budget()
+    famres = find_ffamily(g, budget=budget)
+    if famres.unknown:
+        raise BudgetExhausted(f"the F-family search on {what} ran out of its "
+                              f"{budget.limit}-node budget (${DEFAULT_BUDGET_ENV})")
+    if not famres.found:
+        raise TransportError(f"{what} has no F-family")
+    return famres.value
+
+
 def _step_type1(g1: CubicGraph, step: DotStep) -> TransportResult:
     m1, cycles1 = _first_two_odd_cycle_pm(g1)
-    famres = find_ffamily(step.factor)
-    if not famres.found:
-        raise TransportError("the factor has no F-family to transport")
-    fam2 = famres.value
+    fam2 = _searched_family(step.factor, "the factor")
     member_edges = frozenset(e for mem in fam2.members for e in mem)
     cycles2 = two_factor_cycles(step.factor, fam2.m)
     if step.e3 is not None:
@@ -644,25 +618,29 @@ def iterate_dot_sequence(base: CubicGraph, steps: Sequence[DotStep],
     """Chain family-preserving dot products and assemble the final covering.
 
     The base graph's family is searched unless supplied; every intermediate
-    family is verified by the transport operations themselves.
+    family is verified by the transport operations themselves.  An F-family
+    search that runs out of budget raises `BudgetExhausted`, and an edge
+    option outside its graph (e1 and e2 in the accumulated graph, e3 in the
+    factor) raises `StepOptionError`.
     """
-    if base_family is None:
-        famres = find_ffamily(base)
-        if not famres.found:
-            raise TransportError("the base graph has no F-family")
-        base_family = famres.value
-    graph, family = base, base_family
+    graph = base
+    family = _searched_family(base, "the base graph") if base_family is None else base_family
     stages: list[tuple[CubicGraph, FFamily]] = [(graph, family)]
     for idx, step in enumerate(steps):
         if step.kind not in ("type1", "type2"):
             raise GraphError(f"unknown dot step kind {step.kind!r}")
+        for name, host in (("e1", graph), ("e2", graph), ("e3", step.factor)):
+            value = getattr(step, name)
+            if value is not None and not 0 <= value < host.num_edges:
+                raise StepOptionError(f"step {idx + 1}: {name}={value} names no edge of its "
+                                      f"graph, which has edges 0..{host.num_edges - 1}")
         try:
             if step.kind == "type1":
                 result = _step_type1(graph, step)
             else:
                 result = _step_type2(graph, family, step)
-        except TransportError as exc:
-            raise TransportError(f"step {idx + 1} failed: {exc}") from exc
+        except (TransportError, BudgetExhausted) as exc:
+            raise type(exc)(f"step {idx + 1} failed: {exc}") from exc
         graph, family = result.graph, result.family
         stages.append((graph, family))
     covering = covering_from_ffamily(graph, family)
@@ -742,16 +720,6 @@ def covering_from_c5_structure(g: CubicGraph) -> C5StructureResult:
     coloring = five_edge_coloring(shrunk.graph)
     if coloring is None:
         return C5StructureResult(None, "the contracted graph is not 5-edge-colorable")
-    members = []
-    for color in range(4):
-        members.append(Matching(g, (shrunk.edge_origin[e]
-                                    for e in coloring.color_class(color))))
-    n = derive_n(g, m, members)
-    if n is None:
-        raise GraphError("internal invariant failure: color classes admit no pair set")
-    fam = FFamily(m, *members, n)
-    report = verify_ffamily(g, fam)
-    if not report.ok:
-        raise GraphError("internal invariant failure: color-class family fails verification: "
-                         + "; ".join(report.diagnostics))
+    fam = _checked_family(g, m, [[shrunk.edge_origin[e] for e in coloring.color_class(color)]
+                                 for color in range(4)], "color classes")
     return C5StructureResult(covering_from_ffamily(g, fam), None, fam)

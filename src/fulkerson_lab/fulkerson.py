@@ -225,32 +225,15 @@ def iter_fr_triples(pms: PMEnumeration, budget: Budget) -> Iterator[FRTriple]:
 def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
     """First FR-triple over enumerated perfect matchings, canonical order.
 
-    Falls back to searching alternating-cycle matching pairs when the
-    matching enumeration is truncated; an exhausted budget yields an
-    explicit unknown, never a claimed absence.
+    Absence is proved only when the matching enumeration is complete and
+    the budget lasts; a truncated enumeration or an exhausted budget
+    yields an explicit unknown, never a claimed absence.
     """
     if budget is None:
         budget = Budget()
     pms = enumerate_perfect_matchings(g)
     triple = next(iter_fr_triples(pms, budget), None)
-    if triple is not None:
-        return SearchResult(triple, True)
-    if budget.exhausted:
-        return SearchResult(None, False)
-    if not pms.truncated:
-        return SearchResult(None, True)
-    # Truncated enumeration: look for matching pairs whose symmetric
-    # difference forms alternating cycles with a 3-edge-colorable split.
-    for i, j in combinations_with_replacement(range(len(pms)), 2):
-        if not budget.spend(10):
-            return SearchResult(None, False)
-        a1 = pms[i].members - pms[j].members
-        a2 = pms[j].members - pms[i].members
-        try:
-            return SearchResult(fr_triple_from_matchings(g, a1, a2), False)
-        except LiftError:
-            continue
-    return SearchResult(None, False)
+    return SearchResult(triple, triple is not None or not (pms.truncated or budget.exhausted))
 
 
 COLOR = "color"

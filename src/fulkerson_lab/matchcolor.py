@@ -215,15 +215,6 @@ def find_perfect_matching(
     return None if found is None else PerfectMatching(g, found)
 
 
-def is_m_balanced(g: CubicGraph, m: PerfectMatching, a: Matching | Iterable[int]) -> bool:
-    """True iff a = m intersect m' for some perfect matching m'."""
-    m = _as_perfect(g, m)
-    a = _as_matching(g, a)
-    if not a.members <= m.members:
-        raise GraphError("the candidate set must be a subset of the perfect matching")
-    return find_perfect_matching(g, a, m.members - a.members) is not None
-
-
 def split_and_suppress(
     g: CubicGraph,
     a: Matching | Iterable[int],
@@ -526,6 +517,37 @@ def two_factor_cycles(g: CubicGraph, m: PerfectMatching | Iterable[int]) -> Cycl
     """Cycles of the 2-factor complementary to a perfect matching."""
     m = _as_perfect(g, m)
     return cycle_decomposition(g, set(g.edge_ids()) - m.members)
+
+
+def _odd_arcs(length: int, posns: Sequence[int]) -> bool:
+    """True iff the sorted positions cut a cycle of this length into odd arcs.
+
+    An arc runs from one position to the next, around the cycle.  It is odd
+    when it spans an odd number of edges; then an even number of vertices
+    lies inside it, and its own edges match them.  The arcs' lengths sum to
+    the cycle's, so once the inner arcs are odd the closing one is odd iff
+    the number of positions has the parity of the length (with no position,
+    iff the cycle is even).
+    """
+    return len(posns) % 2 == length % 2 and all((q - p) % 2 for p, q in zip(posns, posns[1:]))
+
+
+def is_m_balanced(g: CubicGraph, m: PerfectMatching, a: Matching | Iterable[int]) -> bool:
+    """True iff a = m intersect m' for some perfect matching m'.
+
+    Such an m' holds a and avoids the rest of m, so it matches the vertices
+    that a leaves bare by edges of the 2-factor G - m.  On each cycle those
+    vertices form paths between the ends of a (the whole cycle if a misses
+    it), and a path has a perfect matching iff its vertex count is even.  So
+    a is balanced iff it cuts every cycle into odd arcs: exact, no search.
+    """
+    m = _as_perfect(g, m)
+    a = _as_matching(g, a)
+    if not a.members <= m.members:
+        raise GraphError("the candidate set must be a subset of the perfect matching")
+    ends = {v for e in a for v in g.endpoints(e)}
+    return all(_odd_arcs(len(cyc), [pos for pos, v in enumerate(cyc.vertices) if v in ends])
+               for cyc in two_factor_cycles(g, m))
 
 
 def _chordless(g: MultiGraph, cyc: Cycle) -> bool:

@@ -8,10 +8,11 @@ of the matching.  The random cubic multigraphs that the differential tests
 feed them come from one Hypothesis helper here.
 """
 
+import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
-from hypothesis import assume, strategies as st
+from hypothesis import strategies as st
 
 from fulkerson_lab.graph_core import CubicGraph, GraphError, MultiGraph
 
@@ -39,17 +40,21 @@ def brute_force_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
 
 def random_cubic_multigraph(data, max_order: int, bridgeless: bool = False) -> CubicGraph:
     """A pairing-model cubic multigraph on an even number of vertices up to
-    `max_order`, drawn with Hypothesis's `data` and rejected unless it is
-    loopless and connected (and bridgeless, when asked); parallel edges stay."""
+    `max_order` that is loopless and connected (and bridgeless, when asked);
+    parallel edges stay.  Hypothesis's `data` draws the order and a seed, and
+    the pairing model is redrawn from that seed until a graph qualifies, so no
+    example is ever rejected."""
     n = data.draw(st.sampled_from(range(2, max_order + 1, 2)))
-    points = data.draw(st.permutations(range(3 * n)))
-    pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
-    assume(all(u != v for u, v in pairs))
-    g = CubicGraph(n, pairs)
-    assume(len(_components(g, frozenset())) == 1)
-    if bridgeless:
-        assume(naive_is_bridgeless(g))
-    return g
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    points = list(range(3 * n))
+    while True:
+        rng.shuffle(points)
+        pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
+        if any(u == v for u, v in pairs):
+            continue
+        g = CubicGraph(n, pairs)
+        if len(_components(g, frozenset())) == 1 and (not bridgeless or naive_is_bridgeless(g)):
+            return g
 
 
 def naive_is_bridgeless(g: MultiGraph) -> bool:
@@ -200,6 +205,12 @@ def proper_covering_exists(g) -> bool:
     return any(_covers_twice(g, pms, combo) for combo in combinations(range(len(pms)), 6))
 
 
+def balanced_subsets(g: MultiGraph, m) -> set[frozenset[int]]:
+    """Every m & m' over the perfect matchings m' of g: the m-balanced sets."""
+    m = frozenset(m)
+    return {m & other for other in brute_force_perfect_matchings(g)}
+
+
 def ffamily_exists(g: MultiGraph, m) -> bool:
     """True iff the perfect matching m (edge ids) carries an F-family.
 
@@ -211,8 +222,7 @@ def ffamily_exists(g: MultiGraph, m) -> bool:
     disjoint edges of that cycle.
     """
     m = frozenset(m)
-    balanced = sorted({frozenset(m & other) for other in brute_force_perfect_matchings(g)}
-                      - {frozenset()}, key=lambda s: tuple(sorted(s)))
+    balanced = sorted(balanced_subsets(g, m) - {frozenset()}, key=lambda s: tuple(sorted(s)))
     cycles = []
     for comp in _components(g, m):
         vs = set(comp)

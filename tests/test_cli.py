@@ -11,8 +11,10 @@ from fulkerson_lab.cli import (
     write_certificate,
     write_graph_file,
 )
-from fulkerson_lab.generators import flower_snark, goldberg, petersen
+from fulkerson_lab.generators import flower_snark, goldberg, petersen, ten_vertex_c5_example
 from fulkerson_lab.cli import ParseError
+
+from test_ffamily import pentagons_and_hexagon
 
 
 def run(capsys, *argv):
@@ -241,6 +243,28 @@ class TestPipeline:
         assert code == 1
         assert "step 1" in err
 
+    def test_exhausted_budget_exits_three(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "10")
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\ndot type1 petersen\n")
+        code, out, err = run(capsys, "pipeline", str(recipe))
+        assert code == 3
+        assert out == ""
+        assert err == ("pipeline failed: the F-family search on the base graph ran out of "
+                       "its 10-node budget ($FULKERSON_LAB_BUDGET)\n")
+
+    @pytest.mark.parametrize("line,option", [
+        ("dot type1 petersen e1=999", "e1=999"),
+        ("dot type2 petersen e3=15", "e3=15"),
+    ])
+    def test_edge_option_outside_its_graph_exits_two(self, capsys, tmp_path, line, option):
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text(f"base petersen\n{line}\n")
+        code, out, err = run(capsys, "pipeline", str(recipe))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: step 1: {option} names no edge")
+
     def test_emit_intermediate(self, capsys, tmp_path):
         recipe = tmp_path / "recipe.txt"
         recipe.write_text("base petersen\ndot type1 petersen\n")
@@ -341,6 +365,39 @@ n 3 8 9 12
         assert out.count("certificate ffamily") == 30
         assert out.startswith(self.PETERSEN_FIRST_FAMILY)
         assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_FAMILIES_SHA256
+
+
+class TestVerifyFamilyOutput:
+    """Byte-exact `verify` reports for invalid F-family certificates."""
+
+    @pytest.mark.parametrize("make,cert,want", [
+        (pentagons_and_hexagon,
+         "certificate ffamily\nm 16 17 18 19 20 21 22 23\nmember 16\nmember 17\n"
+         "member 18 22 23\nmember 19\nn 0 2 5 7 11 14\n",
+         "member 2 is not balanced for the perfect matching\n"
+         "cycle 2 (at vertex 10): member 2 splits the cycle into an even arc (not balanced)\n"),
+        (petersen,
+         "certificate ffamily\nm 0 2 5 6 14\nmember\nmember\nmember\nmember\nn\n",
+         "member 0 is not balanced for the perfect matching\n"
+         "member 1 is not balanced for the perfect matching\n"
+         "member 2 is not balanced for the perfect matching\n"
+         "member 3 is not balanced for the perfect matching\n"
+         "cycle 0 (at vertex 0): an odd cycle must meet each member exactly once\n"
+         "cycle 1 (at vertex 1): an odd cycle must meet each member exactly once\n"),
+        (ten_vertex_c5_example,
+         "certificate ffamily\nm 10 11 12 13 14\nmember 10\nmember 11\nmember 12\n"
+         "member 13\nn 1 3 6 8\n",
+         "cycle 0 (at vertex 0): N does not restrict to a valid 2-edge matching "
+         "of the determined vertices\n"),
+    ], ids=["unbalanced-member", "odd-cycle-count", "n-not-a-pairing"])
+    def test_invalid_family_report(self, capsys, tmp_path, make, cert, want):
+        graph_path = tmp_path / "g.graph"
+        graph_path.write_text(write_graph_file(make()))
+        cert_path = tmp_path / "fam.cert"
+        cert_path.write_text(cert)
+        code, out, _ = run(capsys, "verify", str(graph_path), str(cert_path))
+        assert code == 1
+        assert out == want
 
 
 class TestExport:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fulkerson_lab.budget import Budget
+from fulkerson_lab.budget import Budget, BudgetExhausted
 from fulkerson_lab.generators import (
     DotProductSpec,
     cube_q3,
@@ -32,6 +32,7 @@ from fulkerson_lab.ffamily import (
     C5StructureResult,
     DotStep,
     FFamily,
+    StepOptionError,
     TransportError,
     covering_from_c5_structure,
     covering_from_ffamily,
@@ -343,6 +344,21 @@ class TestIteratePipeline:
         with pytest.raises(TransportError, match="step 1"):
             iterate_dot_sequence(petersen(), [DotStep("type1", k4())])
 
+    def test_exhausted_factor_search_is_not_absence(self, monkeypatch):
+        fam = find_ffamily(petersen()).value
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "10")
+        with pytest.raises(BudgetExhausted, match="step 1 failed: .* 10-node budget"):
+            iterate_dot_sequence(petersen(), [DotStep("type1", petersen())], base_family=fam)
+
+    @pytest.mark.parametrize("kind,option,value", [
+        ("type1", "e1", 27), ("type1", "e2", -1), ("type2", "e3", 15),
+    ])
+    def test_out_of_range_options_name_step_and_option(self, kind, option, value):
+        # after step 1 the accumulated graph has edges 0..26; a Petersen factor has 0..14
+        steps = [DotStep("type1", petersen()), DotStep(kind, petersen(), **{option: value})]
+        with pytest.raises(StepOptionError, match=f"step 2: {option}={value} names no edge"):
+            iterate_dot_sequence(petersen(), steps)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(GraphError):
             iterate_dot_sequence(petersen(), [DotStep("type9", petersen())])
@@ -512,6 +528,68 @@ class TestEvenCyclePatterns:
         report = verify_ffamily(g, fam)
         assert not report.ok
         assert any("balanced" in d for d in report.diagnostics)
+
+
+class TestVerifyDiagnosticsPins:
+    """Exact diagnostics of invalid families, pinned across rewrites of the checks."""
+
+    def test_unbalanced_member(self):
+        # both hexagon chords in member 2: the incidence counts hold, the arcs do not
+        g = pentagons_and_hexagon(chords=True)
+        e = lambda u, v: g.edges_between(u, v)[0]
+        m = PerfectMatching(g, [e(0, 5), e(1, 6), e(2, 7), e(3, 8),
+                                e(4, 10), e(9, 13), e(11, 14), e(12, 15)])
+        members = [Matching(g, [e(0, 5)]), Matching(g, [e(1, 6)]),
+                   Matching(g, [e(2, 7), e(11, 14), e(12, 15)]), Matching(g, [e(3, 8)])]
+        fam = FFamily(m, *members, Matching(g, [0, 2, 5, 7, 11, 14]))
+        assert verify_ffamily(g, fam).diagnostics == (
+            "member 2 is not balanced for the perfect matching",
+            "cycle 2 (at vertex 10): member 2 splits the cycle into an even arc (not balanced)",
+        )
+
+    def test_odd_cycle_count(self):
+        g = petersen()
+        m = enumerate_perfect_matchings(g)[0]
+        fam = FFamily(m, *[Matching(g, [])] * 4, Matching(g, []))
+        assert verify_ffamily(g, fam).diagnostics == tuple(
+            [f"member {mi} is not balanced for the perfect matching" for mi in range(4)]
+            + [f"cycle {ci} (at vertex {ci}): an odd cycle must meet each member exactly once"
+               for ci in range(2)])
+
+    def test_even_cycle_count(self):
+        # one chord of the hexagon in member 2: balanced, but two determined
+        # vertices on an even cycle
+        g = pentagons_and_hexagon(chords=True)
+        e = lambda u, v: g.edges_between(u, v)[0]
+        m = PerfectMatching(g, [e(0, 5), e(1, 6), e(2, 7), e(3, 8),
+                                e(4, 10), e(9, 13), e(11, 14), e(12, 15)])
+        members = [Matching(g, [e(0, 5)]), Matching(g, [e(1, 6)]),
+                   Matching(g, [e(2, 7), e(11, 14)]), Matching(g, [e(3, 8)])]
+        fam = FFamily(m, *members, Matching(g, [0, 2, 5, 7]))
+        assert verify_ffamily(g, fam).diagnostics == (
+            "cycle 2 (at vertex 10): an even cycle must meet the family in a 2+2 or 4+0 pattern",
+        )
+
+    def test_n_is_not_a_pairing(self):
+        g, fam, _ = ten_vertex_family()
+        shifted = FFamily(fam.m, *fam.members, Matching(g, [1, 3, 6, 8]))
+        assert verify_ffamily(g, shifted).diagnostics == (
+            "cycle 0 (at vertex 0): N does not restrict to a valid 2-edge matching "
+            "of the determined vertices",
+        )
+
+    def test_n_on_an_unmet_cycle(self):
+        g = pentagons_and_hexagon(chords=True)
+        e = lambda u, v: g.edges_between(u, v)[0]
+        m = PerfectMatching(g, [e(0, 5), e(1, 6), e(2, 7), e(3, 8),
+                                e(4, 10), e(9, 13), e(11, 14), e(12, 15)])
+        members = [Matching(g, [e(0, 5)]), Matching(g, [e(1, 6)]),
+                   Matching(g, [e(2, 7)]), Matching(g, [e(3, 8)])]
+        n = derive_n(g, m, members)
+        fam = FFamily(m, *members, Matching(g, n.members | {e(10, 11)}))
+        assert verify_ffamily(g, fam).diagnostics == (
+            "N contains edges on cycles the family does not meet",
+        )
 
 
 class TestGoldbergFamilies:

@@ -200,6 +200,11 @@ class TestFindFRTriple:
         res = find_fr_triple(flower_snark(5), budget=Budget(limit=1))
         assert res.unknown
 
+    def test_truncated_enumeration_without_triple_is_unknown(self, monkeypatch):
+        # J5's first two canonical matchings share edges, so no triple lies among them
+        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 2)
+        assert find_fr_triple(flower_snark(5)).unknown
+
 
 class TestFindCovering:
     def test_k4_color_strategy(self):

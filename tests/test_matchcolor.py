@@ -37,6 +37,7 @@ from fulkerson_lab.matchcolor import (
 )
 
 from oracles import (
+    balanced_subsets,
     brute_force_perfect_matchings,
     count_proper_colorings,
     random_cubic_multigraph,
@@ -146,6 +147,37 @@ class TestBalanced:
         outside = next(e for e in g.edge_ids() if e not in m.members)
         with pytest.raises(GraphError):
             is_m_balanced(g, m, [outside])
+
+    @staticmethod
+    def _assert_agrees_with_brute_force(g):
+        for m in brute_force_perfect_matchings(g):
+            pm = PerfectMatching(g, m)
+            balanced = balanced_subsets(g, m)
+            for k in range(len(m) + 1):
+                for a in combinations(sorted(m), k):
+                    assert is_m_balanced(g, pm, a) == (frozenset(a) in balanced)
+
+    @pytest.mark.parametrize("make", [petersen, k4, k33, cube_q3, theta,
+                                      ten_vertex_c5_example])
+    def test_named_graphs_agree_with_brute_force(self, make):
+        self._assert_agrees_with_brute_force(make())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_agrees_with_brute_force_on_random_multigraphs(self, data):
+        self._assert_agrees_with_brute_force(random_cubic_multigraph(data, max_order=10))
+
+    def test_runs_no_matching_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("is_m_balanced ran a perfect-matching search")
+
+        monkeypatch.setattr("fulkerson_lab.matchcolor._perfect_matchings", no_search)
+        k = 25
+        g = flower_snark(k)
+        # each claw centre t_i takes x_i; the y-z 2k-cycle (edge ids k..3k-1) alternates
+        m = PerfectMatching(g, [3 * k + 3 * i for i in range(k)] + list(range(k, 3 * k, 2)))
+        assert not is_m_balanced(g, m, [])  # the x's form an odd k-cycle of the 2-factor
+        assert is_m_balanced(g, m, m.members)
 
     def test_balanced_implies_odd_arcs(self):
         # every balanced singleton splits its 2-factor cycle into odd arcs
