@@ -16,14 +16,24 @@ DEFAULT_BUDGET_ENV = "FULKERSON_LAB_BUDGET"
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def default_node_budget() -> int:
-    raw = os.environ.get(DEFAULT_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
+def node_count(text: str) -> int:
+    """A node budget written as a non-negative integer; ValueError otherwise."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return DEFAULT_NODE_BUDGET
+        value = -1
+    if value < 0:
+        raise ValueError(f"expected a non-negative node count, got {text!r}")
+    return value
+
+
+def default_node_budget() -> int:
+    """The node count in $FULKERSON_LAB_BUDGET, or five million when it is unset."""
+    raw = os.environ.get(DEFAULT_BUDGET_ENV)
+    try:
+        return DEFAULT_NODE_BUDGET if raw is None else node_count(raw)
+    except ValueError as exc:
+        raise ValueError(f"${DEFAULT_BUDGET_ENV}: {exc}") from None
 
 
 class BudgetExhausted(RuntimeError):
@@ -35,7 +45,8 @@ class Budget:
     """Cooperative node budget with an optional cancellation callback.
 
     Searches call spend() once per explored node; a False return means the
-    search must unwind and report an incomplete result.
+    search must unwind and report an incomplete result.  A limit of None
+    takes `default_node_budget()`.
     """
 
     limit: int | None = None
@@ -51,9 +62,7 @@ class Budget:
         if self.exhausted:
             return False
         self.spent += amount
-        if (self.limit is not None and self.spent > self.limit) or (
-            self.cancel is not None and self.cancel()
-        ):
+        if self.spent > self.limit or (self.cancel is not None and self.cancel()):
             self.exhausted = True
             return False
         return True

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .budget import Budget, BudgetExhausted, DEFAULT_BUDGET_ENV
+from .budget import Budget, BudgetExhausted, DEFAULT_BUDGET_ENV, node_count
 from .ffamily import (
     DotStep,
     FFamily,
@@ -286,7 +286,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    budget = Budget(limit=args.budget)
+    try:
+        budget = Budget(limit=args.budget)
+    except ValueError as exc:  # a malformed $FULKERSON_LAB_BUDGET
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     certs: list[Certificate] = []
     complete = True
     if args.target == "fr-triple":
@@ -387,12 +391,19 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except (GraphError, BudgetExhausted) as exc:
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_NONE
+    except ValueError as exc:  # a malformed $FULKERSON_LAB_BUDGET
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.emit_intermediate:
-        os.makedirs(args.emit_intermediate, exist_ok=True)
-        for i, (graph, _fam) in enumerate(result.stages):
-            path = os.path.join(args.emit_intermediate, f"stage{i}.graph")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(write_graph_file(graph))
+        try:
+            os.makedirs(args.emit_intermediate, exist_ok=True)
+            for i, (graph, _fam) in enumerate(result.stages):
+                path = os.path.join(args.emit_intermediate, f"stage{i}.graph")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(write_graph_file(graph))
+        except OSError as exc:
+            print(f"usage error: cannot write {args.emit_intermediate}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     sys.stdout.write(write_graph_file(result.graph))
     sys.stdout.write("\n")
     sys.stdout.write(write_certificate(certificate_of_family(result.family)))
@@ -453,12 +464,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def _node_budget(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative node count, got {text!r}")
-    return value
+        return node_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -198,10 +198,6 @@ def derive_n(g: CubicGraph, m: PerfectMatching | Iterable[int],
     return Matching(g, n_total)
 
 
-def _alternating_classes(cycle: Cycle) -> tuple[frozenset[int], frozenset[int]]:
-    return (frozenset(cycle.edges[0::2]), frozenset(cycle.edges[1::2]))
-
-
 def _restriction(cycle: Cycle, posns: Sequence[int]) -> frozenset[int]:
     """Cycle-edge matching saturating every cycle vertex except the given sorted positions."""
     if not _odd_arcs(len(cycle), posns):
@@ -219,9 +215,11 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
     Each member extends to a perfect matching by per-cycle restrictions
     (forced wherever the member touches the cycle, a two-way choice
     elsewhere); M' replaces the members inside m by the pair set N.  On
-    every cycle the restrictions and N leave an alternating coverage that
-    the free members' choices, searched per cycle, level out to two; the
-    result is verified, and the six matchings are always pairwise distinct.
+    every cycle the restrictions and N leave a coverage that is constant on
+    each alternating class, and the free members level it out to two: as
+    many as the second class lacks take that class, the rest the first.
+    The result is verified, and the six matchings are always pairwise
+    distinct.
     """
     report = verify_ffamily(g, fam)
     if not report.ok:
@@ -239,12 +237,12 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
                 extensions[mi] |= fixed
             else:
                 free.append(mi)
-        classes = _alternating_classes(cyc)
-        for bits in range(2 ** len(free)):
-            picks = [classes[bits >> slot & 1] for slot in range(len(free))]
-            if all(cover[e] + sum(e in cls for cls in picks) == 2 for e in cyc.edges):
-                break
-        else:
+        # A free member takes one alternating class, which adds a constant to
+        # each class; so the first `ones` of them, the number that levels the
+        # odd-position edges, take those edges and the rest the others.
+        ones = 2 - cover[cyc.edges[1]]
+        picks = [frozenset(cyc.edges[int(slot < ones)::2]) for slot in range(len(free))]
+        if not all(cover[e] + sum(e in cls for cls in picks) == 2 for e in cyc.edges):
             raise GraphError(
                 f"no per-cycle assignment covers cycle {ci} (at vertex "
                 f"{cyc.vertices[0]}); family or construction invalid")
@@ -255,14 +253,8 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
     for mem in fam.members:
         member_union |= mem.members
     m_prime = (fam.m.members - member_union) | fam.n_edges.members
-    covering = FulkersonCovering((
-        fam.m,
-        PerfectMatching(g, extensions[0]),
-        PerfectMatching(g, extensions[1]),
-        PerfectMatching(g, extensions[2]),
-        PerfectMatching(g, extensions[3]),
-        PerfectMatching(g, m_prime),
-    ))
+    covering = FulkersonCovering((fam.m, *(PerfectMatching(g, ext) for ext in extensions),
+                                  PerfectMatching(g, m_prime)))
     result = verify_covering(g, covering)
     if not result.ok:
         raise GraphError("internal invariant failure: family assembly does not cover")

@@ -409,37 +409,34 @@ def cycle_decomposition(g: MultiGraph, s: EdgeSet | Iterable[int]) -> CycleSet:
 
     The decomposition is unique; ordering is deterministic (each cycle starts
     at its lowest vertex and runs toward the lower neighbor, cycles sorted by
-    their lowest vertex).
+    their lowest vertex).  An edge id outside g raises GraphError.
     """
-    members = frozenset(s.members if isinstance(s, EdgeSet) else s)
-    inc: dict[int, list[int]] = {}
-    for e in sorted(members):
-        u, v = g.endpoints(e)
-        if u == v:
-            raise GraphError(f"loop {e} admits no cycle decomposition here")
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-    for v, es in inc.items():
-        if len(es) != 2:
-            raise GraphError(f"vertex {v} has degree {len(es)} in the edge set, expected 2")
-    used: set[int] = set()
+    members = (s if isinstance(s, EdgeSet) else EdgeSet(g, s)).members
+    loop = min((e for e in members if g.is_loop(e)), default=None)
+    if loop is not None:
+        raise GraphError(f"loop {loop} admits no cycle decomposition here")
+    at = [[e for e in g.incident(v) if e in members] for v in g.vertices()]
+    bad = [v for v in g.vertices() if len(at[v]) not in (0, 2)]
+    if bad:
+        # name the bad vertex that the edges, taken in ascending id, reach first
+        v = min(bad, key=lambda v: (at[v][0], g.endpoints(at[v][0])[0] != v))
+        raise GraphError(f"vertex {v} has degree {len(at[v])} in the edge set, expected 2")
+    seen = [False] * g.num_vertices
     cycles = []
-    for start in sorted(inc):
-        if any(e in used for e in inc[start]):
+    for start in g.vertices():
+        if seen[start] or not at[start]:
             continue
         # Choose the first step: lower neighbor vertex, edge id breaking ties.
-        first = min(inc[start], key=lambda e: (g.other_end(e, start), e))
+        e = min(at[start], key=lambda e: (g.other_end(e, start), e))
         verts = [start]
-        edges = [first]
-        used.add(first)
-        cur = g.other_end(first, start)
+        edges = [e]
+        seen[start] = True
+        cur = g.other_end(e, start)
         while cur != start:
+            seen[cur] = True
             verts.append(cur)
-            nxt = next(e for e in inc[cur] if e not in used)
-            used.add(nxt)
-            edges.append(nxt)
-            cur = g.other_end(nxt, cur)
+            e = at[cur][at[cur][0] == e]  # the other edge of the set at cur
+            edges.append(e)
+            cur = g.other_end(e, cur)
         cycles.append(Cycle(tuple(verts), tuple(edges)))
     return CycleSet(tuple(cycles))
-
-

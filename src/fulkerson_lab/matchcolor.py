@@ -22,6 +22,7 @@ from .graph_core import (
     GraphError,
     Matching,
     MultiGraph,
+    _components,
     cycle_decomposition,
 )
 
@@ -231,128 +232,69 @@ def split_and_suppress(
     become vertexless loops.
     """
     a = _as_matching(g, a)
-    partner_set: frozenset[int]
-    if partner is not None:
-        p = _as_matching(g, partner)
-        if p.members & a.members:
-            raise GraphError("partner matching must be disjoint from the split matching")
-        partner_set = p.members
-    else:
-        partner_set = frozenset()
+    partner_set = frozenset() if partner is None else _as_matching(g, partner).members
+    if partner_set & a.members:
+        raise GraphError("partner matching must be disjoint from the split matching")
 
-    saturating: dict[int, int] = {}
-    for e in a:
-        u, v = g.endpoints(e)
-        saturating[u] = e
-        saturating[v] = e
-
-    # jump[(edge, vertex)] -> (edge', vertex') linked through the split of
-    # the a-edge at `vertex`; following it continues a suppression chain.
+    # jump[(edge, vertex)] -> (edge', vertex'): a chain that reaches the split
+    # end `vertex` along `edge` leaves the other split end vertex' along edge'.
     jump: dict[tuple[int, int], tuple[int, int]] = {}
     for e in a:
-        u, v = g.endpoints(e)
-        u_rest = sorted(x for x in g.incident(u) if x != e)
-        v_rest = sorted(x for x in g.incident(v) if x != e)
-        if len(u_rest) != 2 or len(v_rest) != 2:
-            raise GraphError("split endpoint is not cubic")
+        ends = g.endpoints(e)
+        rests = []
+        for x in ends:
+            rest = [f for f in g.incident(x) if f != e]
+            if len(rest) != 2:
+                raise GraphError("split endpoint is not cubic")
+            if rest[1] in partner_set and rest[0] not in partner_set:
+                rest.reverse()  # a lone partner edge pairs with its opposite number
+            rests.append(rest)
+        for eu, ev in zip(*rests):
+            jump[(eu, ends[0])] = (ev, ends[1])
+            jump[(ev, ends[1])] = (eu, ends[0])
 
-        def order(rest: list[int]) -> list[int]:
-            in_p = [x for x in rest if x in partner_set]
-            if len(in_p) == 1:
-                other = rest[0] if rest[1] == in_p[0] else rest[1]
-                return [in_p[0], other]
-            return rest
+    visited: set[int] = set()
 
-        for eu, ev in zip(order(u_rest), order(v_rest)):
-            jump[(eu, u)] = (ev, v)
-            jump[(ev, v)] = (eu, u)
-
-    survivors = [v for v in g.vertices() if v not in saturating]
-    visited_darts: set[tuple[int, int]] = set()
-    chains: list[tuple[int, tuple[int, ...], int]] = []  # (start vertex, chain, end vertex)
-
-    def walk(e: int, u: int) -> tuple[tuple[int, ...], int]:
-        # Follow the chain entered on edge e from survivor u; returns the
-        # absorbed edges and the survivor at the far end.
+    def walk(e: int, u: int) -> tuple[tuple[int, ...], int | None]:
+        # The chain leaving u along e: its absorbed edges and the survivor it
+        # ends at, or None when it comes back to e as a vertexless loop.
         chain = [e]
-        visited_darts.add((e, u))
-        cur_edge, cur_from = e, u
         while True:
-            w = g.other_end(cur_edge, cur_from)
-            visited_darts.add((cur_edge, w))
-            if w not in saturating:
-                return tuple(chain), w
-            cur_edge, cur_from = jump[(cur_edge, w)]
-            visited_darts.add((cur_edge, cur_from))
-            chain.append(cur_edge)
+            w = g.other_end(e, u)
+            if (e, w) not in jump:
+                break
+            e, u = jump[(e, w)]
+            if e == chain[0]:
+                w = None
+                break
+            chain.append(e)
+        visited.update(chain)
+        return tuple(chain), w
 
+    survivors = [v for v in g.vertices() if a.members.isdisjoint(g.incident(v))]
+    chains: list[tuple[int, tuple[int, ...], int]] = []  # (start vertex, chain, end vertex)
     for u in survivors:
         for e in g.incident(u):
-            if (e, u) in visited_darts:
-                continue
-            chain, w = walk(e, u)
-            chains.append((u, chain, w))
+            if e not in visited:
+                chains.append((u, *walk(e, u)))
+    loops = [walk(e, g.endpoints(e)[0])[0] for e in g.edge_ids()
+             if e not in visited and e not in a.members]
 
-    loops: list[tuple[int, ...]] = []
-    for e in sorted(set(g.edge_ids()) - set(a.members)):
-        u, v = g.endpoints(e)
-        if (e, u) in visited_darts or (e, v) in visited_darts:
-            continue
-        # Entirely inside smoothed territory: a vertexless loop.
-        chain = [e]
-        visited_darts.add((e, u))
-        visited_darts.add((e, v))
-        cur_edge, cur_from = jump[(e, v)]
-        while cur_edge != e:
-            visited_darts.add((cur_edge, cur_from))
-            chain.append(cur_edge)
-            nxt = g.other_end(cur_edge, cur_from)
-            visited_darts.add((cur_edge, nxt))
-            cur_edge, cur_from = jump[(cur_edge, nxt)]
-        loops.append(tuple(chain))
-
-    # Group survivors into connected components of the suppressed graph.
-    parent = {v: v for v in survivors}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, _, w in chains:
-        parent[find(u)] = find(w)
-    roots: dict[int, int] = {}
-    comp_vertices: list[list[int]] = []
-    for v in survivors:
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(comp_vertices)
-            comp_vertices.append([])
-        comp_vertices[roots[r]].append(v)
-
-    components = []
-    vertex_tuples = []
-    provenance = []
-    for verts in comp_vertices:
-        local = {v: i for i, v in enumerate(verts)}
-        edge_list = []
-        prov: dict[int, tuple[int, ...]] = {}
-        # Order edges by their absorbed chains so an empty split reproduces
-        # the input graph edge-for-edge.
-        for u, chain, w in sorted((c for c in chains if c[0] in local),
-                                  key=lambda c: c[1]):
-            prov[len(edge_list)] = chain
-            if len(chain) == 1:
-                a, b = g.endpoints(chain[0])  # keep original orientation
-                edge_list.append((local[a], local[b]))
-            else:
-                edge_list.append((local[u], local[w]))
-        components.append(MultiGraph(len(verts), edge_list))
-        vertex_tuples.append(tuple(verts))
-        provenance.append(prov)
-    return SuppressedGraph(tuple(components), tuple(vertex_tuples),
-                           tuple(provenance), tuple(loops))
+    whole = MultiGraph(g.num_vertices, [(u, w) for u, _, w in chains])
+    comps = [sorted(c) for c in _components(whole) if a.members.isdisjoint(g.incident(c[0]))]
+    place = {v: (ci, i) for ci, verts in enumerate(comps) for i, v in enumerate(verts)}
+    edge_lists: list[list[tuple[int, int]]] = [[] for _ in comps]
+    provenance: list[dict[int, tuple[int, ...]]] = [{} for _ in comps]
+    # Order edges by their absorbed chains so an empty split reproduces the
+    # input graph edge-for-edge.
+    for u, chain, w in sorted(chains, key=lambda c: c[1]):
+        ci = place[u][0]
+        provenance[ci][len(edge_lists[ci])] = chain
+        x, y = g.endpoints(chain[0]) if len(chain) == 1 else (u, w)  # keep original orientation
+        edge_lists[ci].append((place[x][1], place[y][1]))
+    return SuppressedGraph(tuple(MultiGraph(len(verts), edges)
+                                 for verts, edges in zip(comps, edge_lists)),
+                           tuple(map(tuple, comps)), tuple(provenance), tuple(loops))
 
 
 def _edge_colorings(g: MultiGraph, colors: int,

@@ -205,6 +205,21 @@ def proper_covering_exists(g) -> bool:
     return any(_covers_twice(g, pms, combo) for combo in combinations(range(len(pms)), 6))
 
 
+def fr_triple_partitions(g: MultiGraph) -> set[tuple[frozenset[int], frozenset[int]]]:
+    """Every (T2, T0) over the triples of perfect matchings, repeats allowed,
+    whose common intersection is empty: T2 holds the edges in two members,
+    T0 the edges in none."""
+    pms = brute_force_perfect_matchings(g)
+    out = set()
+    for trio in combinations_with_replacement(pms, 3):
+        if trio[0] & trio[1] & trio[2]:
+            continue
+        counts = Counter(e for pm in trio for e in pm)
+        out.add((frozenset(e for e, c in counts.items() if c == 2),
+                 frozenset(range(g.num_edges)).difference(counts)))
+    return out
+
+
 def balanced_subsets(g: MultiGraph, m) -> set[frozenset[int]]:
     """Every m & m' over the perfect matchings m' of g: the m-balanced sets."""
     m = frozenset(m)

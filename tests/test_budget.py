@@ -1,3 +1,5 @@
+import pytest
+
 from fulkerson_lab.budget import Budget, SearchResult
 from fulkerson_lab.generators import flower_snark
 from fulkerson_lab.ffamily import find_ffamily
@@ -33,6 +35,13 @@ def test_env_default_budget(monkeypatch):
     monkeypatch.setenv("FULKERSON_LAB_BUDGET", "7")
     b = Budget()
     assert b.limit == 7
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "", "1.5"])
+def test_malformed_env_budget_raises(monkeypatch, value):
+    monkeypatch.setenv("FULKERSON_LAB_BUDGET", value)
+    with pytest.raises(ValueError, match=r"^\$FULKERSON_LAB_BUDGET: expected a non-negative"):
+        Budget()
 
 
 def test_exhausted_budget_never_claims_absence():

@@ -160,6 +160,18 @@ class TestSearchAndVerify:
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
 
+    def test_malformed_budget_variable_exits_two(self, capsys, petersen_file, monkeypatch):
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "abc")
+        code, out, err = run(capsys, "search", petersen_file, "covering")
+        assert code == 2
+        assert out == ""
+        assert err == ("usage error: $FULKERSON_LAB_BUDGET: expected a non-negative node "
+                       "count, got 'abc'\n")
+        # --budget replaces the variable, which is then never read
+        code, out, _ = run(capsys, "search", petersen_file, "covering", "--budget", "100000")
+        assert code == 0
+        assert out.startswith("certificate covering")
+
     def test_bad_covering_exits_one_with_report(self, capsys, tmp_path, petersen_file):
         code, out, _ = run(capsys, "search", petersen_file, "covering")
         lines = out.splitlines()
@@ -182,7 +194,14 @@ class TestSearchAndVerify:
         path.write_text(write_graph_file(flower_snark(5)))
         code, out, _ = run(capsys, "search", str(path), "covering", "--strategy", "a1a2")
         assert code == 0
-        assert out.startswith("certificate covering")
+        assert out == """certificate covering
+matching 0 2 6 8 14 17 20 23 26 27
+matching 0 2 6 9 13 16 20 23 25 27
+matching 1 3 10 12 14 15 19 22 25 28
+matching 1 4 8 10 12 16 19 22 24 29
+matching 3 5 7 9 11 15 18 21 26 29
+matching 4 5 7 11 13 17 18 21 24 28
+"""
 
     def test_triple_with_common_edge_exits_one(self, capsys, tmp_path, petersen_file):
         code, out, _ = run(capsys, "search", petersen_file, "fr-triple")
@@ -264,6 +283,28 @@ class TestPipeline:
         assert code == 2
         assert out == ""
         assert err.startswith(f"usage error: step 1: {option} names no edge")
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_malformed_budget_variable_exits_two(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", value)
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\ndot type1 petersen\n")
+        code, out, err = run(capsys, "pipeline", str(recipe))
+        assert code == 2
+        assert out == ""
+        assert err == ("usage error: $FULKERSON_LAB_BUDGET: expected a non-negative node "
+                       f"count, got '{value}'\n")
+
+    def test_emit_intermediate_onto_a_file_exits_two(self, capsys, tmp_path):
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\n")
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        code, out, err = run(capsys, "pipeline", str(recipe), "--emit-intermediate", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write {target}: ")
+        assert target.read_text() == "not a directory\n"
 
     def test_emit_intermediate(self, capsys, tmp_path):
         recipe = tmp_path / "recipe.txt"

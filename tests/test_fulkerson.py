@@ -39,7 +39,13 @@ from fulkerson_lab.fulkerson import (
     t_partition,
     verify_covering,
 )
-from oracles import covering_exists, proper_covering_exists, random_cubic_multigraph
+from oracles import (
+    brute_force_perfect_matchings,
+    covering_exists,
+    fr_triple_partitions,
+    proper_covering_exists,
+    random_cubic_multigraph,
+)
 
 
 def petersen_triples():
@@ -180,6 +186,21 @@ class TestLift:
         part = t_partition(theta(), triple)
         assert part.t2.members == frozenset([0])
         assert part.t0.members == frozenset([1])
+
+    @pytest.mark.parametrize("make,t2,t0,want", [
+        (petersen, [0, 3, 6], [4, 11, 13],
+         [[1, 3, 6, 7, 10], [0, 2, 5, 6, 14], [0, 3, 8, 9, 12]]),
+        (lambda: flower_snark(5), [0, 2, 6, 14, 20, 23, 25, 27], [4, 5, 7, 11, 18, 21, 24, 29],
+         [[0, 2, 6, 8, 14, 17, 20, 23, 26, 27], [0, 2, 6, 9, 13, 16, 20, 23, 25, 27],
+          [1, 3, 10, 12, 14, 15, 19, 22, 25, 28]]),
+    ], ids=["petersen", "J5"])
+    def test_pinned_lifts_of_first_triples(self, make, t2, t0, want):
+        # (t2, t0) is the T-partition of the graph's first FR-triple
+        g = make()
+        part = t_partition(g, find_fr_triple(g).value)
+        assert (sorted(part.t2.members), sorted(part.t0.members)) == (t2, t0)
+        triple = fr_triple_from_matchings(g, t2, t0)
+        assert [sorted(m.members) for m in triple.matchings] == want
 
 
 class TestFindFRTriple:
@@ -386,6 +407,24 @@ class TestLiftProperty:
         part = t_partition(g, triple)
         assert part.t2.members == a1
         assert part.t0.members == a2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_lift_succeeds_exactly_on_triple_partitions(self, data):
+        g = random_cubic_multigraph(data, max_order=10)
+        partitions = fr_triple_partitions(g)
+        pms = brute_force_perfect_matchings(g)
+        for m1 in pms:
+            for m2 in pms:
+                pair = (m1 - m2, m2 - m1)
+                try:
+                    triple = fr_triple_from_matchings(g, *pair)
+                except LiftError:
+                    assert pair not in partitions
+                    continue
+                assert pair in partitions
+                part = t_partition(g, triple)
+                assert (part.t2.members, part.t0.members) == pair
 
 
 class TestTripleCharacterization:

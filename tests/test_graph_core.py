@@ -285,6 +285,24 @@ class TestCycleDecomposition:
         assert len(cs) == 1
         assert len(cs.cycles[0]) == 2
 
+    @pytest.mark.parametrize("n,edges,message", [
+        # the lowest loop is named, even where a vertex has a bad degree
+        (4, [(0, 1), (2, 2), (1, 1), (3, 0)], "loop 1 admits no cycle decomposition here"),
+        # the bad vertex named is the first that the edges, ascending, reach
+        (4, [(3, 2), (0, 1), (1, 2)], "vertex 3 has degree 1 in the edge set, expected 2"),
+        (3, [(0, 2), (0, 1)], "vertex 2 has degree 1 in the edge set, expected 2"),
+        (4, [(1, 0), (0, 2), (0, 3), (2, 3)], "vertex 1 has degree 1 in the edge set, expected 2"),
+    ])
+    def test_errors_name_the_first_loop_or_vertex(self, n, edges, message):
+        with pytest.raises(GraphError) as exc:
+            cycle_decomposition(MultiGraph(n, edges), range(len(edges)))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad", [15, -1])
+    def test_edge_id_outside_the_graph_is_an_error(self, bad):
+        with pytest.raises(GraphError, match=f"edge id {bad} not in host graph"):
+            cycle_decomposition(petersen(), [bad])
+
 
 class TestEdgeSets:
     def test_edge_set_validates_membership(self):

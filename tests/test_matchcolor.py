@@ -247,6 +247,50 @@ class TestSplitAndSuppress:
         loop_edges = [e for chain in s.loops for e in chain]
         assert sorted(absorbed + loop_edges) == sorted(set(g.edge_ids()) - m.members)
 
+    @staticmethod
+    def _petersen_first_triple_split():
+        from fulkerson_lab.fulkerson import find_fr_triple, t_partition
+
+        g = petersen()
+        part = t_partition(g, find_fr_triple(g).value)
+        assert (sorted(part.t2.members), sorted(part.t0.members)) == ([0, 3, 6], [4, 11, 13])
+        return g, part.t2.members, part.t0.members
+
+    @pytest.mark.parametrize("case,want", [
+        ("petersen", (
+            [[(0, 1), (0, 3), (1, 2), (2, 3), (1, 3), (0, 2)]],
+            ((2, 5, 7, 9),),
+            ({0: (1, 10), 1: (2, 14), 2: (5,), 3: (7,), 4: (8, 9), 5: (12,)},),
+            ((4, 11, 13),))),
+        ("j5", (
+            [], (), (),
+            ((1, 3, 28, 25, 13, 5, 7, 9, 15, 18, 10, 16, 29, 4), (11, 21, 24, 12, 22, 19)))),
+        ("doubled4", ([], (), (), ((0,), (1, 3), (2,)))),
+        ("goldberg3", (
+            [[(0, 1), (2, 3), (0, 1), (2, 3), (2, 0), (3, 1)],
+             [(1, 1), (0, 1), (2, 3), (0, 2), (2, 3), (0, 3)]],
+            ((0, 2, 16, 20), (18, 19, 21, 23)),
+            ({0: (3, 4), 1: (17, 19), 2: (21, 7, 22), 3: (26, 9, 28), 4: (31,), 5: (33,)},
+             {0: (14, 15), 1: (18,), 2: (20,), 3: (27, 8, 23, 1, 2, 34), 4: (29, 30),
+              5: (32, 35)}),
+            ((24, 25),))),
+    ])
+    def test_pinned_suppressed_graphs(self, case, want):
+        # chain direction, edge order, component order and loop order are all pinned
+        if case == "petersen":
+            g, a, partner = self._petersen_first_triple_split()
+        elif case == "j5":
+            g = flower_snark(5)
+            a, partner = enumerate_perfect_matchings(g)[0].members, None
+        elif case == "doubled4":
+            g, a, partner = doubled_matching_cycle(4), [4, 5], [0, 2]
+        else:
+            g, a, partner = goldberg(3), [0, 5, 6, 10, 11, 12, 13, 16], None
+        s = split_and_suppress(g, a, partner=partner)
+        got = ([[(u, v) for _, u, v in comp.edges] for comp in s.components],
+               s.component_vertices, s.provenance, s.loops)
+        assert got == want
+
 
 class TestThreeEdgeColoring:
     def test_k33_found(self):
