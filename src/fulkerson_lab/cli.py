@@ -15,10 +15,11 @@ Exit codes: 0 success/found, 1 verified-absent or invalid certificate,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .budget import Budget, BudgetExhausted, DEFAULT_BUDGET_ENV, node_count
 from .ffamily import (
@@ -34,10 +35,10 @@ from .fulkerson import (
     AUTO,
     FRTriple,
     FulkersonCovering,
+    enumerate_fr_triples,
     enumerate_fulkerson_coverings,
     find_fr_triple,
     find_fulkerson_covering,
-    iter_fr_triples,
     verify_covering,
     _STRATEGIES,
 )
@@ -53,11 +54,15 @@ from .generators import (
     theta,
 )
 from .graph_core import CubicGraph, GraphError, Matching, MultiGraph
-from .matchcolor import PerfectMatching, enumerate_perfect_matchings
+from .matchcolor import PerfectMatching
 
 
 class ParseError(ValueError):
     """A graph or certificate file failed to parse."""
+
+
+class UsageError(ValueError):
+    """A command was run with a setting it cannot use."""
 
 
 EXIT_FOUND = 0
@@ -67,12 +72,8 @@ EXIT_BUDGET = 3
 
 
 def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in stripped if line]
 
 
 def write_graph_file(g: MultiGraph) -> str:
@@ -93,6 +94,8 @@ def parse_graph_file(text: str) -> CubicGraph:
         n, m = int(header[1]), int(header[2])
     except ValueError as exc:
         raise ParseError(f"bad header numbers in {lines[0]!r}") from exc
+    if 3 * n != 2 * m:
+        raise ParseError(f"bad header {lines[0]!r}: a cubic graph has 3n = 2m")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     slots: list[tuple[int, int] | None] = [None] * m
@@ -151,6 +154,11 @@ def certificate_of_family(f: FFamily) -> Certificate:
                        n=tuple(sorted(f.n_edges.members)))
 
 
+# The line keywords each certificate kind allows.
+_KEYWORDS = {"fr-triple": ("matching",), "covering": ("matching",),
+             "ffamily": ("m", "member", "n")}
+
+
 def parse_certificate(text: str) -> Certificate:
     lines = _content_lines(text)
     if not lines:
@@ -159,66 +167,55 @@ def parse_certificate(text: str) -> Certificate:
     if len(header) != 2 or header[0] != "certificate":
         raise ParseError(f"bad header {lines[0]!r}")
     kind = header[1]
-
-    def ids(parts: list[str]) -> tuple[int, ...]:
+    if kind not in _KEYWORDS:
+        raise ParseError(f"unknown certificate kind {kind!r}")
+    rows: dict[str, list[tuple[int, ...]]] = {word: [] for word in _KEYWORDS[kind]}
+    for line in lines[1:]:
+        word, *parts = line.split()
+        if word not in rows:
+            raise ParseError(f"unexpected line {line!r}")
+        if word in ("m", "n") and rows[word]:
+            raise ParseError(f"duplicate {word} line")
         try:
-            return tuple(int(p) for p in parts)
+            ids = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise ParseError(f"bad edge ids in {' '.join(parts)!r}") from exc
-
-    if kind in ("fr-triple", "covering"):
-        want = 3 if kind == "fr-triple" else 6
-        matchings = []
-        for line in lines[1:]:
-            parts = line.split()
-            if parts[0] != "matching":
-                raise ParseError(f"unexpected line {line!r}")
-            matchings.append(ids(parts[1:]))
-        if len(matchings) != want:
-            raise ParseError(f"{kind} needs {want} matchings, found {len(matchings)}")
-        return Certificate(kind, tuple(matchings))
+        if len(set(ids)) != len(ids):
+            raise ParseError(f"repeated edge id in {line!r}")
+        rows[word].append(ids)
     if kind == "ffamily":
-        m_ids = None
-        n_ids = None
-        members = []
-        for line in lines[1:]:
-            parts = line.split()
-            if parts[0] == "m":
-                if m_ids is not None:
-                    raise ParseError("duplicate m line")
-                m_ids = ids(parts[1:])
-            elif parts[0] == "member":
-                members.append(ids(parts[1:]))
-            elif parts[0] == "n":
-                if n_ids is not None:
-                    raise ParseError("duplicate n line")
-                n_ids = ids(parts[1:])
-            else:
-                raise ParseError(f"unexpected line {line!r}")
-        if m_ids is None or n_ids is None or len(members) != 4:
+        if len(rows["m"]) != 1 or len(rows["n"]) != 1 or len(rows["member"]) != 4:
             raise ParseError("ffamily certificate needs m, four members and n")
-        return Certificate(kind, tuple(members), m=m_ids, n=n_ids)
-    raise ParseError(f"unknown certificate kind {kind!r}")
+        return Certificate(kind, tuple(rows["member"]), m=rows["m"][0], n=rows["n"][0])
+    want = 3 if kind == "fr-triple" else 6
+    if len(rows["matching"]) != want:
+        raise ParseError(f"{kind} needs {want} matchings, found {len(rows['matching'])}")
+    return Certificate(kind, tuple(rows["matching"]))
 
 
-GEN_FAMILIES = ("petersen", "flower", "goldberg", "theta", "k4", "k33", "cube",
-                "doubled-cycle", "ten-c5")
+def _generators() -> dict[str, tuple[Callable[..., CubicGraph], int]]:
+    """family -> (generator, number of integer parameters).
+
+    Built on every call, so it holds whatever this module's names are bound
+    to at the time (a tracer may have replaced them).
+    """
+    return {"petersen": (petersen, 0), "flower": (flower_snark, 1),
+            "goldberg": (goldberg, 1), "theta": (theta, 0), "k4": (k4, 0), "k33": (k33, 0),
+            "cube": (cube_q3, 0), "doubled-cycle": (doubled_matching_cycle, 1),
+            "ten-c5": (ten_vertex_c5_example, 0)}
+
+
+GEN_FAMILIES = tuple(_generators())
 
 
 def _generate(family: str, params: Sequence[int]) -> CubicGraph:
-    simple = {"petersen": petersen, "theta": theta, "k4": k4, "k33": k33,
-              "cube": cube_q3, "ten-c5": ten_vertex_c5_example}
-    if family in simple:
-        if params:
-            raise GraphError(f"{family} takes no parameter")
-        return simple[family]()
-    if family in ("flower", "goldberg", "doubled-cycle"):
-        if len(params) != 1:
-            raise GraphError(f"{family} takes exactly one integer parameter")
-        k = params[0]
-        return {"flower": flower_snark, "goldberg": goldberg,
-                "doubled-cycle": doubled_matching_cycle}[family](k)
-    raise GraphError(f"unknown family {family!r}")
+    if family not in GEN_FAMILIES:
+        raise GraphError(f"unknown family {family!r}")
+    make, arity = _generators()[family]
+    if len(params) != arity:
+        raise GraphError(f"{family} takes no parameter" if arity == 0
+                         else f"{family} takes exactly one integer parameter")
+    return make(*params)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -239,97 +236,62 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _bind_matchings(g: CubicGraph, cert: Certificate) -> list[PerfectMatching]:
-    return [PerfectMatching(g, mem) for mem in cert.matchings]
+def _bind(g: CubicGraph, cert: Certificate) -> FRTriple | FulkersonCovering | FFamily:
+    """The library object a certificate names on g; GraphError if it names none."""
+    if cert.kind == "ffamily":
+        return FFamily(PerfectMatching(g, cert.m),
+                       *(Matching(g, mem) for mem in cert.matchings),
+                       Matching(g, cert.n))
+    pms = tuple(PerfectMatching(g, mem) for mem in cert.matchings)
+    return FRTriple(*pms) if cert.kind == "fr-triple" else FulkersonCovering(pms)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    g = parse_graph_file(_read(args.graph))
+    cert = parse_certificate(_read(args.certificate))
     try:
-        g = parse_graph_file(_read(args.graph))
-        cert = parse_certificate(_read(args.certificate))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if cert.kind == "fr-triple":
-            m1, m2, m3 = _bind_matchings(g, cert)
-            triple = FRTriple(m1, m2, m3)
-            print("fr-triple: valid (empty common intersection)")
-            return EXIT_FOUND
-        if cert.kind == "covering":
-            covering = FulkersonCovering(tuple(_bind_matchings(g, cert)))
-            report = verify_covering(g, covering)
-            if report.ok:
-                print("covering: valid (every edge covered exactly twice)")
-                return EXIT_FOUND
-            for e in report.violations():
-                print(f"edge {e}: covered {report.coverage[e]} times")
-            return EXIT_NONE
-        fam = FFamily(PerfectMatching(g, cert.m),
-                      *(Matching(g, mem) for mem in cert.matchings),
-                      Matching(g, cert.n))
-        report = verify_ffamily(g, fam)
-        if report.ok:
-            print("ffamily: valid")
-            return EXIT_FOUND
-        for line in report.diagnostics:
-            print(line)
-        return EXIT_NONE
+        bound = _bind(g, cert)
     except GraphError as exc:
         print(f"invalid certificate: {exc}")
         return EXIT_NONE
+    if cert.kind == "fr-triple":
+        print("fr-triple: valid (empty common intersection)")
+        return EXIT_FOUND
+    if cert.kind == "covering":
+        report = verify_covering(g, bound)
+        valid = "covering: valid (every edge covered exactly twice)"
+        problems = [f"edge {e}: covered {report.coverage[e]} times" for e in report.violations()]
+    else:
+        report = verify_ffamily(g, bound)
+        valid, problems = "ffamily: valid", report.diagnostics
+    print("\n".join(problems) if problems else valid)
+    return EXIT_FOUND if report.ok else EXIT_NONE
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        g = parse_graph_file(_read(args.graph))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = parse_graph_file(_read(args.graph))
     try:
         budget = Budget(limit=args.budget)
     except ValueError as exc:  # a malformed $FULKERSON_LAB_BUDGET
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    certs: list[Certificate] = []
-    complete = True
-    if args.target == "fr-triple":
-        if args.all:
-            pms = enumerate_perfect_matchings(g)
-            certs = [certificate_of_triple(t) for t in iter_fr_triples(pms, budget)]
-            complete = not pms.truncated and not budget.exhausted
-        else:
-            res = find_fr_triple(g, budget=budget)
-            complete = res.complete
-            if res.found:
-                certs.append(certificate_of_triple(res.value))
-    elif args.target == "covering":
-        if args.all:
-            res_all = enumerate_fulkerson_coverings(g, budget=budget)
-            certs = [certificate_of_covering(c) for c in res_all.value]
-            complete = res_all.complete
-        else:
-            res = find_fulkerson_covering(g, strategy=args.strategy, budget=budget)
-            complete = res.complete
-            if res.found:
-                certs.append(certificate_of_covering(res.value))
+        raise UsageError(str(exc)) from exc
+    # target -> (first search, exhaustive search, certificate maker); built on
+    # every call so that it holds whatever this module's names are bound to.
+    first, every, certify = {
+        "fr-triple": (find_fr_triple, enumerate_fr_triples, certificate_of_triple),
+        "covering": (functools.partial(find_fulkerson_covering, strategy=args.strategy),
+                     enumerate_fulkerson_coverings, certificate_of_covering),
+        "ffamily": (find_ffamily, enumerate_ffamilies, certificate_of_family),
+    }[args.target]
+    if args.all:
+        res = every(g, budget=budget)
+        found = res.value
     else:
-        if args.all:
-            fam_all = enumerate_ffamilies(g, budget=budget)
-            certs = [certificate_of_family(f) for f in fam_all.value]
-            complete = fam_all.complete
-        else:
-            res = find_ffamily(g, budget=budget)
-            complete = res.complete
-            if res.found:
-                certs.append(certificate_of_family(res.value))
-    for i, cert in enumerate(certs):
-        if i:
-            sys.stdout.write("\n")
-        sys.stdout.write(write_certificate(cert))
-    if certs:
+        res = first(g, budget=budget)
+        found = [res.value] if res.found else []
+    sys.stdout.write("\n".join(write_certificate(certify(x)) for x in found))
+    if found:
         return EXIT_FOUND
-    return EXIT_NONE if complete else EXIT_BUDGET
+    return EXIT_NONE if res.complete else EXIT_BUDGET
 
 
 def _parse_recipe(text: str) -> tuple[CubicGraph, list[DotStep]]:
@@ -358,6 +320,8 @@ def _parse_recipe(text: str) -> tuple[CubicGraph, list[DotStep]]:
         if words[0] == "base":
             if base is not None:
                 raise ParseError("duplicate base line")
+            if fixed:
+                raise ParseError(f"bad base line {line!r}: step options belong on dot lines")
             try:
                 base = _generate(words[1], [int(w) for w in words[2:]])
             except (GraphError, IndexError, ValueError) as exc:
@@ -378,22 +342,16 @@ def _parse_recipe(text: str) -> tuple[CubicGraph, list[DotStep]]:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    try:
-        base, steps = _parse_recipe(_read(args.recipe))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    base, steps = _parse_recipe(_read(args.recipe))
     try:
         result = iterate_dot_sequence(base, steps)
     except StepOptionError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     except (GraphError, BudgetExhausted) as exc:
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_NONE
     except ValueError as exc:  # a malformed $FULKERSON_LAB_BUDGET
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     if args.emit_intermediate:
         try:
             os.makedirs(args.emit_intermediate, exist_ok=True)
@@ -402,43 +360,41 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(write_graph_file(graph))
         except OSError as exc:
-            print(f"usage error: cannot write {args.emit_intermediate}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    sys.stdout.write(write_graph_file(result.graph))
-    sys.stdout.write("\n")
-    sys.stdout.write(write_certificate(certificate_of_family(result.family)))
-    sys.stdout.write("\n")
-    sys.stdout.write(write_certificate(certificate_of_covering(result.covering)))
+            raise UsageError(f"cannot write {args.emit_intermediate}: {exc}") from exc
+    sys.stdout.write("\n".join([write_graph_file(result.graph),
+                                write_certificate(certificate_of_family(result.family)),
+                                write_certificate(certificate_of_covering(result.covering))]))
     return EXIT_FOUND
 
 
-def _edge_annotations(g: CubicGraph, cert: Certificate | None) -> dict[int, str]:
+def _edge_annotations(cert: Certificate) -> dict[int, str]:
     notes: dict[int, str] = {}
-    if cert is None:
-        return notes
     if cert.kind in ("fr-triple", "covering"):
         for idx, mem in enumerate(cert.matchings):
             for e in mem:
                 notes[e] = notes.get(e, "") + (f",{idx}" if e in notes else f"{idx}")
     else:
-        for e in cert.m or ():
+        for e in cert.m:
             notes[e] = "m"
         for idx, mem in enumerate(cert.matchings):
             for e in mem:
                 notes[e] = "ABCD"[idx]
-        for e in cert.n or ():
+        for e in cert.n:
             notes[e] = "n"
     return notes
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    try:
-        g = parse_graph_file(_read(args.graph))
-        cert = parse_certificate(_read(args.certificate)) if args.certificate else None
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    notes = _edge_annotations(g, cert)
+    g = parse_graph_file(_read(args.graph))
+    cert = parse_certificate(_read(args.certificate)) if args.certificate else None
+    notes: dict[int, str] = {}
+    if cert is not None:
+        try:
+            _bind(g, cert)
+        except GraphError as exc:
+            print(f"invalid certificate: {exc}", file=sys.stderr)
+            return EXIT_NONE
+        notes = _edge_annotations(cert)
     if args.format == "dot":
         lines = ["graph cubic {"]
         for v in g.vertices():
@@ -490,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("graph")
     p_search.add_argument("target", choices=("fr-triple", "covering", "ffamily"))
     p_search.add_argument("--strategy", choices=_STRATEGIES, default=AUTO)
-    p_search.add_argument("--budget", type=_node_budget,
-                          default=None,
+    p_search.add_argument("--budget", type=_node_budget, default=None,
                           help=f"search node budget (default from ${DEFAULT_BUDGET_ENV})")
     p_search.add_argument("--all", action="store_true",
                           help="emit every certificate found, not just the first")
@@ -512,9 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -229,11 +229,19 @@ def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[
     the budget lasts; a truncated enumeration or an exhausted budget
     yields an explicit unknown, never a claimed absence.
     """
-    if budget is None:
-        budget = Budget()
+    budget = Budget() if budget is None else budget
     pms = enumerate_perfect_matchings(g)
     triple = next(iter_fr_triples(pms, budget), None)
     return SearchResult(triple, triple is not None or not (pms.truncated or budget.exhausted))
+
+
+def enumerate_fr_triples(g: CubicGraph,
+                         budget: Budget | None = None) -> SearchResult[list[FRTriple]]:
+    """Every FR-triple `iter_fr_triples` yields, complete unless truncated or out of budget."""
+    budget = Budget() if budget is None else budget
+    pms = enumerate_perfect_matchings(g)
+    triples = list(iter_fr_triples(pms, budget))
+    return SearchResult(triples, not pms.truncated and not budget.exhausted)
 
 
 COLOR = "color"
@@ -315,13 +323,13 @@ def _two_covers(g: CubicGraph, pms: PMEnumeration,
     yield from search((), (1 << len(pms)) - 1, everything, everything)
 
 
-def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
+def _covering_by_exact_cover(g: CubicGraph, pms: PMEnumeration,
+                             budget: Budget) -> SearchResult[FulkersonCovering]:
     """EXACT2COVER: the first cover `_two_covers` finds over the matchings.
 
     Finding none proves absence only when the matching enumeration was not
     truncated and the budget held out; otherwise the result is unknown.
     """
-    pms = enumerate_perfect_matchings(g)
     if not pms.matchings:
         return SearchResult(None, not pms.truncated)
     chosen = next(_two_covers(g, pms, budget), None)
@@ -333,7 +341,8 @@ def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[Fulk
     return SearchResult(None, not pms.truncated and not budget.exhausted)
 
 
-def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
+def _covering_by_a1a2(g: CubicGraph, pms: PMEnumeration,
+                      budget: Budget) -> SearchResult[FulkersonCovering]:
     """Search matching pairs (T2, T0) of FR-triples per the splitting criterion.
 
     Every FR-triple built from enumerated matchings supplies a candidate
@@ -341,7 +350,6 @@ def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCo
     the double lift yields two compatible triples, hence a covering.  The
     search is complete relative to a complete matching enumeration.
     """
-    pms = enumerate_perfect_matchings(g)
     seen_pairs: set[tuple[frozenset[int], frozenset[int]]] = set()
     for triple in iter_fr_triples(pms, budget):
         part = t_partition(g, triple)
@@ -369,8 +377,7 @@ def enumerate_fulkerson_coverings(g: CubicGraph,
     the end; each multiset is kept once, members in index order, and the
     list is sorted by the members' edge sets.
     """
-    if budget is None:
-        budget = Budget()
+    budget = Budget() if budget is None else budget
     pms = enumerate_perfect_matchings(g)
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out: list[FulkersonCovering] = []
@@ -390,26 +397,22 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     COLOR doubles a 3-edge-coloring when one exists; EXACT2COVER solves the
     exact multiset cover over enumerated matchings; A1A2 searches disjoint
     matching pairs whose splits are both 3-edge-colorable.  AUTO cascades
-    the three.
+    the three, enumerating the perfect matchings once for the last two.
     """
     strat = strategy.lower()
     if strat not in _STRATEGIES:
         raise GraphError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
-    if budget is None:
-        budget = Budget()
-    if strat == COLOR:
-        return _covering_by_color(g, budget)
-    if strat == EXACT2COVER:
-        return _covering_by_exact_cover(g, budget)
-    if strat == A1A2:
-        return _covering_by_a1a2(g, budget)
-    result = _covering_by_color(g, budget)
-    if result.found:
-        return result
-    result = _covering_by_exact_cover(g, budget)
-    if result.found or result.definitely_absent:
-        return result
-    return _covering_by_a1a2(g, budget)
+    budget = Budget() if budget is None else budget
+    if strat in (COLOR, AUTO):
+        result = _covering_by_color(g, budget)
+        if strat == COLOR or result.found:
+            return result
+    pms = enumerate_perfect_matchings(g)
+    if strat != A1A2:
+        result = _covering_by_exact_cover(g, pms, budget)
+        if strat == EXACT2COVER or result.found or result.definitely_absent:
+            return result
+    return _covering_by_a1a2(g, pms, budget)
 
 
 def is_proper(f: FulkersonCovering) -> bool:

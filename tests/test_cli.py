@@ -3,14 +3,17 @@ import json
 
 import pytest
 
+import fulkerson_lab.cli as cli
 from fulkerson_lab.cli import (
     Certificate,
+    certificate_of_triple,
     main,
     parse_certificate,
     parse_graph_file,
     write_certificate,
     write_graph_file,
 )
+from fulkerson_lab.fulkerson import enumerate_fr_triples
 from fulkerson_lab.generators import flower_snark, goldberg, petersen, ten_vertex_c5_example
 from fulkerson_lab.cli import ParseError
 
@@ -48,6 +51,15 @@ class TestGraphFileFormat:
         with pytest.raises(ParseError):
             parse_graph_file("cubic 2 1\n0 0 1\n")
 
+    def test_header_with_3n_not_2m_rejected_from_the_header(self, capsys, tmp_path):
+        # rejected before any per-vertex list is built for the million vertices
+        path = tmp_path / "huge.graph"
+        path.write_text("cubic 1000000 0\n")
+        code, out, err = run(capsys, "search", str(path), "covering")
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: bad header 'cubic 1000000 0': a cubic graph has 3n = 2m\n"
+
 
 class TestCertificateFormat:
     def test_round_trip(self):
@@ -66,6 +78,14 @@ class TestCertificateFormat:
     def test_wrong_matching_count_rejected(self):
         with pytest.raises(ParseError):
             parse_certificate("certificate covering\nmatching 0 1\n")
+
+    @pytest.mark.parametrize("text,line", [
+        ("certificate fr-triple\nmatching 0 1\nmatching 2 2\nmatching 3\n", "matching 2 2"),
+        ("certificate ffamily\nm 0 2 0\nmember\nmember\nmember\nmember\nn\n", "m 0 2 0"),
+    ], ids=["fr-triple", "ffamily"])
+    def test_repeated_edge_id_rejected(self, text, line):
+        with pytest.raises(ParseError, match=f"repeated edge id in '{line}'"):
+            parse_certificate(text)
 
 
 class TestGen:
@@ -181,6 +201,18 @@ class TestSearchAndVerify:
         code, out, _ = run(capsys, "verify", petersen_file, str(cert_path))
         assert code == 1
         assert "covered" in out
+
+    def test_repeated_edge_id_exits_two(self, capsys, tmp_path, petersen_file):
+        _, out, _ = run(capsys, "search", petersen_file, "covering")
+        lines = out.splitlines()
+        assert lines[1] == "matching 0 2 5 6 14"
+        lines[1] += " 0"
+        cert_path = tmp_path / "repeat.cert"
+        cert_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", petersen_file, str(cert_path))
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: repeated edge id in 'matching 0 2 5 6 14 0'\n"
 
     def test_truncated_certificate_exits_two(self, capsys, tmp_path, petersen_file):
         cert_path = tmp_path / "trunc.cert"
@@ -320,6 +352,15 @@ class TestPipeline:
         code, _, err = run(capsys, "pipeline", str(recipe))
         assert code == 2
 
+    def test_options_on_base_line_exit_two(self, capsys, tmp_path):
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen e1=3\n")
+        code, out, err = run(capsys, "pipeline", str(recipe))
+        assert code == 2
+        assert out == ""
+        assert err == ("parse error: bad base line 'base petersen e1=3': step options "
+                       "belong on dot lines\n")
+
     def test_options_only_line_exits_two(self, capsys, tmp_path):
         recipe = tmp_path / "recipe.txt"
         recipe.write_text("base petersen\ne1=3\n")
@@ -391,6 +432,12 @@ n 3 8 9 12
         code, out, _ = run(capsys, "search", petersen_file, "fr-triple", "--all")
         assert code == 0
         assert out.startswith(self.PETERSEN_FIRST_TRIPLE)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_TRIPLES_SHA256
+
+    def test_enumerate_fr_triples_gives_the_pinned_triples(self):
+        res = enumerate_fr_triples(petersen())
+        assert res.complete
+        out = "\n".join(write_certificate(certificate_of_triple(t)) for t in res.value)
         assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_TRIPLES_SHA256
 
     def test_search_j5_ffamily(self, capsys, tmp_path):
@@ -468,6 +515,32 @@ class TestExport:
             main(["export", petersen_file, "--format", "svg"])
         assert exc.value.code == 2
 
+    def test_unbindable_certificate_exits_one(self, capsys, tmp_path, petersen_file):
+        _, out, _ = run(capsys, "search", petersen_file, "covering")
+        lines = out.splitlines()
+        lines[1] += " 999"
+        cert_path = tmp_path / "c.cert"
+        cert_path.write_text("\n".join(lines) + "\n")
+        for fmt in ("dot", "json"):
+            code, out, err = run(capsys, "export", petersen_file, "--format", fmt,
+                                 "--certificate", str(cert_path))
+            assert code == 1
+            assert out == ""
+            assert err == "invalid certificate: edge id 999 not in host graph\n"
+
+    def test_covering_with_wrong_coverage_still_exports(self, capsys, tmp_path, petersen_file):
+        _, out, _ = run(capsys, "search", petersen_file, "covering")
+        lines = out.splitlines()
+        lines[2] = lines[1]  # binds, but covers some edges once or three times
+        cert_path = tmp_path / "c.cert"
+        cert_path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", petersen_file, str(cert_path))
+        assert code == 1
+        code, out, _ = run(capsys, "export", petersen_file, "--format", "json",
+                           "--certificate", str(cert_path))
+        assert code == 0
+        assert json.loads(out)["annotations"]["0"] == "0,1"
+
     def test_export_deterministic(self, capsys, petersen_file):
         _, out1, _ = run(capsys, "export", petersen_file, "--format", "json")
         _, out2, _ = run(capsys, "export", petersen_file, "--format", "json")
@@ -480,3 +553,43 @@ class TestThreadsFlag:
             main(["search", petersen_file, "covering", "--threads", "4"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+class TestPatchPoints:
+    """The CLI looks its library functions up in its own namespace on every
+    call, so replacing them there (as an outside-in tracer does) sees every
+    call the CLI makes."""
+
+    @pytest.mark.parametrize("target,first,every", [
+        ("fr-triple", "find_fr_triple", "enumerate_fr_triples"),
+        ("covering", "find_fulkerson_covering", "enumerate_fulkerson_coverings"),
+        ("ffamily", "find_ffamily", "enumerate_ffamilies"),
+    ])
+    def test_search_calls_the_names_bound_in_the_cli(self, capsys, monkeypatch,
+                                                      petersen_file, target, first, every):
+        calls = []
+
+        def recording(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in (first, every):
+            monkeypatch.setattr(cli, name, recording(name))
+        code, _, _ = run(capsys, "search", petersen_file, target)
+        assert (code, calls) == (0, [first])
+        code, _, _ = run(capsys, "search", petersen_file, target, "--all")
+        assert (code, calls) == (0, [first, every])
+
+    def test_generators_are_looked_up_on_every_call(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "petersen", lambda: calls.append("petersen") or petersen())
+        run(capsys, "gen", "petersen")
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\ndot type1 petersen\n")
+        code, _, _ = run(capsys, "pipeline", str(recipe))
+        assert code == 0
+        assert calls == ["petersen"] * 3

@@ -29,6 +29,7 @@ from fulkerson_lab.fulkerson import (
     LiftError,
     are_compatible,
     covering_from_compatible,
+    enumerate_fr_triples,
     enumerate_fulkerson_coverings,
     find_fr_triple,
     find_fulkerson_covering,
@@ -226,6 +227,18 @@ class TestFindFRTriple:
         monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 2)
         assert find_fr_triple(flower_snark(5)).unknown
 
+    def test_enumerate_starts_with_the_first_triple(self):
+        g = petersen()
+        res = enumerate_fr_triples(g)
+        assert res.complete
+        assert len(res.value) == 20
+        assert res.value[0] == find_fr_triple(g).value
+
+    def test_enumerate_under_a_small_budget_is_incomplete(self):
+        res = enumerate_fr_triples(petersen(), budget=Budget(limit=1))
+        assert not res.complete
+        assert res.value == []
+
 
 class TestFindCovering:
     def test_k4_color_strategy(self):
@@ -256,6 +269,23 @@ class TestFindCovering:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(GraphError):
             find_fulkerson_covering(k4(), "dance")
+
+    @pytest.mark.parametrize("strategy,calls", [
+        ("auto", 1), ("color", 0), ("exact2cover", 1), ("a1a2", 1),
+    ])
+    def test_matchings_enumerated_at_most_once(self, monkeypatch, strategy, calls):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        seen = []
+
+        def counting(g, *args, **kwargs):
+            seen.append(g)
+            return enumerate_perfect_matchings(g, *args, **kwargs)
+
+        monkeypatch.setattr(fulkerson, "enumerate_perfect_matchings", counting)
+        res = find_fulkerson_covering(flower_snark(5), strategy, budget=Budget(limit=0))
+        assert res.unknown
+        assert len(seen) == calls
 
     def test_enumerate_coverings_theta(self):
         # theta has three single-edge matchings; the unique covering repeats each
