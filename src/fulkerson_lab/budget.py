@@ -45,8 +45,10 @@ class Budget:
     """Cooperative node budget with an optional cancellation callback.
 
     Searches call spend() once per explored node; a False return means the
-    search must unwind and report an incomplete result.  A limit of None
-    takes `default_node_budget()`.
+    search must unwind and report an incomplete result.  Perfect-matching
+    enumeration spends no nodes: it calls `cancel` itself and sets
+    `exhausted` when that fires.  A limit of None takes
+    `default_node_budget()`.
     """
 
     limit: int | None = None

@@ -366,7 +366,7 @@ def _families(g: CubicGraph, m: PerfectMatching | Iterable[int] | None,
         matchings: Sequence[PerfectMatching] = [_as_perfect(g, m)]
         complete = True
     else:
-        enum = enumerate_perfect_matchings(g)
+        enum = enumerate_perfect_matchings(g, budget=budget)
         matchings, complete = enum.matchings, not enum.truncated
     return (fam for pm in matchings for fam in _ffamilies(g, pm, budget)), complete
 

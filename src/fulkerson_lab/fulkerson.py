@@ -226,11 +226,12 @@ def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[
     """First FR-triple over enumerated perfect matchings, canonical order.
 
     Absence is proved only when the matching enumeration is complete and
-    the budget lasts; a truncated enumeration or an exhausted budget
-    yields an explicit unknown, never a claimed absence.
+    the budget lasts; a truncated enumeration (cut by the matching cap or
+    by the budget's cancel callback) or an exhausted budget yields an
+    explicit unknown, never a claimed absence.
     """
     budget = Budget() if budget is None else budget
-    pms = enumerate_perfect_matchings(g)
+    pms = enumerate_perfect_matchings(g, budget=budget)
     triple = next(iter_fr_triples(pms, budget), None)
     return SearchResult(triple, triple is not None or not (pms.truncated or budget.exhausted))
 
@@ -239,7 +240,7 @@ def enumerate_fr_triples(g: CubicGraph,
                          budget: Budget | None = None) -> SearchResult[list[FRTriple]]:
     """Every FR-triple `iter_fr_triples` yields, complete unless truncated or out of budget."""
     budget = Budget() if budget is None else budget
-    pms = enumerate_perfect_matchings(g)
+    pms = enumerate_perfect_matchings(g, budget=budget)
     triples = list(iter_fr_triples(pms, budget))
     return SearchResult(triples, not pms.truncated and not budget.exhausted)
 
@@ -378,7 +379,7 @@ def enumerate_fulkerson_coverings(g: CubicGraph,
     list is sorted by the members' edge sets.
     """
     budget = Budget() if budget is None else budget
-    pms = enumerate_perfect_matchings(g)
+    pms = enumerate_perfect_matchings(g, budget=budget)
     seen: set[tuple[tuple[int, ...], ...]] = set()
     out: list[FulkersonCovering] = []
     for chosen in _two_covers(g, pms, budget):
@@ -407,7 +408,7 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
         result = _covering_by_color(g, budget)
         if strat == COLOR or result.found:
             return result
-    pms = enumerate_perfect_matchings(g)
+    pms = enumerate_perfect_matchings(g, budget=budget)
     if strat != A1A2:
         result = _covering_by_exact_cover(g, pms, budget)
         if strat == EXACT2COVER or result.found or result.definitely_absent:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .budget import Budget
 from .graph_core import (
@@ -36,20 +36,26 @@ class PerfectMatching(Matching):
             raise GraphError("matching does not saturate every vertex")
 
 
+E = TypeVar("E", bound=EdgeSet)
+
+
+def _as_edges(g: MultiGraph, s: EdgeSet | Iterable[int], kind: type[E]) -> E:
+    """s as a `kind` on g; an edge set attached to another graph is refused."""
+    if isinstance(s, EdgeSet):
+        if s.graph != g:
+            raise GraphError(f"{type(s).__name__} belongs to a different graph")
+        if isinstance(s, kind):
+            return s
+        s = s.members
+    return kind(g, s)
+
+
 def _as_matching(g: MultiGraph, a: Matching | Iterable[int]) -> Matching:
-    if isinstance(a, Matching):
-        if a.graph != g:
-            raise GraphError("matching belongs to a different graph")
-        return a
-    return Matching(g, a)
+    return _as_edges(g, a, Matching)
 
 
 def _as_perfect(g: MultiGraph, m: PerfectMatching | Iterable[int]) -> PerfectMatching:
-    if isinstance(m, PerfectMatching):
-        if m.graph != g:
-            raise GraphError("matching belongs to a different graph")
-        return m
-    return PerfectMatching(g, m)
+    return _as_edges(g, m, PerfectMatching)
 
 
 @dataclass(frozen=True)
@@ -128,24 +134,174 @@ class PMEnumeration:
 DEFAULT_PM_LIMIT = 1_000_000
 
 
+def _base(link: dict[int, int], v: int) -> int:
+    """The base of the outermost blossom holding v, compressing the links on the way."""
+    root = v
+    while root in link:
+        root = link[root]
+    while v != root:
+        link[v], v = root, link[v]
+    return root
+
+
+def _unmatched_edges(x: int, even: dict[int, tuple[int, int] | None],
+                     odd: dict[int, int], mate: list[int]) -> list[tuple[int, int]]:
+    """The unmatched edges of the alternating path from the even vertex x to the root.
+
+    A vertex even from the start steps along its matched edge to an odd
+    vertex, then along an unmatched edge to the even vertex that reached
+    it.  A vertex that turned even inside a blossom with bridge (v, w) runs
+    backwards along the path from v to itself, then crosses to w; direction
+    does not change which edges are unmatched, so that detour is walked
+    forwards, from a list of pending walks instead of by recursion.
+    """
+    edges: list[tuple[int, int]] = []
+    walks = [(x, -1)]  # (start, the odd vertex that ends the walk; -1 is the root)
+    while walks:
+        x, stop = walks.pop()
+        while True:
+            bridge = even[x]
+            if bridge is not None:
+                v, w = bridge
+                edges.append(bridge)
+                walks.append((v, x))
+                x = w
+                continue
+            o = mate[x]
+            if o == -1 or o == stop:
+                break
+            x = odd[o]
+            edges.append((o, x))
+    return edges
+
+
+def _augment(near: Sequence[Sequence[int]], saturated: list[bool], mate: list[int],
+             root: int) -> bool:
+    """Edmonds' search from the exposed vertex root; flips the path it finds.
+
+    Runs on the vertices that are not `saturated`, along `near`, and looks
+    for an alternating path to another vertex that `mate` leaves exposed.
+    Blossoms are shrunk by union-find on their bases, so the work and the
+    per-call dictionaries grow only with the vertices the search labels.
+    """
+    even: dict[int, tuple[int, int] | None] = {root: None}  # bridge, for a vertex turned even
+    odd: dict[int, int] = {}  # odd vertex -> the even vertex that reached it
+    link: dict[int, int] = {}  # blossom union-find towards the base
+    queue = [root]
+    for x in queue:
+        for y in near[x]:
+            if saturated[y]:
+                continue
+            if y in even:
+                bx = _base(link, x) if x in link else x
+                by = _base(link, y) if y in link else y
+                if bx == by:
+                    continue
+                # Walk up from both bases in turn; the first base seen twice
+                # is the base of the new blossom.
+                seen = set()
+                a, b = bx, by
+                while a == -1 or a not in seen:
+                    if a != -1:
+                        seen.add(a)
+                        a = -1 if mate[a] == -1 else _base(link, odd[mate[a]])
+                    a, b = b, a
+                top = a
+                for v, w in ((x, y), (y, x)):
+                    b = _base(link, v)
+                    while b != top:
+                        o = mate[b]
+                        even[o] = (v, w)
+                        queue.append(o)
+                        link[b] = link[o] = top
+                        b = _base(link, odd[o])
+            elif y not in odd:
+                odd[y] = x
+                z = mate[y]
+                if z == -1:
+                    # Every vertex of the path lies on one unmatched edge:
+                    # flipping the path matches exactly those.
+                    for p, q in [(x, y), *_unmatched_edges(x, even, odd, mate)]:
+                        mate[p], mate[q] = q, p
+                    return True
+                even[z] = None
+                queue.append(z)
+    return False
+
+
+def _repair(near: Sequence[Sequence[int]], saturated: list[bool], mate: list[int],
+            v: int, w: int) -> bool:
+    """Pairs the saturated v and w in `mate`, or finds that no completion holds vw.
+
+    Their old partners are left exposed, and one `_augment` search joins
+    them again; on failure `mate` is restored.
+    """
+    a, c = mate[v], mate[w]
+    if c in near[a]:  # the shortest repair: pair a with c
+        mate[v], mate[w], mate[a], mate[c] = w, v, c, a
+        return True
+    for x in near[a]:
+        if not saturated[x]:
+            break
+    else:
+        return False  # a has no free neighbour left
+    for x in near[c]:
+        if not saturated[x]:
+            break
+    else:
+        return False  # c has no free neighbour left
+    mate[v], mate[w], mate[a], mate[c] = w, v, -1, -1
+    if _augment(near, saturated, mate, a):
+        return True
+    mate[v], mate[a], mate[w], mate[c] = a, v, c, w
+    return False
+
+
 def _perfect_matchings(g: MultiGraph, include: frozenset[int] = frozenset(),
-                       exclude: frozenset[int] = frozenset()) -> Iterator[frozenset[int]]:
+                       exclude: frozenset[int] = frozenset(),
+                       cancel: Callable[[], bool] | None = None
+                       ) -> Iterator[frozenset[int] | None]:
     """Perfect matchings containing the matching `include` and avoiding `exclude`.
 
     Depth first on an explicit stack: branch on the lowest unsaturated
     vertex and try its non-excluded edges in ascending id.  Every vertex
     below a branching vertex stays saturated, so the next one is looked up
     from there onward.
+
+    The search never enters a subtree without a matching in it: `mate` is
+    always one perfect matching of the graph without `exclude` that holds
+    every chosen edge, so every stack frame has a completion.  Taking an
+    edge uw that `mate` does not pair frees the old partners of u and w;
+    one `_augment` search between them either repairs `mate` or proves the
+    subtree empty, and the edge is skipped.  Between two yields the search
+    leaves and enters at most n/2 frames each and tries each frame's edges
+    once, so on a cubic graph it makes O(n) repairs of O(m) each.  `mate`
+    is built up front by one search per exposed vertex, so a graph with no
+    such matching is decided before any branching.  `cancel` is called
+    before each of those searches and before each repair; when it returns
+    True the generator yields None and stops.
     """
     n = g.num_vertices
     if n % 2 == 1:
         return
     saturated = [False] * n
+    mate = [-1] * n
     for e in include:
         u, v = g.endpoints(e)
         saturated[u] = saturated[v] = True
+        mate[u], mate[v] = v, u
     options = [[(e, g.other_end(e, v)) for e in g.incident(v) if e not in exclude]
                for v in g.vertices()]
+    near = [tuple(dict.fromkeys(w for _, w in opts if w != v)) for v, opts in enumerate(options)]
+    # A search pairs its root with its first exposed neighbour when there
+    # is one, which is the edge the depth-first search tries first.
+    for v in range(n):
+        if mate[v] == -1:
+            if cancel is not None and cancel():
+                yield None
+                return
+            if not _augment(near, saturated, mate, v):
+                return
     chosen = list(include)
     stack: list[list[int]] = []  # [branching vertex, index of the edge taken there]
     u = 0
@@ -157,7 +313,8 @@ def _perfect_matchings(g: MultiGraph, include: frozenset[int] = frozenset(),
         else:
             saturated[u] = True
             stack.append([u, -1])
-        # Backtrack to the deepest vertex with an untried edge and take it.
+        # Backtrack to the deepest vertex with an untried edge that still
+        # has a completion, and take it.
         while stack:
             frame = stack[-1]
             v, i = frame
@@ -165,33 +322,51 @@ def _perfect_matchings(g: MultiGraph, include: frozenset[int] = frozenset(),
             if i >= 0:
                 saturated[opts[i][1]] = False
                 chosen.pop()
-            i += 1
-            while i < len(opts) and saturated[opts[i][1]]:
-                i += 1
-            if i < len(opts):
-                frame[1] = i
+            for i in range(i + 1, len(opts)):
                 e, w = opts[i]
+                if saturated[w]:
+                    continue
+                if mate[v] == w:
+                    break
+                if cancel is not None and cancel():
+                    yield None
+                    return
                 saturated[w] = True
-                chosen.append(e)
-                u = v + 1
-                break
-            saturated[v] = False
-            stack.pop()
+                if _repair(near, saturated, mate, v, w):
+                    break
+                saturated[w] = False
+            else:
+                saturated[v] = False
+                stack.pop()
+                continue
+            frame[1] = i
+            saturated[w] = True
+            chosen.append(e)
+            u = v + 1
+            break
         else:
             return
 
 
-def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> PMEnumeration:
+def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
+                                budget: Budget | None = None) -> PMEnumeration:
     """All perfect matchings of g, lexicographic by sorted edge-id tuple.
 
     Keeps the first `limit` matchings the search finds (default one
     million) and flags the enumeration truncated when there are more.  An
-    odd vertex count yields the empty, complete enumeration.
+    odd vertex count yields the empty, complete enumeration.  The search
+    calls `budget.cancel`, when there is one, before each repair of its
+    matching oracle; when it fires, `budget.exhausted` is set and the
+    enumeration comes back truncated.  No budget nodes are spent.
     """
     if limit is None:
         limit = DEFAULT_PM_LIMIT
-    found = list(islice(_perfect_matchings(g), limit + 1))
+    found = list(islice(_perfect_matchings(g, cancel=None if budget is None else budget.cancel),
+                        limit + 1))
     truncated = len(found) > limit
+    if found and found[-1] is None:
+        found.pop()
+        budget.exhausted = truncated = True
     matchings = tuple(PerfectMatching(g, s)
                       for s in sorted(found[:limit], key=lambda s: tuple(sorted(s))))
     return PMEnumeration(matchings, truncated)
@@ -206,10 +381,12 @@ def find_perfect_matching(
 
     First in the depth-first order of the shared search (lowest unsaturated
     vertex, its edges in ascending id), which is not the canonical order of
-    `enumerate_perfect_matchings`.
+    `enumerate_perfect_matchings`.  That search only enters subtrees that
+    hold a matching, so this costs one Edmonds matching up front and, on a
+    cubic graph, O(n) repairs of O(m) each; None comes without branching.
     """
     inc = _as_matching(g, include)
-    excl = frozenset(exclude.members if isinstance(exclude, EdgeSet) else exclude)
+    excl = _as_edges(g, exclude, EdgeSet).members
     if inc.members & excl:
         raise GraphError("include and exclude overlap")
     found = next(_perfect_matchings(g, inc.members, excl), None)

@@ -5,12 +5,16 @@ from subset enumeration, bridges from edge deletion plus connectivity,
 cyclic cuts from edge-subset enumeration, colorability from matching
 partitions or raw assignment enumeration, F-families from balanced subsets
 of the matching.  The random cubic multigraphs that the differential tests
-feed them come from one Hypothesis helper here.
+feed them come from one Hypothesis helper here.  Two former library searches
+live on here as references: the plain depth-first perfect-matching search
+(for the order the library yields) and the brute-force cyclic-connectivity
+test.
 """
 
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -38,21 +42,80 @@ def brute_force_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
-def random_cubic_multigraph(data, max_order: int, bridgeless: bool = False) -> CubicGraph:
+def naive_perfect_matchings(g: MultiGraph, include: frozenset[int] = frozenset(),
+                            exclude: frozenset[int] = frozenset()) -> Iterator[frozenset[int]]:
+    """Perfect matchings containing the matching `include` and avoiding `exclude`.
+
+    Depth first on an explicit stack: branch on the lowest unsaturated
+    vertex and try its non-excluded edges in ascending id.  Every vertex
+    below a branching vertex stays saturated, so the next one is looked up
+    from there onward.
+    """
+    n = g.num_vertices
+    if n % 2 == 1:
+        return
+    saturated = [False] * n
+    for e in include:
+        u, v = g.endpoints(e)
+        saturated[u] = saturated[v] = True
+    options = [[(e, g.other_end(e, v)) for e in g.incident(v) if e not in exclude]
+               for v in g.vertices()]
+    chosen = list(include)
+    stack: list[list[int]] = []  # [branching vertex, index of the edge taken there]
+    u = 0
+    while True:
+        while u < n and saturated[u]:
+            u += 1
+        if u == n:
+            yield frozenset(chosen)
+        else:
+            saturated[u] = True
+            stack.append([u, -1])
+        # Backtrack to the deepest vertex with an untried edge and take it.
+        while stack:
+            frame = stack[-1]
+            v, i = frame
+            opts = options[v]
+            if i >= 0:
+                saturated[opts[i][1]] = False
+                chosen.pop()
+            i += 1
+            while i < len(opts) and saturated[opts[i][1]]:
+                i += 1
+            if i < len(opts):
+                frame[1] = i
+                e, w = opts[i]
+                saturated[w] = True
+                chosen.append(e)
+                u = v + 1
+                break
+            saturated[v] = False
+            stack.pop()
+        else:
+            return
+
+
+def random_cubic_multigraph(data, max_order: int, bridgeless: bool = False,
+                            loops: bool = False) -> MultiGraph:
     """A pairing-model cubic multigraph on an even number of vertices up to
-    `max_order` that is loopless and connected (and bridgeless, when asked);
-    parallel edges stay.  Hypothesis's `data` draws the order and a seed, and
-    the pairing model is redrawn from that seed until a graph qualifies, so no
-    example is ever rejected."""
+    `max_order` that is connected (and bridgeless, when asked); parallel
+    edges stay.  It is a loopless `CubicGraph` unless `loops` is set, which
+    keeps the pairing model's loops (a loop counts 2 towards the degree).
+    Hypothesis's `data` draws the order and a seed, and the pairing model is
+    redrawn from that seed until a graph qualifies, so no example is ever
+    rejected."""
     n = data.draw(st.sampled_from(range(2, max_order + 1, 2)))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     points = list(range(3 * n))
     while True:
         rng.shuffle(points)
         pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
-        if any(u == v for u, v in pairs):
+        if loops:
+            g = MultiGraph(n, pairs)
+        elif any(u == v for u, v in pairs):
             continue
-        g = CubicGraph(n, pairs)
+        else:
+            g = CubicGraph(n, pairs)
         if len(_components(g, frozenset())) == 1 and (not bridgeless or naive_is_bridgeless(g)):
             return g
 

@@ -16,10 +16,17 @@ from fulkerson_lab.generators import (
     ten_vertex_c5_names,
     theta,
 )
-from fulkerson_lab.graph_core import GraphError, MultiGraph, cycle_decomposition
+from fulkerson_lab.graph_core import (
+    CubicGraph,
+    EdgeSet,
+    GraphError,
+    MultiGraph,
+    cycle_decomposition,
+)
 from fulkerson_lab.matchcolor import (
     EdgeColoring,
     PerfectMatching,
+    _perfect_matchings,
     color_classes_as_matchings,
     enumerate_perfect_matchings,
     enumerate_three_edge_colorings,
@@ -40,8 +47,27 @@ from oracles import (
     balanced_subsets,
     brute_force_perfect_matchings,
     count_proper_colorings,
+    naive_perfect_matchings,
     random_cubic_multigraph,
 )
+
+
+def three_bridges(gadget: CubicGraph) -> CubicGraph:
+    """A centre joined by three bridges to three copies of `gadget`, each with
+    edge 0 subdivided to take its bridge.  Every copy has an odd number of
+    vertices, so deleting the centre leaves three odd components and (by
+    Tutte's theorem) the cubic graph has no perfect matching."""
+    n = gadget.num_vertices + 1
+    edges = []
+    for k in range(3):
+        off = 1 + k * n
+        mid = off + n - 1
+        for e, u, v in gadget.edges:
+            if e == 0:
+                edges += [(off + u, mid), (mid, off + v), (0, mid)]
+            else:
+                edges.append((off + u, off + v))
+    return CubicGraph(1 + 3 * n, edges)
 
 
 class TestEnumeratePerfectMatchings:
@@ -120,6 +146,43 @@ class TestFindPerfectMatching:
     def test_rejects_overlapping_exclude(self):
         with pytest.raises(GraphError):
             find_perfect_matching(k4(), [0], [0])
+
+    def test_rejects_exclude_ids_outside_the_graph(self):
+        with pytest.raises(GraphError):
+            find_perfect_matching(petersen(), exclude=[999])
+
+    def test_rejects_exclude_set_of_another_graph(self):
+        with pytest.raises(GraphError):
+            find_perfect_matching(petersen(), exclude=EdgeSet(k4(), [0, 1, 2]))
+
+    # The first matchings of the plain depth-first search, which the pruned
+    # search must return unchanged.
+    @pytest.mark.parametrize("make,first", [
+        (lambda: flower_snark(15),
+         [0, 2, 4, 6, 8, 10, 12, 16, 18, 20, 22, 24, 26, 28, 44, 47, 50, 53, 56, 59, 62, 65,
+          68, 71, 74, 77, 80, 83, 86, 87]),
+        (lambda: flower_snark(17),
+         [0, 2, 4, 6, 8, 10, 12, 14, 18, 20, 22, 24, 26, 28, 30, 32, 50, 53, 56, 59, 62, 65,
+          68, 71, 74, 77, 80, 83, 86, 89, 92, 95, 98, 99]),
+        (lambda: flower_snark(19),
+         [0, 2, 4, 6, 8, 10, 12, 14, 16, 20, 22, 24, 26, 28, 30, 32, 34, 36, 56, 59, 62, 65,
+          68, 71, 74, 77, 80, 83, 86, 89, 92, 95, 98, 101, 104, 107, 110, 111]),
+        (lambda: goldberg(7),
+         [3, 4, 5, 6, 10, 11, 12, 13, 17, 18, 19, 20, 24, 25, 26, 27, 31, 32, 33, 34, 38, 39,
+          40, 41, 45, 46, 47, 48]),
+    ])
+    def test_pinned_first_matchings(self, make, first):
+        assert sorted(find_perfect_matching(make()).members) == first
+
+    def test_flower_snark_51(self):
+        assert isinstance(find_perfect_matching(flower_snark(51)), PerfectMatching)
+
+    @pytest.mark.parametrize("gadget", [k4, lambda: goldberg(5)], ids=["16", "124"])
+    def test_no_perfect_matching_is_decided_up_front(self, gadget):
+        g = three_bridges(gadget())
+        assert find_perfect_matching(g) is None
+        enum = enumerate_perfect_matchings(g)
+        assert len(enum) == 0 and not enum.truncated
 
 
 class TestBalanced:
@@ -526,6 +589,36 @@ class TestOracleDifferential:
         count = count_proper_colorings(g, 3)
         assert (three_edge_coloring(g) is None) == (count == 0)
         assert len(enumerate_three_edge_colorings(g)) == count // 6
+
+
+class TestPlainSearchOrder:
+    """The pruned engine yields exactly what the plain depth-first search
+    yields, in the same order, on multigraphs with loops and parallel edges
+    under random include and exclude sets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_sequence_as_the_plain_search(self, data):
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        include: set[int] = set()
+        ends: set[int] = set()
+        for e in data.draw(st.lists(st.sampled_from(g.edge_ids()), max_size=3)):
+            u, v = g.endpoints(e)
+            if u != v and not {u, v} & ends:
+                include.add(e)
+                ends |= {u, v}
+        others = sorted(set(g.edge_ids()) - include)
+        exclude = frozenset(data.draw(st.sets(st.sampled_from(others), max_size=5)))
+        include = frozenset(include)
+        got = list(_perfect_matchings(g, include, exclude))
+        assert got == list(naive_perfect_matchings(g, include, exclude))
+        assert sorted(got, key=lambda m: tuple(sorted(m))) == [
+            m for m in brute_force_perfect_matchings(g) if include <= m and not m & exclude]
+
+    @pytest.mark.parametrize("make", [lambda: flower_snark(9), lambda: goldberg(5), petersen])
+    def test_same_sequence_on_snarks(self, make):
+        g = make()
+        assert list(_perfect_matchings(g)) == list(naive_perfect_matchings(g))
 
 
 def test_coloring_rejects_loops():
