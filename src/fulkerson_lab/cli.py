@@ -269,6 +269,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.strategy is not None and (args.target != "covering" or args.all):
+        raise UsageError("--strategy applies only to a covering search without --all")
     g = parse_graph_file(_read(args.graph))
     try:
         budget = Budget(limit=args.budget)
@@ -278,7 +280,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     # every call so that it holds whatever this module's names are bound to.
     first, every, certify = {
         "fr-triple": (find_fr_triple, enumerate_fr_triples, certificate_of_triple),
-        "covering": (functools.partial(find_fulkerson_covering, strategy=args.strategy),
+        "covering": (functools.partial(find_fulkerson_covering, strategy=args.strategy or AUTO),
                      enumerate_fulkerson_coverings, certificate_of_covering),
         "ffamily": (find_ffamily, enumerate_ffamilies, certificate_of_family),
     }[args.target]
@@ -445,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="search for a certificate")
     p_search.add_argument("graph")
     p_search.add_argument("target", choices=("fr-triple", "covering", "ffamily"))
-    p_search.add_argument("--strategy", choices=_STRATEGIES, default=AUTO)
+    p_search.add_argument("--strategy", choices=_STRATEGIES,
+                          help=f"covering strategy (default {AUTO})")
     p_search.add_argument("--budget", type=_node_budget, default=None,
                           help=f"search node budget (default from ${DEFAULT_BUDGET_ENV})")
     p_search.add_argument("--all", action="store_true",

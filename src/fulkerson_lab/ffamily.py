@@ -27,9 +27,10 @@ from .matchcolor import (
     two_factor_cycles,
     _as_matching,
     _as_perfect,
+    _member_positions,
     _odd_arcs,
 )
-from .fulkerson import FulkersonCovering, verify_covering, is_proper
+from .fulkerson import FulkersonCovering, _checked_covering
 
 
 class TransportError(GraphError):
@@ -80,25 +81,6 @@ class FFamily:
 class FFamilyReport:
     ok: bool
     diagnostics: tuple[str, ...]
-
-
-def _member_positions(g: CubicGraph, cycles: CycleSet,
-                      members: Sequence[Matching]) -> list[list[list[int]]]:
-    """positions[ci][mi] = sorted cycle positions whose vertex ends an edge of member mi."""
-    where = {}
-    for ci, cyc in enumerate(cycles):
-        for pos, v in enumerate(cyc.vertices):
-            where[v] = (ci, pos)
-    positions = [[[] for _ in members] for _ in cycles]
-    for mi, mem in enumerate(members):
-        for e in mem:
-            for v in g.endpoints(e):
-                ci, pos = where[v]
-                positions[ci][mi].append(pos)
-    for per_cycle in positions:
-        for lst in per_cycle:
-            lst.sort()
-    return positions
 
 
 def _pairing_candidates(cycle: Cycle, posns: Sequence[int]) -> list[frozenset[int]]:
@@ -253,14 +235,9 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
     for mem in fam.members:
         member_union |= mem.members
     m_prime = (fam.m.members - member_union) | fam.n_edges.members
-    covering = FulkersonCovering((fam.m, *(PerfectMatching(g, ext) for ext in extensions),
-                                  PerfectMatching(g, m_prime)))
-    result = verify_covering(g, covering)
-    if not result.ok:
-        raise GraphError("internal invariant failure: family assembly does not cover")
-    if not is_proper(covering):
-        raise GraphError("internal invariant failure: family assembly repeats a matching")
-    return covering
+    return _checked_covering(g, (fam.m, *(PerfectMatching(g, ext) for ext in extensions),
+                                 PerfectMatching(g, m_prime)),
+                             "family assembly does not cover", "family assembly repeats a matching")
 
 
 def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:
@@ -275,15 +252,15 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
     """
     if budget.exhausted:  # skip the set-up for the matchings left after the budget ran out
         return
-    cycles = two_factor_cycles(g, m).cycles
-    where = {v: (ci, pos) for ci, cyc in enumerate(cycles) for pos, v in enumerate(cyc.vertices)}
+    factor = two_factor_cycles(g, m)
+    cycles = factor.cycles
     counts = [[0, 0, 0, 0] for _ in cycles]  # counts[ci][mi]: ends of member mi on cycle ci
     around: list[list[tuple[int, list[int]]]] = [[] for _ in cycles]  # (m-edge, its positions)
     hits: dict[int, list[tuple[list[int], int]]] = {}  # m-edge -> (a cycle's counts, ends on it)
     for e in sorted(m.members):
         on: dict[int, list[int]] = {}
         for v in g.endpoints(e):
-            ci, pos = where[v]
+            ci, pos = factor.place[v]
             on.setdefault(ci, []).append(pos)
         for ci, posns in on.items():
             around[ci].append((e, posns))
@@ -411,6 +388,12 @@ def _two_odd_cycles(g: CubicGraph, m: PerfectMatching) -> CycleSet:
     return cycles
 
 
+def _joins_odd_cycles(g: CubicGraph, cycles: CycleSet, e: int) -> bool:
+    """True iff edge e joins two distinct odd cycles of the 2-factor."""
+    (i, _), (j, _) = (cycles.place[v] for v in g.endpoints(e))
+    return i != j and cycles.cycles[i].is_odd and cycles.cycles[j].is_odd
+
+
 def _map_matching(result_map: dict[int, int], mem: Matching | PerfectMatching,
                   graph: CubicGraph, drop: frozenset[int] = frozenset()) -> set[int]:
     out = set()
@@ -463,14 +446,7 @@ def dot_preserve_type1(g1: CubicGraph, m1: PerfectMatching | Iterable[int],
         raise TransportError("xy must belong to the second factor's perfect matching")
     if any(xy in mem.members for mem in fam2.members):
         raise TransportError("xy must avoid the family members")
-    cycles2 = two_factor_cycles(g2, fam2.m)
-    ends = {}
-    for ci, cyc in enumerate(cycles2):
-        for v in cyc.vertices:
-            ends[v] = ci
-    u, v = g2.endpoints(xy)
-    if ends[u] == ends[v] or not (cycles2.cycles[ends[u]].is_odd
-                                  and cycles2.cycles[ends[v]].is_odd):
+    if not _joins_odd_cycles(g2, two_factor_cycles(g2, fam2.m), xy):
         raise TransportError("xy must join two distinct odd cycles of the 2-factor")
     if spec.e3 != xy:
         raise TransportError("the spec must remove xy as its e3")
@@ -504,10 +480,7 @@ def dot_preserve_type2(g1: CubicGraph, fam1: FFamily, xy: int, zt: int,
     cycles2 = _two_odd_cycles(g2, m2)
     if e3 not in m2.members:
         raise TransportError("e3 must belong to the second factor's perfect matching")
-    u, v = g2.endpoints(e3)
-    on_first = {u, v} & set(cycles2.cycles[0].vertices)
-    on_second = {u, v} & set(cycles2.cycles[1].vertices)
-    if not (len(on_first) == 1 and len(on_second) == 1):
+    if not _joins_odd_cycles(g2, cycles2, e3):
         raise TransportError("e3 must join the two odd cycles of g2's 2-factor")
     if spec.e3 != e3:
         raise TransportError("the spec must remove e3 from the second factor")
@@ -550,10 +523,9 @@ def _first_two_odd_cycle_pm(g: CubicGraph) -> tuple[PerfectMatching, CycleSet]:
 
 def _joining_edge(g: CubicGraph, m: PerfectMatching, cycles: CycleSet,
                   exclude: frozenset[int] = frozenset()) -> int:
-    first = set(cycles.cycles[0].vertices)
+    """The least edge of m outside exclude with exactly one end on the first cycle."""
     for e in sorted(m.members - exclude):
-        u, v = g.endpoints(e)
-        if (u in first) != (v in first):
+        if [cycles.place[v][0] for v in g.endpoints(e)].count(0) == 1:
             return e
     raise TransportError("no matching edge joins the two odd cycles")
 

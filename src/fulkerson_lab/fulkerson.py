@@ -22,6 +22,7 @@ from .matchcolor import (
     color_classes_as_matchings,
     enumerate_perfect_matchings,
     enumerate_three_edge_colorings,
+    find_perfect_matching,
     kempe_exchange,
     phi_two_factor,
     split_and_suppress,
@@ -128,6 +129,20 @@ def verify_covering(g: CubicGraph, f: FulkersonCovering) -> CoverageReport:
     return CoverageReport(all(c == 2 for c in coverage), coverage)
 
 
+def _checked_covering(g: CubicGraph, matchings: Iterable[PerfectMatching], uncovered: str,
+                      repeated: str | None = None) -> FulkersonCovering:
+    """The covering a construction guarantees, checked to cover g twice.
+
+    Given `repeated`, its six matchings must also be distinct; either failure
+    raises an internal invariant failure with the message given."""
+    covering = FulkersonCovering(tuple(matchings))
+    if not verify_covering(g, covering).ok:
+        raise GraphError(f"internal invariant failure: {uncovered}")
+    if repeated is not None and not is_proper(covering):
+        raise GraphError(f"internal invariant failure: {repeated}")
+    return covering
+
+
 def are_compatible(t: FRTriple, t2: FRTriple) -> bool:
     """True iff the T0 of each triple is the T2 of the other."""
     if t.graph != t2.graph:
@@ -140,11 +155,8 @@ def covering_from_compatible(t: FRTriple, t2: FRTriple) -> FulkersonCovering:
     """Merge two compatible FR-triples into a verified Fulkerson covering."""
     if not are_compatible(t, t2):
         raise GraphError("the triples are not compatible")
-    covering = FulkersonCovering(t.matchings + t2.matchings)
-    report = verify_covering(t.graph, covering)
-    if not report.ok:
-        raise GraphError("internal invariant failure: compatible triples do not cover")
-    return covering
+    return _checked_covering(t.graph, t.matchings + t2.matchings,
+                             "compatible triples do not cover")
 
 
 def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
@@ -258,10 +270,8 @@ def _covering_by_color(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonC
         # Failure to 3-color never proves a covering absent.
         return SearchResult(None, False)
     classes = color_classes_as_matchings(coloring)
-    covering = FulkersonCovering(tuple(classes) + tuple(classes))
-    if not verify_covering(g, covering).ok:
-        raise GraphError("internal invariant failure: doubled coloring does not cover")
-    return SearchResult(covering, False)
+    return SearchResult(_checked_covering(g, classes + classes, "doubled coloring does not cover"),
+                        False)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -335,10 +345,8 @@ def _covering_by_exact_cover(g: CubicGraph, pms: PMEnumeration,
         return SearchResult(None, not pms.truncated)
     chosen = next(_two_covers(g, pms, budget), None)
     if chosen is not None:
-        covering = FulkersonCovering(tuple(pms[i] for i in chosen))
-        if not verify_covering(g, covering).ok:
-            raise GraphError("internal invariant failure: exact cover result does not cover")
-        return SearchResult(covering, True)
+        return SearchResult(_checked_covering(g, (pms[i] for i in chosen),
+                                              "exact cover result does not cover"), True)
     return SearchResult(None, not pms.truncated and not budget.exhausted)
 
 
@@ -399,6 +407,8 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     exact multiset cover over enumerated matchings; A1A2 searches disjoint
     matching pairs whose splits are both 3-edge-colorable.  AUTO cascades
     the three, enumerating the perfect matchings once for the last two.
+    When the colour stage spends the budget, AUTO stops there: absent if g
+    has no perfect matching (one search, no enumeration), else unknown.
     """
     strat = strategy.lower()
     if strat not in _STRATEGIES:
@@ -408,6 +418,8 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
         result = _covering_by_color(g, budget)
         if strat == COLOR or result.found:
             return result
+        if budget.exhausted:
+            return SearchResult(None, find_perfect_matching(g) is None)
     pms = enumerate_perfect_matchings(g, budget=budget)
     if strat != A1A2:
         result = _covering_by_exact_cover(g, pms, budget)
@@ -488,17 +500,11 @@ def proper_covering_from_witness(g: CubicGraph,
     def pm(col: EdgeColoring, c: int) -> PerfectMatching:
         return PerfectMatching(g, col.color_class(c))
 
-    covering = FulkersonCovering((
+    return _checked_covering(g, (
         pm(coloring, alpha),
         pm(prime, alpha),
         pm(prime, beta),
         pm(second, beta),
         pm(coloring, gamma),
         pm(second, gamma),
-    ))
-    report = verify_covering(g, covering)
-    if not report.ok:
-        raise GraphError("internal invariant failure: witness construction does not cover")
-    if not is_proper(covering):
-        raise GraphError("internal invariant failure: witness construction not proper")
-    return covering
+    ), "witness construction does not cover", "witness construction not proper")

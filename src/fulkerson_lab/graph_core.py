@@ -8,7 +8,7 @@ therefore safe to share between concurrent searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -198,9 +198,16 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CycleSet:
-    """Vertex-disjoint cycles, ordered by their lowest vertex id."""
+    """Vertex-disjoint cycles, ordered by their lowest vertex id.
+
+    place[v] is (i, p) when v is cycles[i].vertices[p], and None when no
+    cycle passes through v.  `cycle_decomposition` records it as it walks
+    the cycles; it takes no part in equality.
+    """
 
     cycles: tuple[Cycle, ...]
+    place: tuple[tuple[int, int] | None, ...] = field(default=(), init=False, compare=False,
+                                                      repr=False)
 
     def __iter__(self) -> Iterator[Cycle]:
         return iter(self.cycles)
@@ -421,22 +428,24 @@ def cycle_decomposition(g: MultiGraph, s: EdgeSet | Iterable[int]) -> CycleSet:
         # name the bad vertex that the edges, taken in ascending id, reach first
         v = min(bad, key=lambda v: (at[v][0], g.endpoints(at[v][0])[0] != v))
         raise GraphError(f"vertex {v} has degree {len(at[v])} in the edge set, expected 2")
-    seen = [False] * g.num_vertices
+    place: list[tuple[int, int] | None] = [None] * g.num_vertices
     cycles = []
     for start in g.vertices():
-        if seen[start] or not at[start]:
+        if place[start] is not None or not at[start]:
             continue
         # Choose the first step: lower neighbor vertex, edge id breaking ties.
         e = min(at[start], key=lambda e: (g.other_end(e, start), e))
         verts = [start]
         edges = [e]
-        seen[start] = True
+        place[start] = (len(cycles), 0)
         cur = g.other_end(e, start)
         while cur != start:
-            seen[cur] = True
+            place[cur] = (len(cycles), len(verts))
             verts.append(cur)
             e = at[cur][at[cur][0] == e]  # the other edge of the set at cur
             edges.append(e)
             cur = g.other_end(e, cur)
         cycles.append(Cycle(tuple(verts), tuple(edges)))
-    return CycleSet(tuple(cycles))
+    found = CycleSet(tuple(cycles))
+    object.__setattr__(found, "place", tuple(place))  # the frozen field no caller sets
+    return found

@@ -638,6 +638,21 @@ def two_factor_cycles(g: CubicGraph, m: PerfectMatching | Iterable[int]) -> Cycl
     return cycle_decomposition(g, set(g.edge_ids()) - m.members)
 
 
+def _member_positions(g: MultiGraph, cycles: CycleSet,
+                      members: Sequence[Matching]) -> list[list[list[int]]]:
+    """positions[ci][mi] = sorted cycle positions whose vertex ends an edge of member mi."""
+    positions: list[list[list[int]]] = [[[] for _ in members] for _ in cycles]
+    for mi, mem in enumerate(members):
+        for e in mem:
+            for v in g.endpoints(e):
+                ci, pos = cycles.place[v]
+                positions[ci][mi].append(pos)
+    for per_cycle in positions:
+        for lst in per_cycle:
+            lst.sort()
+    return positions
+
+
 def _odd_arcs(length: int, posns: Sequence[int]) -> bool:
     """True iff the sorted positions cut a cycle of this length into odd arcs.
 
@@ -664,9 +679,9 @@ def is_m_balanced(g: CubicGraph, m: PerfectMatching, a: Matching | Iterable[int]
     a = _as_matching(g, a)
     if not a.members <= m.members:
         raise GraphError("the candidate set must be a subset of the perfect matching")
-    ends = {v for e in a for v in g.endpoints(e)}
-    return all(_odd_arcs(len(cyc), [pos for pos, v in enumerate(cyc.vertices) if v in ends])
-               for cyc in two_factor_cycles(g, m))
+    cycles = two_factor_cycles(g, m)
+    return all(_odd_arcs(len(cyc), posns[0])
+               for cyc, posns in zip(cycles, _member_positions(g, cycles, [a])))
 
 
 def _chordless(g: MultiGraph, cyc: Cycle) -> bool:
@@ -714,17 +729,9 @@ def shrink_to_gstar(g: CubicGraph, m: PerfectMatching | Iterable[int],
     for c in cs:
         if len(c) != 5 or not _chordless(g, c):
             raise GraphError("every 2-factor cycle must be a chordless 5-cycle")
-    which_cycle: dict[int, int] = {}
-    for i, c in enumerate(cs):
-        for v in c.vertices:
-            which_cycle[v] = i
-    edge_list = []
-    origin = []
-    for e in sorted(m.members):
-        u, v = g.endpoints(e)
-        edge_list.append((which_cycle[u], which_cycle[v]))
-        origin.append(e)
-    return ShrinkResult(MultiGraph(len(cs), edge_list), cs, tuple(origin))
+    origin = tuple(sorted(m.members))
+    edge_list = [tuple(cs.place[v][0] for v in g.endpoints(e)) for e in origin]
+    return ShrinkResult(MultiGraph(len(cs), edge_list), cs, origin)
 
 
 def five_edge_coloring(gstar: MultiGraph, budget: Budget | None = None) -> EdgeColoring | None:

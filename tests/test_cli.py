@@ -235,6 +235,13 @@ matching 3 5 7 9 11 15 18 21 26 29
 matching 4 5 7 11 13 17 18 21 24 28
 """
 
+    @pytest.mark.parametrize("extra", [("fr-triple",), ("ffamily",), ("covering", "--all")])
+    def test_strategy_that_does_nothing_is_a_usage_error(self, capsys, petersen_file, extra):
+        code, out, err = run(capsys, "search", petersen_file, *extra, "--strategy", "color")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --strategy applies only to a covering search without --all\n"
+
     def test_triple_with_common_edge_exits_one(self, capsys, tmp_path, petersen_file):
         code, out, _ = run(capsys, "search", petersen_file, "fr-triple")
         lines = out.splitlines()

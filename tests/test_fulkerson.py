@@ -271,7 +271,7 @@ class TestFindCovering:
             find_fulkerson_covering(k4(), "dance")
 
     @pytest.mark.parametrize("strategy,calls", [
-        ("auto", 1), ("color", 0), ("exact2cover", 1), ("a1a2", 1),
+        ("auto", 0), ("color", 0), ("exact2cover", 1), ("a1a2", 1),
     ])
     def test_matchings_enumerated_at_most_once(self, monkeypatch, strategy, calls):
         import fulkerson_lab.fulkerson as fulkerson
@@ -286,6 +286,28 @@ class TestFindCovering:
         res = find_fulkerson_covering(flower_snark(5), strategy, budget=Budget(limit=0))
         assert res.unknown
         assert len(seen) == calls
+
+    def test_auto_stops_once_the_colour_stage_spends_the_budget(self, monkeypatch):
+        import time
+
+        import fulkerson_lab.fulkerson as fulkerson
+
+        seen = []
+        monkeypatch.setattr(fulkerson, "enumerate_perfect_matchings",
+                            lambda g, *args, **kwargs: seen.append(g))
+        start = time.perf_counter()
+        res = find_fulkerson_covering(flower_snark(17), budget=Budget(limit=1000))
+        assert time.perf_counter() - start < 2
+        assert res.unknown
+        assert seen == []
+
+    def test_auto_out_of_budget_still_proves_absence_without_a_perfect_matching(self):
+        from test_matchcolor import three_bridges
+
+        budget = Budget(limit=0)
+        res = find_fulkerson_covering(three_bridges(k4()), budget=budget)
+        assert budget.exhausted
+        assert res.definitely_absent
 
     def test_enumerate_coverings_theta(self):
         # theta has three single-edge matchings; the unique covering repeats each

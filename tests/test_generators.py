@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from fulkerson_lab.graph_core import (
     is_connected,
 )
 from fulkerson_lab.matchcolor import enumerate_perfect_matchings, three_edge_coloring
+from fulkerson_lab.cli import write_graph_file
 
 from oracles import colorable_via_matching_partition
 
@@ -215,3 +218,26 @@ def test_every_generator_is_cubic_with_matching_size(make):
     g = make()
     assert 2 * g.num_edges == 3 * g.num_vertices
     assert all(g.degree(v) == 3 for v in g.vertices())
+
+
+# Every certificate names edge ids, so the snark families' edge lists are
+# pinned byte for byte, as the graph file `gen` writes.
+EDGE_LIST_SHA256 = {
+    (flower_snark, 3): "bba5240fd17756c391ef780df06eb95731a8602242b0354931bb53e5c3c5a847",
+    (flower_snark, 5): "7436cfd1c0f6ade96dfcd53aac56a95231e4011d75df54833f33d7854bd4003c",
+    (flower_snark, 7): "d1a168fc011f1c1d66d44e452beb507bac2ea54fa7a449741641e1ec5c45e1f6",
+    (flower_snark, 9): "a3a3a623b08e3baa08b93999329087638b3125650e3dd5f6f86e2af560380a44",
+    (flower_snark, 101): "620e318fbceda5242ffa1cc1f02a6888132c0384d54b81306ef575cde91a682e",
+    (goldberg, 3): "e97844597e56dc228d8225ce98db52a201e05b539ef4c45ca17ef7bf89a02e6d",
+    (goldberg, 5): "747dc7d9caf27bfa5da4ed6c7d5c5876edd75487539f8a5f49427d529565901a",
+    (goldberg, 7): "d5345b8107efe8856db841346f922152c1dd60b9b0d4824807e733c2f6d59f1d",
+    (goldberg, 9): "71945d3c627f14c7ea78e926ed4e299ebc7658adf7154887e23c451b7839016a",
+    (goldberg, 101): "3292bfb8acb06a0b42cde96c06260cb458c16a8b8f72801a78038b36a5b2901b",
+}
+
+
+@pytest.mark.parametrize("make,k", list(EDGE_LIST_SHA256),
+                         ids=[f"{make.__name__}-{k}" for make, k in EDGE_LIST_SHA256])
+def test_snark_edge_lists_are_pinned(make, k):
+    digest = hashlib.sha256(write_graph_file(make(k)).encode()).hexdigest()
+    assert digest == EDGE_LIST_SHA256[make, k]

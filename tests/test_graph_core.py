@@ -28,6 +28,7 @@ from fulkerson_lab.generators import (
 from fulkerson_lab.matchcolor import enumerate_perfect_matchings, shrink_to_gstar, two_factor_cycles
 
 from oracles import (
+    brute_force_perfect_matchings,
     naive_cyclic_edge_connectivity_at_least,
     naive_is_bridgeless,
     random_cubic_multigraph,
@@ -297,6 +298,19 @@ class TestCycleDecomposition:
         with pytest.raises(GraphError) as exc:
             cycle_decomposition(MultiGraph(n, edges), range(len(edges)))
         assert str(exc.value) == message
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_place_locates_each_vertex_on_its_cycle(self, data):
+        g = random_cubic_multigraph(data, max_order=10)
+        for m in brute_force_perfect_matchings(g):
+            factor = two_factor_cycles(g, m)
+            assert all(factor.place[v] is not None for v in g.vertices())
+            for v, (i, p) in enumerate(factor.place):
+                assert factor.cycles[i].vertices[p] == v
+            one = cycle_decomposition(g, factor.cycles[0].edges)
+            assert ([v for v in g.vertices() if one.place[v] is not None]
+                    == sorted(factor.cycles[0].vertices))
 
     @pytest.mark.parametrize("bad", [15, -1])
     def test_edge_id_outside_the_graph_is_an_error(self, bad):
