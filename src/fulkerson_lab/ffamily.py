@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_BUDGET_ENV, Budget, BudgetExhausted, SearchResult
@@ -123,7 +124,10 @@ def _cycle_condition(cycle: Cycle, per_member: Sequence[Sequence[int]]
 
 
 def verify_ffamily(g: CubicGraph, fam: FFamily) -> FFamilyReport:
-    """Check balancedness (odd arcs, as in `is_m_balanced`) and the per-cycle conditions."""
+    """Check balancedness (odd arcs, as in `is_m_balanced`), the per-cycle conditions and N.
+
+    An empty member is reported only when everything else holds.
+    """
     if fam.graph != g:
         raise GraphError("family belongs to a different graph")
     cycles = two_factor_cycles(g, fam.m)
@@ -148,6 +152,8 @@ def verify_ffamily(g: CubicGraph, fam: FFamily) -> FFamilyReport:
         expected_n |= chosen
     if not diagnostics and expected_n != fam.n_edges.members:
         diagnostics.append("N contains edges on cycles the family does not meet")
+    if not diagnostics:
+        diagnostics = [f"member {mi} is empty" for mi, mem in enumerate(fam.members) if not mem]
     return FFamilyReport(not diagnostics, tuple(diagnostics))
 
 
@@ -240,83 +246,248 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
                              "family assembly does not cover", "family assembly repeats a matching")
 
 
-def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:
-    """Every family for m in canonical order: member labels for m-edges on an explicit stack.
+# Member shapes of four sorted ends on an even cycle, as a block per end: one
+# member at all four ends, or two members with two ends each.
+_EVEN_SHAPES = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
 
-    Cycles are settled shortest first.  Each m-edge gets a slot at the
-    first cycle it touches, and each cycle ends in a close slot, so the
-    search walks one flat list of slots and spends one node per visit.  An
-    edge slot checks the cycle's caps, then tries label -1 (no member) and
-    the members in order of first use, -1..min(used + 1, 3).  A close slot
-    checks the cycle's incidence conditions.
+
+@lru_cache(maxsize=4096)
+def _end_labels(odd: bool, gaps: tuple[int, ...], fixed: tuple[int, ...],
+                own: tuple[int, ...], used: int) -> tuple[tuple[int, ...], ...]:
+    """Every labelling of a placement's own edges, given its four sorted ends.
+
+    gaps holds the parities of the distances between consecutive ends (an
+    even cycle's only); fixed[i] is the member of a fixed end, -1 at an own
+    one; own[i] is the rank among the placement's own edges, in id order,
+    of the edge at end i, -1 at a fixed end (a chord holds two ends).  An
+    odd cycle sees four distinct members.  On an even cycle a member holds
+    two ends an odd distance apart, or all four when they alternate in
+    parity: then it cuts the cycle into odd arcs.  A new label is at most
+    one above the largest before it, `used` before the first own edge:
+    members are interchangeable, and this first-use rule keeps one family
+    of each relabelling.
+    """
+    if odd:
+        shapes: Sequence[tuple[int, ...]] = [(0, 1, 2, 3)]
+    else:
+        d1, d2, d3 = gaps
+        fits = (d1 and d2 and d3, d1 and d3, (d1 + d2) % 2 and (d2 + d3) % 2,
+                d2 and (d1 + d2 + d3) % 2)
+        shapes = [shape for shape, fit in zip(_EVEN_SHAPES, fits) if fit]
+    count = max(own) + 1
+    out = []
+    for shape in shapes:
+        for member in permutations(range(4), max(shape) + 1):
+            if any(lab >= 0 and member[b] != lab for b, lab in zip(shape, fixed)):
+                continue
+            labs = [-1] * count
+            for b, j in zip(shape, own):
+                if j >= 0 and labs[j] in (-1, member[b]):
+                    labs[j] = member[b]
+                elif j >= 0:
+                    break  # a chord across two members
+            else:
+                top = used
+                for lab in labs:
+                    if lab > top + 1:
+                        break
+                    top = max(top, lab)
+                else:
+                    out.append(tuple(labs))
+    return tuple(out)
+
+
+def _position_sets(length: int, need: Sequence[int], scan: Iterable[int], rank: Sequence[int],
+                   floor: int, budget: Budget) -> Iterator[tuple[int, ...]]:
+    """The ends {p, p+1, q, q+1} of two disjoint cycle edges that hold `need`, sorted.
+
+    An end p may be taken when rank[p] >= floor.  The first edge holds
+    need[0]; the second holds the next needed end it misses, or else starts
+    at a position of `scan`.  Each candidate with ends free to take spends
+    one node, and the sets stop when the budget runs out.  Each set comes
+    once: only on a 4-cycle do two edge pairs share their ends.
+    """
+    if length == 4:
+        if min(rank) >= floor and budget.spend():
+            yield (0, 1, 2, 3)
+        return
+    f = need[0]
+    for a in ((f - 1) % length, f):
+        a1 = (a + 1) % length
+        if rank[a] < floor or rank[a1] < floor:
+            continue
+        rest = [p for p in need if p != a and p != a1]
+        for b in (((rest[0] - 1) % length, rest[0]) if rest else scan):
+            b1 = (b + 1) % length
+            if rank[b] < floor or rank[b1] < floor or b == a or b == a1 or b1 == a:
+                continue
+            posns = sorted((a, a1, b, b1))
+            if rest and not all(p in posns for p in rest):
+                continue
+            if not budget.spend():
+                return
+            yield tuple(posns)
+
+
+def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]],
+                owner: Sequence[int], fixed: dict[int, int], used: int,
+                budget: Budget) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """The labellings of a cycle's own m-edges that meet its conditions, in canonical order.
+
+    own lists the m-edges first met at this cycle (by id, with their
+    positions); owner[pos] is the index in own of the edge at pos, -1 for
+    an edge met before and for a chord of an odd cycle (which would give
+    one member two ends); fixed[pos] is the label of an edge met before.  A
+    placement is (key, used after it); the key lists (-edge, member) for the
+    own edges it puts in a member, so keys sort as the label vectors of the
+    own edges, with -1 < 0 < 1 < 2 < 3.  Four fixed member ends are checked
+    directly.  With fewer but some, every placement holds them, and all are
+    built and sorted at once.  With none, an even cycle first takes the
+    empty placement, and the others come in buckets by their least
+    labelled own edge, largest first: a bucket holds ends of that edge and
+    of larger own edges only, so memory stays linear in the cycle's length.
+    """
+    length, odd = len(cycle), cycle.is_odd
+    required = sorted(p for p, lab in fixed.items() if lab >= 0)
+    labels = tuple(fixed[p] for p in required)
+    if len(required) == 4:
+        if (budget.spend() and _pairing_candidates(cycle, required)
+                and _end_labels(odd, _gaps(odd, required), labels, (-1,) * 4, used)):
+            yield (), used
+        return
+    top = len(own)
+    rank = list(owner)  # own index at each end, top at a fixed member end, -1 where none may be
+    for p in required:
+        rank[p] = top
+
+    def bucket(need: Sequence[int], scan: Iterable[int], floor: int) -> list:
+        out = []
+        for posns in _position_sets(length, need, scan, rank, floor, budget):
+            ranks = [rank[p] for p in posns]
+            ids = sorted({j for j in ranks if j < top})
+            if any(len(own[j][1]) != ranks.count(j) for j in ids):
+                continue  # a chord with one end inside
+            for labs in _end_labels(odd, _gaps(odd, posns), tuple(fixed.get(p, -1) for p in posns),
+                                    tuple(ids.index(j) if j < top else -1 for j in ranks), used):
+                out.append((tuple((-own[j][0], lab) for j, lab in zip(ids, labs)),
+                            max((used, *labs))))
+        out.sort()
+        return out
+
+    if required:
+        yield from bucket(required, range(length), 0)
+        return
+    if not odd:
+        if not budget.spend():
+            return
+        yield (), used
+    allowed: list[int] = []
+    for j in reversed(range(top)):
+        allowed += own[j][1]
+        yield from bucket(own[j][1], allowed, j)
+        if budget.exhausted:
+            return
+
+
+def _gaps(odd: bool, posns: Sequence[int]) -> tuple[int, ...]:
+    """Parities of the distances between four sorted ends on an even cycle; () on an odd one."""
+    return () if odd else tuple((q - p) % 2 for p, q in zip(posns, posns[1:]))
+
+
+def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:
+    """Every family for m in canonical order: per-cycle placements on an explicit stack.
+
+    Each m-edge is labelled -1 (no member) or with a member at the first
+    cycle it touches, and the cycles are settled shortest first.  At each
+    cycle the search takes, in turn, the placements of member ends that
+    agree with the labels fixed so far: the ends of two disjoint cycle
+    edges (the N edges), or none on an even cycle no member touches yet
+    (see `_placements`).  Each placement labels the cycle's own m-edges,
+    and a forward check rejects it when a later cycle gets too many member
+    ends.  Placements are tried in the order of the own edges' label
+    vectors, -1 < 0 < 1 < 2 < 3, so families come in lexicographic order
+    of all the labels, cycle by cycle and by edge id within a cycle.
+    Every candidate placement examined spends one node.  An odd cycle
+    shorter than 5 has no two disjoint edges, so such a matching is
+    rejected before any set-up.
     """
     if budget.exhausted:  # skip the set-up for the matchings left after the budget ran out
         return
     factor = two_factor_cycles(g, m)
     cycles = factor.cycles
-    counts = [[0, 0, 0, 0] for _ in cycles]  # counts[ci][mi]: ends of member mi on cycle ci
-    around: list[list[tuple[int, list[int]]]] = [[] for _ in cycles]  # (m-edge, its positions)
-    hits: dict[int, list[tuple[list[int], int]]] = {}  # m-edge -> (a cycle's counts, ends on it)
+    if any(cyc.is_odd and len(cyc) < 5 for cyc in cycles):
+        return
+    order = sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci))
+    turn = [0] * len(cycles)  # turn[ci]: the cycle's place in the order
+    for r, ci in enumerate(order):
+        turn[ci] = r
+    own: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]  # (m-edge, positions)
+    prior: list[list[tuple[int, int]]] = [[] for _ in order]  # (m-edge met before, position)
+    far: dict[int, int] = {}  # m-edge -> the later cycle it touches, or -1
     for e in sorted(m.members):
         on: dict[int, list[int]] = {}
         for v in g.endpoints(e):
             ci, pos = factor.place[v]
-            on.setdefault(ci, []).append(pos)
-        for ci, posns in on.items():
-            around[ci].append((e, posns))
-        hits[e] = [(counts[ci], len(posns)) for ci, posns in on.items()]
-    # Short cycles carry the tightest incidence constraints; settle them first.
-    slots: list[tuple[int, int | None]] = []  # (cycle, m-edge), or (cycle, None) to close it
-    slotted: set[int] = set()
-    for ci in sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci)):
-        for e, _ in around[ci]:
-            if e not in slotted:
-                slotted.add(e)
-                slots.append((ci, e))
-        slots.append((ci, None))
-    caps = [1 if cyc.is_odd else 4 for cyc in cycles]
-    label = dict.fromkeys(hits, -1)
-    stack: list[list[int]] = []  # [slot, label, used before the slot] per open edge slot
-    i, used = 0, -1
+            on.setdefault(turn[ci], []).append(pos)
+        first, far[e] = min(on), max(on) if len(on) == 2 else -1
+        own[first].append((e, tuple(on[first])))
+        if far[e] >= 0:
+            prior[far[e]].append((e, on[far[e]][0]))
+    owner: list[list[int]] = []
+    for r, ci in enumerate(order):
+        at = [-1] * len(cycles[ci])
+        for j, (_, posns) in enumerate(own[r]):
+            if len(posns) == 1 or not cycles[ci].is_odd:
+                for p in posns:
+                    at[p] = j
+        owner.append(at)
+    caps = [1 if cycles[ci].is_odd else 4 for ci in order]
+    counts = [[0] * 5 for _ in order]  # member ends fixed on each cycle, then their total
+    label = dict.fromkeys(m.members, -1)
+
+    def place(key: tuple[tuple[int, int], ...], sign: int) -> bool:
+        """Apply (sign 1) or undo (sign -1) a placement; False if a later cycle is overfull.
+
+        This is the forward check: no cycle may hold more than four member
+        ends, nor an odd one two ends of a member.
+        """
+        fits = True
+        for ne, lab in key:
+            label[-ne] = lab if sign > 0 else -1
+            later = far[-ne]
+            if later >= 0:
+                cnt = counts[later]
+                cnt[lab] += sign
+                cnt[4] += sign
+                fits = fits and cnt[4] <= 4 and cnt[lab] <= caps[later]
+        return fits
+
+    stack: list[tuple[Iterator, list]] = []  # per placed cycle: its placements, the one taken
+    used = -1
     while True:
-        if i == len(slots):
+        r = len(stack)
+        if r == len(order):
             if used == 3:
                 yield _checked_family(g, m, [[e for e, lab in label.items() if lab == mi]
                                              for mi in range(4)], "searched members")
-        elif not budget.spend():
-            return
         else:
-            ci, e = slots[i]
-            # determined vertices on the cycle never exceed four in total
-            if sum(counts[ci]) <= 4 and max(counts[ci]) <= caps[ci]:
-                if e is not None:
-                    stack.append([i, -1, used])
-                    label[e] = -1
-                    i += 1
-                    continue
-                per_member: list[list[int]] = [[], [], [], []]
-                for f, posns in around[ci]:
-                    if label[f] >= 0:
-                        per_member[label[f]] += posns
-                if _cycle_condition(cycles[ci], [sorted(p) for p in per_member])[0] is None:
-                    i += 1
-                    continue
-        # backtrack to the deepest edge slot with a label left to try
+            fixed = {pos: label[e] for e, pos in prior[r]}
+            stack.append((_placements(cycles[order[r]], own[r], owner[r], fixed, used, budget),
+                          [()]))
+        # take the next placement that passes the forward check, at the deepest cycle with one
         while stack:
-            frame = stack[-1]
-            i, lab, used = frame
-            e = slots[i][1]
-            if lab >= 0:
-                for cnt, k in hits[e]:
-                    cnt[lab] -= k
-            if lab <= used and lab < 3:
-                lab = label[e] = frame[1] = lab + 1
-                for cnt, k in hits[e]:
-                    cnt[lab] += k
-                used = max(used, lab)
-                i += 1
-                break
-            stack.pop()
+            places, taken = stack[-1]
+            place(taken[0], -1)
+            for taken[0], used in places:
+                if place(taken[0], 1):
+                    break
+                place(taken[0], -1)
+            else:
+                if budget.exhausted:
+                    return
+                stack.pop()
+                continue
+            break
         else:
             return
 
@@ -352,8 +523,10 @@ def find_ffamily(g: CubicGraph, m: PerfectMatching | Iterable[int] | None = None
                  budget: Budget | None = None) -> SearchResult[FFamily]:
     """Search for an F-family, over one matching or all of them.
 
-    Members are required to be nonempty.  The search runs under the node
-    budget (by default `Budget()`) and reports unknown when it is exceeded.
+    Members are required to be nonempty.  The search places member ends
+    cycle by cycle (see `_ffamilies`) and spends one node per candidate
+    placement, under the node budget (by default `Budget()`); it reports
+    unknown when the budget is exceeded or cancelled.
     """
     budget = Budget() if budget is None else budget
     families, complete = _families(g, m, budget)

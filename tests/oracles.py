@@ -5,10 +5,10 @@ from subset enumeration, bridges from edge deletion plus connectivity,
 cyclic cuts from edge-subset enumeration, colorability from matching
 partitions or raw assignment enumeration, F-families from balanced subsets
 of the matching.  The random cubic multigraphs that the differential tests
-feed them come from one Hypothesis helper here.  Two former library searches
-live on here as references: the plain depth-first perfect-matching search
-(for the order the library yields) and the brute-force cyclic-connectivity
-test.
+feed them come from one Hypothesis helper here.  Three former library
+searches live on here as references: the plain depth-first perfect-matching
+search and the slot search for F-families (for the orders the library
+yields), and the brute-force cyclic-connectivity test.
 """
 
 import random
@@ -18,7 +18,10 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
+from fulkerson_lab.budget import Budget
+from fulkerson_lab.ffamily import FFamily, _checked_family, _cycle_condition
 from fulkerson_lab.graph_core import CubicGraph, GraphError, MultiGraph
+from fulkerson_lab.matchcolor import PerfectMatching, two_factor_cycles
 
 
 def brute_force_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
@@ -328,3 +331,87 @@ def ffamily_exists(g: MultiGraph, m) -> bool:
         if all(cycle_ok(vs, edges, members) for vs, edges in cycles):
             return True
     return False
+
+
+def slot_ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:
+    """Every F-family for m in canonical order, by the former slot search of the library.
+
+    The reference for the order the library yields: member labels for
+    m-edges on an explicit stack.
+
+    Cycles are settled shortest first.  Each m-edge gets a slot at the
+    first cycle it touches, and each cycle ends in a close slot, so the
+    search walks one flat list of slots and spends one node per visit.  An
+    edge slot checks the cycle's caps, then tries label -1 (no member) and
+    the members in order of first use, -1..min(used + 1, 3).  A close slot
+    checks the cycle's incidence conditions.
+    """
+    if budget.exhausted:  # skip the set-up for the matchings left after the budget ran out
+        return
+    factor = two_factor_cycles(g, m)
+    cycles = factor.cycles
+    counts = [[0, 0, 0, 0] for _ in cycles]  # counts[ci][mi]: ends of member mi on cycle ci
+    around: list[list[tuple[int, list[int]]]] = [[] for _ in cycles]  # (m-edge, its positions)
+    hits: dict[int, list[tuple[list[int], int]]] = {}  # m-edge -> (a cycle's counts, ends on it)
+    for e in sorted(m.members):
+        on: dict[int, list[int]] = {}
+        for v in g.endpoints(e):
+            ci, pos = factor.place[v]
+            on.setdefault(ci, []).append(pos)
+        for ci, posns in on.items():
+            around[ci].append((e, posns))
+        hits[e] = [(counts[ci], len(posns)) for ci, posns in on.items()]
+    # Short cycles carry the tightest incidence constraints; settle them first.
+    slots: list[tuple[int, int | None]] = []  # (cycle, m-edge), or (cycle, None) to close it
+    slotted: set[int] = set()
+    for ci in sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci)):
+        for e, _ in around[ci]:
+            if e not in slotted:
+                slotted.add(e)
+                slots.append((ci, e))
+        slots.append((ci, None))
+    caps = [1 if cyc.is_odd else 4 for cyc in cycles]
+    label = dict.fromkeys(hits, -1)
+    stack: list[list[int]] = []  # [slot, label, used before the slot] per open edge slot
+    i, used = 0, -1
+    while True:
+        if i == len(slots):
+            if used == 3:
+                yield _checked_family(g, m, [[e for e, lab in label.items() if lab == mi]
+                                             for mi in range(4)], "searched members")
+        elif not budget.spend():
+            return
+        else:
+            ci, e = slots[i]
+            # determined vertices on the cycle never exceed four in total
+            if sum(counts[ci]) <= 4 and max(counts[ci]) <= caps[ci]:
+                if e is not None:
+                    stack.append([i, -1, used])
+                    label[e] = -1
+                    i += 1
+                    continue
+                per_member: list[list[int]] = [[], [], [], []]
+                for f, posns in around[ci]:
+                    if label[f] >= 0:
+                        per_member[label[f]] += posns
+                if _cycle_condition(cycles[ci], [sorted(p) for p in per_member])[0] is None:
+                    i += 1
+                    continue
+        # backtrack to the deepest edge slot with a label left to try
+        while stack:
+            frame = stack[-1]
+            i, lab, used = frame
+            e = slots[i][1]
+            if lab >= 0:
+                for cnt, k in hits[e]:
+                    cnt[lab] -= k
+            if lab <= used and lab < 3:
+                lab = label[e] = frame[1] = lab + 1
+                for cnt, k in hits[e]:
+                    cnt[lab] += k
+                used = max(used, lab)
+                i += 1
+                break
+            stack.pop()
+        else:
+            return

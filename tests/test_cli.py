@@ -14,7 +14,13 @@ from fulkerson_lab.cli import (
     write_graph_file,
 )
 from fulkerson_lab.fulkerson import enumerate_fr_triples
-from fulkerson_lab.generators import flower_snark, goldberg, petersen, ten_vertex_c5_example
+from fulkerson_lab.generators import (
+    cube_q3,
+    flower_snark,
+    goldberg,
+    petersen,
+    ten_vertex_c5_example,
+)
 from fulkerson_lab.cli import ParseError
 
 from test_ffamily import pentagons_and_hexagon
@@ -168,6 +174,13 @@ class TestSearchAndVerify:
         assert code == 1
         assert out == ""
 
+    def test_goldberg5_ffamily_is_absent_within_500k_nodes(self, capsys, tmp_path):
+        path = tmp_path / "g5.graph"
+        path.write_text(write_graph_file(goldberg(5)))
+        code, out, _ = run(capsys, "search", str(path), "ffamily", "--budget", "500000")
+        assert code == 1
+        assert out == ""
+
     def test_budget_exhaustion_exits_three(self, capsys, tmp_path):
         path = tmp_path / "j5.graph"
         path.write_text(write_graph_file(flower_snark(5)))
@@ -302,14 +315,15 @@ class TestPipeline:
         assert "step 1" in err
 
     def test_exhausted_budget_exits_three(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "10")
+        # Petersen's first family takes two nodes
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "1")
         recipe = tmp_path / "recipe.txt"
         recipe.write_text("base petersen\ndot type1 petersen\n")
         code, out, err = run(capsys, "pipeline", str(recipe))
         assert code == 3
         assert out == ""
         assert err == ("pipeline failed: the F-family search on the base graph ran out of "
-                       "its 10-node budget ($FULKERSON_LAB_BUDGET)\n")
+                       "its 1-node budget ($FULKERSON_LAB_BUDGET)\n")
 
     @pytest.mark.parametrize("line,option", [
         ("dot type1 petersen e1=999", "e1=999"),
@@ -484,7 +498,11 @@ class TestVerifyFamilyOutput:
          "member 13\nn 1 3 6 8\n",
          "cycle 0 (at vertex 0): N does not restrict to a valid 2-edge matching "
          "of the determined vertices\n"),
-    ], ids=["unbalanced-member", "odd-cycle-count", "n-not-a-pairing"])
+        (cube_q3,
+         "certificate ffamily\nm 0 5 8 11\nmember 0 5\nmember 8 11\nmember\nmember\n"
+         "n 1 3 9 10\n",
+         "member 2 is empty\nmember 3 is empty\n"),
+    ], ids=["unbalanced-member", "odd-cycle-count", "n-not-a-pairing", "empty-members"])
     def test_invalid_family_report(self, capsys, tmp_path, make, cert, want):
         graph_path = tmp_path / "g.graph"
         graph_path.write_text(write_graph_file(make()))

@@ -40,13 +40,19 @@ from fulkerson_lab.ffamily import (
     dot_preserve_type1,
     dot_preserve_type2,
     enumerate_ffamilies,
+    _ffamilies,
     find_ffamily,
     iterate_dot_sequence,
     petersen_expansion,
     verify_ffamily,
 )
 
-from oracles import brute_force_perfect_matchings, ffamily_exists, random_cubic_multigraph
+from oracles import (
+    brute_force_perfect_matchings,
+    ffamily_exists,
+    random_cubic_multigraph,
+    slot_ffamilies,
+)
 
 
 def ten_vertex_family():
@@ -204,6 +210,21 @@ class TestFindFFamily:
         res = find_ffamily(flower_snark(5), budget=Budget(limit=3))
         assert res.unknown
 
+    def test_cancel_during_the_search_reports_unknown(self):
+        # The perfect matchings are listed first, and they call cancel
+        # themselves; then each node calls it once.  Fire halfway through the nodes.
+        def run(fire_on):
+            calls = []
+            budget = Budget(cancel=lambda: calls.append(None) or len(calls) == fire_on)
+            return find_ffamily(flower_snark(9), budget=budget), budget, len(calls)
+
+        res, budget, total = run(None)
+        assert res.found
+        spent = budget.spent
+        res, budget, _ = run(total - spent // 2)
+        assert res.unknown
+        assert budget.spent == spent - spent // 2
+
     def test_enumerate_families_petersen(self):
         res = enumerate_ffamilies(petersen())
         assert res.complete
@@ -346,8 +367,9 @@ class TestIteratePipeline:
 
     def test_exhausted_factor_search_is_not_absence(self, monkeypatch):
         fam = find_ffamily(petersen()).value
-        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "10")
-        with pytest.raises(BudgetExhausted, match="step 1 failed: .* 10-node budget"):
+        # Petersen's first family takes two nodes
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "1")
+        with pytest.raises(BudgetExhausted, match="step 1 failed: .* 1-node budget"):
             iterate_dot_sequence(petersen(), [DotStep("type1", petersen())], base_family=fam)
 
     @pytest.mark.parametrize("kind,option,value", [
@@ -578,6 +600,18 @@ class TestVerifyDiagnosticsPins:
             "of the determined vertices",
         )
 
+    def test_empty_members(self):
+        # the 2-factor is two 4-cycles, each met 2+2 by A and B; C and D are
+        # empty, and every other check passes
+        g = cube_q3()
+        m = PerfectMatching(g, [0, 5, 8, 11])
+        fam = FFamily(m, Matching(g, [0, 5]), Matching(g, [8, 11]), Matching(g, []),
+                      Matching(g, []), Matching(g, [1, 3, 9, 10]))
+        assert verify_ffamily(g, fam).diagnostics == ("member 2 is empty", "member 3 is empty")
+        with pytest.raises(GraphError, match="fails verification: member 2 is empty"):
+            covering_from_ffamily(g, fam)
+        assert find_ffamily(g).definitely_absent
+
     def test_n_on_an_unmet_cycle(self):
         g = pentagons_and_hexagon(chords=True)
         e = lambda u, v: g.edges_between(u, v)[0]
@@ -605,11 +639,11 @@ class TestSearchPins:
     """Results and node counts of the F-family search, pinned across rewrites."""
 
     @pytest.mark.parametrize("make,found,spent", [
-        (petersen, True, 50), (lambda: flower_snark(5), True, 673),
-        (lambda: flower_snark(7), True, 2315), (lambda: flower_snark(9), True, 6201),
-        (ten_vertex_c5_example, True, 919), (lambda: goldberg(3), False, 2422),
-        (k4, False, 24), (cube_q3, False, 567), (k33, False, 138),
-        (lambda: pentagons_and_hexagon(chords=True), True, 120),
+        (petersen, True, 2), (lambda: flower_snark(5), True, 28),
+        (lambda: flower_snark(7), True, 54), (lambda: flower_snark(9), True, 88),
+        (ten_vertex_c5_example, True, 64), (lambda: goldberg(3), False, 16),
+        (k4, False, 6), (cube_q3, False, 60), (k33, False, 36),
+        (lambda: pentagons_and_hexagon(chords=True), True, 10),
     ], ids=["petersen", "J5", "J7", "J9", "ten", "G3", "K4", "Q3", "K33", "hexagon"])
     def test_find_node_counts(self, make, found, spent):
         budget = Budget()
@@ -619,11 +653,11 @@ class TestSearchPins:
         assert budget.spent == spent
 
     @pytest.mark.parametrize("make,families,spent", [
-        (petersen, 30, 696), (lambda: flower_snark(5), 40, 32_322),
-        (ten_vertex_c5_example, 5, 985),
+        (petersen, 30, 60), (lambda: flower_snark(5), 40, 980),
+        (ten_vertex_c5_example, 5, 72),
         # most of these families meet the hexagon, in 2+2 or 4+0 shape
-        (lambda: pentagons_and_hexagon(chords=True), 80, 14_530),
-        (lambda: pentagons_and_hexagon(chords=False), 208, 22_782),
+        (lambda: pentagons_and_hexagon(chords=True), 80, 626),
+        (lambda: pentagons_and_hexagon(chords=False), 208, 1069),
     ], ids=["petersen", "J5", "ten", "hexagon-chords", "hexagon-doubled"])
     def test_enumerate_counts(self, make, families, spent):
         g = make()
@@ -634,11 +668,12 @@ class TestSearchPins:
         assert budget.spent == spent
         assert all(verify_ffamily(g, fam).ok for fam in res.value)
 
-    def test_goldberg5_is_unknown_within_500k_nodes(self):
+    def test_goldberg5_is_absent_within_500k_nodes(self):
+        # 418 of its 619 perfect matchings leave a triangle and cost no node
         budget = Budget(limit=500_000)
         res = find_ffamily(goldberg(5), budget=budget)
-        assert res.unknown
-        assert budget.spent == 500_001
+        assert res.definitely_absent
+        assert budget.spent == 3897
 
     def test_long_even_cycle_gives_unknown_not_recursion_error(self):
         # the second copies of the doubled edges leave one 2400-cycle, and
@@ -648,6 +683,33 @@ class TestSearchPins:
         res = find_ffamily(g, m=range(2400, 3600), budget=budget)
         assert res.unknown
         assert budget.exhausted
+
+
+class TestSlotOrder:
+    """The placement search yields the families of the former slot search, in its order."""
+
+    @staticmethod
+    def _labels(families):
+        return [tuple(tuple(sorted(mem.members)) for mem in fam.members) for fam in families]
+
+    def _assert_same_sequence(self, g):
+        for pm in enumerate_perfect_matchings(g):
+            assert (self._labels(_ffamilies(g, pm, Budget()))
+                    == self._labels(slot_ffamilies(g, pm, Budget())))
+
+    @pytest.mark.parametrize("make", [
+        petersen, lambda: flower_snark(5), lambda: flower_snark(7), ten_vertex_c5_example,
+        lambda: goldberg(3), k4, cube_q3, k33, lambda: pentagons_and_hexagon(chords=True),
+        lambda: pentagons_and_hexagon(chords=False),
+    ], ids=["petersen", "J5", "J7", "ten", "G3", "K4", "Q3", "K33", "hexagon-chords",
+            "hexagon-doubled"])
+    def test_named_graphs(self, make):
+        self._assert_same_sequence(make())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_multigraphs(self, data):
+        self._assert_same_sequence(random_cubic_multigraph(data, max_order=12))
 
 
 class TestOracleDifferential:
