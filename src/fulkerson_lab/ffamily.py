@@ -28,6 +28,7 @@ from .matchcolor import (
     two_factor_cycles,
     _as_matching,
     _as_perfect,
+    _first_two_factor,
     _member_positions,
     _odd_arcs,
 )
@@ -246,37 +247,33 @@ def covering_from_ffamily(g: CubicGraph, fam: FFamily) -> FulkersonCovering:
                              "family assembly does not cover", "family assembly repeats a matching")
 
 
-# Member shapes of four sorted ends on an even cycle, as a block per end: one
-# member at all four ends, or two members with two ends each.
-_EVEN_SHAPES = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
+# Member shapes of four sorted ends, as a block per end: four members with
+# one end each (on an odd cycle), or on an even one a member at all four
+# ends, or two members with two ends each.
+_SHAPES = ((0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))
 
 
 @lru_cache(maxsize=4096)
-def _end_labels(odd: bool, gaps: tuple[int, ...], fixed: tuple[int, ...],
+def _end_labels(odd: int, parities: tuple[int, ...], fixed: tuple[int, ...],
                 own: tuple[int, ...], used: int) -> tuple[tuple[int, ...], ...]:
     """Every labelling of a placement's own edges, given its four sorted ends.
 
-    gaps holds the parities of the distances between consecutive ends (an
-    even cycle's only); fixed[i] is the member of a fixed end, -1 at an own
+    odd is the cycle's length mod 2 and parities[i] that of end i's
+    position, all that `_odd_arcs` reads: a shape is admitted when every
+    member's ends cut the cycle into odd arcs, so an odd cycle sees four
+    distinct members.  fixed[i] is the member of a fixed end, -1 at an own
     one; own[i] is the rank among the placement's own edges, in id order,
-    of the edge at end i, -1 at a fixed end (a chord holds two ends).  An
-    odd cycle sees four distinct members.  On an even cycle a member holds
-    two ends an odd distance apart, or all four when they alternate in
-    parity: then it cuts the cycle into odd arcs.  A new label is at most
-    one above the largest before it, `used` before the first own edge:
-    members are interchangeable, and this first-use rule keeps one family
-    of each relabelling.
+    of the edge at end i, -1 at a fixed end (a chord holds two ends).  A
+    new label is at most one above the largest before it, `used` before
+    the first own edge: members are interchangeable, and this first-use
+    rule keeps one family of each relabelling.
     """
-    if odd:
-        shapes: Sequence[tuple[int, ...]] = [(0, 1, 2, 3)]
-    else:
-        d1, d2, d3 = gaps
-        fits = (d1 and d2 and d3, d1 and d3, (d1 + d2) % 2 and (d2 + d3) % 2,
-                d2 and (d1 + d2 + d3) % 2)
-        shapes = [shape for shape, fit in zip(_EVEN_SHAPES, fits) if fit]
     count = max(own) + 1
     out = []
-    for shape in shapes:
+    for shape in _SHAPES:
+        if not all(_odd_arcs(odd, [q for q, b in zip(parities, shape) if b == block])
+                   for block in range(max(shape) + 1)):
+            continue
         for member in permutations(range(4), max(shape) + 1):
             if any(lab >= 0 and member[b] != lab for b, lab in zip(shape, fixed)):
                 continue
@@ -287,12 +284,7 @@ def _end_labels(odd: bool, gaps: tuple[int, ...], fixed: tuple[int, ...],
                 elif j >= 0:
                     break  # a chord across two members
             else:
-                top = used
-                for lab in labs:
-                    if lab > top + 1:
-                        break
-                    top = max(top, lab)
-                else:
+                if all(lab <= max((used, *labs[:i])) + 1 for i, lab in enumerate(labs)):
                     out.append(tuple(labs))
     return tuple(out)
 
@@ -329,34 +321,29 @@ def _position_sets(length: int, need: Sequence[int], scan: Iterable[int], rank: 
             yield tuple(posns)
 
 
-def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]],
-                owner: Sequence[int], fixed: dict[int, int], used: int,
-                budget: Budget) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]], fixed: dict[int, int],
+                used: int, budget: Budget) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
     """The labellings of a cycle's own m-edges that meet its conditions, in canonical order.
 
     own lists the m-edges first met at this cycle (by id, with their
-    positions); owner[pos] is the index in own of the edge at pos, -1 for
-    an edge met before and for a chord of an odd cycle (which would give
-    one member two ends); fixed[pos] is the label of an edge met before.  A
-    placement is (key, used after it); the key lists (-edge, member) for the
-    own edges it puts in a member, so keys sort as the label vectors of the
-    own edges, with -1 < 0 < 1 < 2 < 3.  Four fixed member ends are checked
-    directly.  With fewer but some, every placement holds them, and all are
-    built and sorted at once.  With none, an even cycle first takes the
-    empty placement, and the others come in buckets by their least
-    labelled own edge, largest first: a bucket holds ends of that edge and
-    of larger own edges only, so memory stays linear in the cycle's length.
+    positions); fixed[pos] is the label of an edge met before.  A placement
+    is (key, used after it); the key lists (-edge, member) for the own
+    edges it puts in a member, so keys sort as the label vectors of the
+    own edges, with -1 < 0 < 1 < 2 < 3.  The placement that labels no own
+    edge comes first: the empty one on an even cycle no member touches, or
+    the four fixed member ends alone.  The others come in buckets by their
+    least labelled own edge j, largest first; a bucket holds the fixed
+    member ends, the ends of edge j and ends of larger own edges only, so
+    memory stays linear in the cycle's length.
     """
     length, odd = len(cycle), cycle.is_odd
     required = sorted(p for p, lab in fixed.items() if lab >= 0)
-    labels = tuple(fixed[p] for p in required)
-    if len(required) == 4:
-        if (budget.spend() and _pairing_candidates(cycle, required)
-                and _end_labels(odd, _gaps(odd, required), labels, (-1,) * 4, used)):
-            yield (), used
-        return
     top = len(own)
-    rank = list(owner)  # own index at each end, top at a fixed member end, -1 where none may be
+    rank = [-1] * length  # own index at each end, top at a fixed member end, -1 where none may be
+    for j, (_, posns) in enumerate(own):
+        if len(posns) == 1 or not odd:  # a chord of an odd cycle would give a member two ends
+            for p in posns:
+                rank[p] = j
     for p in required:
         rank[p] = top
 
@@ -367,31 +354,25 @@ def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]],
             ids = sorted({j for j in ranks if j < top})
             if any(len(own[j][1]) != ranks.count(j) for j in ids):
                 continue  # a chord with one end inside
-            for labs in _end_labels(odd, _gaps(odd, posns), tuple(fixed.get(p, -1) for p in posns),
+            for labs in _end_labels(length % 2, tuple(p % 2 for p in posns),
+                                    tuple(fixed.get(p, -1) for p in posns),
                                     tuple(ids.index(j) if j < top else -1 for j in ranks), used):
                 out.append((tuple((-own[j][0], lab) for j, lab in zip(ids, labs)),
                             max((used, *labs))))
         out.sort()
         return out
 
-    if required:
-        yield from bucket(required, range(length), 0)
+    if len(required) == 4:  # four fixed member ends leave no room for an own edge
+        yield from bucket(required, (), top)
         return
-    if not odd:
-        if not budget.spend():
-            return
+    if not required and not odd and budget.spend():
         yield (), used
     allowed: list[int] = []
     for j in reversed(range(top)):
         allowed += own[j][1]
-        yield from bucket(own[j][1], allowed, j)
+        yield from bucket([*required, *own[j][1]], allowed, j)
         if budget.exhausted:
             return
-
-
-def _gaps(odd: bool, posns: Sequence[int]) -> tuple[int, ...]:
-    """Parities of the distances between four sorted ends on an even cycle; () on an odd one."""
-    return () if odd else tuple((q - p) % 2 for p, q in zip(posns, posns[1:]))
 
 
 def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:
@@ -418,9 +399,7 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
     if any(cyc.is_odd and len(cyc) < 5 for cyc in cycles):
         return
     order = sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci))
-    turn = [0] * len(cycles)  # turn[ci]: the cycle's place in the order
-    for r, ci in enumerate(order):
-        turn[ci] = r
+    turn = {ci: r for r, ci in enumerate(order)}  # the cycle's place in the order
     own: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]  # (m-edge, positions)
     prior: list[list[tuple[int, int]]] = [[] for _ in order]  # (m-edge met before, position)
     far: dict[int, int] = {}  # m-edge -> the later cycle it touches, or -1
@@ -433,14 +412,6 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
         own[first].append((e, tuple(on[first])))
         if far[e] >= 0:
             prior[far[e]].append((e, on[far[e]][0]))
-    owner: list[list[int]] = []
-    for r, ci in enumerate(order):
-        at = [-1] * len(cycles[ci])
-        for j, (_, posns) in enumerate(own[r]):
-            if len(posns) == 1 or not cycles[ci].is_odd:
-                for p in posns:
-                    at[p] = j
-        owner.append(at)
     caps = [1 if cycles[ci].is_odd else 4 for ci in order]
     counts = [[0] * 5 for _ in order]  # member ends fixed on each cycle, then their total
     label = dict.fromkeys(m.members, -1)
@@ -472,7 +443,7 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
                                              for mi in range(4)], "searched members")
         else:
             fixed = {pos: label[e] for e, pos in prior[r]}
-            stack.append((_placements(cycles[order[r]], own[r], owner[r], fixed, used, budget),
+            stack.append((_placements(cycles[order[r]], own[r], fixed, used, budget),
                           [()]))
         # take the next placement that passes the forward check, at the deepest cycle with one
         while stack:
@@ -687,11 +658,10 @@ class PipelineResult:
 
 
 def _first_two_odd_cycle_pm(g: CubicGraph) -> tuple[PerfectMatching, CycleSet]:
-    for pm in enumerate_perfect_matchings(g):
-        cycles = two_factor_cycles(g, pm)
-        if len(cycles) == 2 and all(c.is_odd for c in cycles):
-            return pm, cycles
-    raise TransportError("no perfect matching with a two-odd-cycle 2-factor")
+    found = _first_two_factor(g, lambda cs: len(cs) == 2 and all(c.is_odd for c in cs))
+    if found is None:
+        raise TransportError("no perfect matching with a two-odd-cycle 2-factor")
+    return found
 
 
 def _joining_edge(g: CubicGraph, m: PerfectMatching, cycles: CycleSet,

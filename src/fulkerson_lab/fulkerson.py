@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .budget import Budget, SearchResult
+from .budget import Budget, BudgetExhausted, SearchResult
 from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition
 from .matchcolor import (
     EdgeColoring,
@@ -160,7 +160,8 @@ def covering_from_compatible(t: FRTriple, t2: FRTriple) -> FulkersonCovering:
 
 
 def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
-                             a2: Matching | Iterable[int]) -> FRTriple:
+                             a2: Matching | Iterable[int],
+                             budget: Budget | None = None) -> FRTriple:
     """Lift a 3-edge-coloring of the suppressed graph into an FR-triple.
 
     a1 and a2 must be disjoint matchings whose union is a disjoint union of
@@ -168,7 +169,8 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
     3-edge-colorable graph.  The returned triple has T2 = a1 and T0 = a2:
     chain colors are pulled back through the suppression provenance, each
     a1 edge takes the two colors its neighboring chains avoid, and a2 edges
-    stay uncovered.
+    stay uncovered.  The coloring search spends the budget, when there is
+    one, and raises `BudgetExhausted` when it runs out first.
     """
     a1 = _as_matching(g, a1)
     a2 = _as_matching(g, a2)
@@ -179,8 +181,10 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
     except GraphError as exc:
         raise LiftError(f"a1 and a2 do not form a disjoint union of cycles: {exc}") from exc
     suppressed = split_and_suppress(g, a1, partner=a2)
-    colorings = three_edge_colorable(suppressed)
+    colorings = three_edge_colorable(suppressed, budget)
     if colorings is None:
+        if budget is not None and budget.exhausted:
+            raise BudgetExhausted("the 3-edge-coloring search of the lift ran out of its budget")
         raise LiftError("the suppressed graph of a1 is not 3-edge-colorable")
 
     color_of: dict[int, int] = {}
@@ -357,7 +361,9 @@ def _covering_by_a1a2(g: CubicGraph, pms: PMEnumeration,
     Every FR-triple built from enumerated matchings supplies a candidate
     pair (a1, a2) = (T2, T0); when the split of a2 is also 3-edge-colorable
     the double lift yields two compatible triples, hence a covering.  The
-    search is complete relative to a complete matching enumeration.
+    search is complete relative to a complete matching enumeration.  The
+    lifts' colorings spend the budget too, and one that runs out of it ends
+    the search as unknown.
     """
     seen_pairs: set[tuple[frozenset[int], frozenset[int]]] = set()
     for triple in iter_fr_triples(pms, budget):
@@ -369,10 +375,12 @@ def _covering_by_a1a2(g: CubicGraph, pms: PMEnumeration,
         a1 = Matching(g, part.t2.members)
         a2 = Matching(g, part.t0.members)
         try:
-            lifted = fr_triple_from_matchings(g, a1, a2)
-            partner = fr_triple_from_matchings(g, a2, a1)
+            lifted = fr_triple_from_matchings(g, a1, a2, budget)
+            partner = fr_triple_from_matchings(g, a2, a1, budget)
         except LiftError:
             continue
+        except BudgetExhausted:
+            break
         return SearchResult(covering_from_compatible(lifted, partner), True)
     return SearchResult(None, not pms.truncated and not budget.exhausted)
 

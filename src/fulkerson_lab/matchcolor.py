@@ -696,15 +696,21 @@ def _chordless(g: MultiGraph, cyc: Cycle) -> bool:
     return True
 
 
+def _first_two_factor(g: CubicGraph, test: Callable[[CycleSet], bool]
+                      ) -> tuple[PerfectMatching, CycleSet] | None:
+    """The first perfect matching, in canonical order, whose 2-factor passes test, with it."""
+    for m in enumerate_perfect_matchings(g):
+        cycles = two_factor_cycles(g, m)
+        if test(cycles):
+            return m, cycles
+    return None
+
+
 def find_c5_two_factor(g: CubicGraph) -> tuple[PerfectMatching, CycleSet] | None:
     """A perfect matching whose complement is a 2-factor of chordless 5-cycles."""
     if g.num_vertices % 5 != 0 or g.num_vertices % 2 == 1:
         return None
-    for m in enumerate_perfect_matchings(g):
-        cs = two_factor_cycles(g, m)
-        if all(len(c) == 5 and _chordless(g, c) for c in cs):
-            return m, cs
-    return None
+    return _first_two_factor(g, lambda cs: all(len(c) == 5 and _chordless(g, c) for c in cs))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from fulkerson_lab.generators import (
 )
 from fulkerson_lab.graph_core import (
     CubicGraph,
+    Cycle,
     GraphError,
     Matching,
     cyclic_edge_connectivity_at_least,
@@ -40,6 +43,8 @@ from fulkerson_lab.ffamily import (
     dot_preserve_type1,
     dot_preserve_type2,
     enumerate_ffamilies,
+    _cycle_condition,
+    _end_labels,
     _ffamilies,
     find_ffamily,
     iterate_dot_sequence,
@@ -552,6 +557,32 @@ class TestEvenCyclePatterns:
         assert any("balanced" in d for d in report.diagnostics)
 
 
+class TestEndLabelsAgreeWithTheVerifier:
+    """The search's rule for four member ends on one cycle is `_cycle_condition`'s."""
+
+    @staticmethod
+    def _first_use(assignment):
+        names = {}
+        return tuple(names.setdefault(mem, len(names)) for mem in assignment)
+
+    @pytest.mark.parametrize("length", range(4, 11))
+    def test_every_four_ends_on_two_disjoint_edges(self, length):
+        cycle = Cycle(tuple(range(length)), tuple(range(length)))
+        edge_pairs = [{p, (p + 1) % length, q, (q + 1) % length}
+                      for p in range(length) for q in range(length)]
+        for posns in sorted({tuple(sorted(ends)) for ends in edge_pairs if len(ends) == 4}):
+            accepted = set()
+            for assignment in product(range(4), repeat=4):
+                per_member = [[p for p, mem in zip(posns, assignment) if mem == mi]
+                              for mi in range(4)]
+                if _cycle_condition(cycle, per_member)[0] is None:
+                    accepted.add(self._first_use(assignment))
+            # end i holds own edge i, so each labelling is an assignment of the ends
+            admitted = _end_labels(length % 2, tuple(p % 2 for p in posns), (-1,) * 4,
+                                   (0, 1, 2, 3), -1)
+            assert sorted(admitted) == sorted(accepted), posns
+
+
 class TestVerifyDiagnosticsPins:
     """Exact diagnostics of invalid families, pinned across rewrites of the checks."""
 
@@ -639,9 +670,9 @@ class TestSearchPins:
     """Results and node counts of the F-family search, pinned across rewrites."""
 
     @pytest.mark.parametrize("make,found,spent", [
-        (petersen, True, 2), (lambda: flower_snark(5), True, 28),
-        (lambda: flower_snark(7), True, 54), (lambda: flower_snark(9), True, 88),
-        (ten_vertex_c5_example, True, 64), (lambda: goldberg(3), False, 16),
+        (petersen, True, 2), (lambda: flower_snark(5), True, 15),
+        (lambda: flower_snark(7), True, 28), (lambda: flower_snark(9), True, 45),
+        (ten_vertex_c5_example, True, 64), (lambda: goldberg(3), False, 14),
         (k4, False, 6), (cube_q3, False, 60), (k33, False, 36),
         (lambda: pentagons_and_hexagon(chords=True), True, 10),
     ], ids=["petersen", "J5", "J7", "J9", "ten", "G3", "K4", "Q3", "K33", "hexagon"])
@@ -653,11 +684,11 @@ class TestSearchPins:
         assert budget.spent == spent
 
     @pytest.mark.parametrize("make,families,spent", [
-        (petersen, 30, 60), (lambda: flower_snark(5), 40, 980),
+        (petersen, 30, 60), (lambda: flower_snark(5), 40, 530),
         (ten_vertex_c5_example, 5, 72),
         # most of these families meet the hexagon, in 2+2 or 4+0 shape
-        (lambda: pentagons_and_hexagon(chords=True), 80, 626),
-        (lambda: pentagons_and_hexagon(chords=False), 208, 1069),
+        (lambda: pentagons_and_hexagon(chords=True), 80, 458),
+        (lambda: pentagons_and_hexagon(chords=False), 208, 831),
     ], ids=["petersen", "J5", "ten", "hexagon-chords", "hexagon-doubled"])
     def test_enumerate_counts(self, make, families, spent):
         g = make()
@@ -673,7 +704,7 @@ class TestSearchPins:
         budget = Budget(limit=500_000)
         res = find_ffamily(goldberg(5), budget=budget)
         assert res.definitely_absent
-        assert budget.spent == 3897
+        assert budget.spent == 1827
 
     def test_long_even_cycle_gives_unknown_not_recursion_error(self):
         # the second copies of the doubled edges leave one 2400-cycle, and

@@ -3,7 +3,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from fulkerson_lab.budget import Budget
+from fulkerson_lab.budget import Budget, BudgetExhausted
 from fulkerson_lab.generators import (
     cube_q3,
     doubled_matching_cycle,
@@ -182,6 +182,16 @@ class TestLift:
         with pytest.raises(LiftError):
             fr_triple_from_matchings(petersen(), [], [])
 
+    def test_lift_that_runs_out_of_its_budget_raises_budget_exhausted(self):
+        with pytest.raises(BudgetExhausted):
+            fr_triple_from_matchings(petersen(), [0, 3, 6], [4, 11, 13], Budget(limit=1))
+
+    def test_budgeted_lift_of_an_uncolorable_split_is_still_a_lift_error(self):
+        budget = Budget()
+        with pytest.raises(LiftError):
+            fr_triple_from_matchings(petersen(), [], [], budget)
+        assert budget.spent > 0 and not budget.exhausted
+
     def test_theta_digon_lift(self):
         triple = fr_triple_from_matchings(theta(), [0], [1])
         part = t_partition(theta(), triple)
@@ -308,6 +318,18 @@ class TestFindCovering:
         res = find_fulkerson_covering(three_bridges(k4()), budget=budget)
         assert budget.exhausted
         assert res.definitely_absent
+
+    def test_cancel_inside_the_first_a1a2_lift_gives_unknown(self, monkeypatch):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        lifts = []
+        lift = fulkerson.fr_triple_from_matchings
+        monkeypatch.setattr(fulkerson, "fr_triple_from_matchings",
+                            lambda *args: lifts.append(args) or lift(*args))
+        # cancel fires at the first node the first lift's colouring spends
+        res = find_fulkerson_covering(petersen(), "a1a2", budget=Budget(cancel=lambda: bool(lifts)))
+        assert res.unknown
+        assert len(lifts) == 1
 
     def test_enumerate_coverings_theta(self):
         # theta has three single-edge matchings; the unique covering repeats each
