@@ -45,10 +45,13 @@ class Budget:
     """Cooperative node budget with an optional cancellation callback.
 
     Searches call spend() once per explored node; a False return means the
-    search must unwind and report an incomplete result.  Perfect-matching
-    enumeration spends no nodes: it calls `cancel` itself and sets
-    `exhausted` when that fires.  A limit of None takes
-    `default_node_budget()`.
+    search must unwind and report an incomplete result.  The nodes are the
+    edge-colouring searches' nodes (lifts included), the exact cover's
+    nodes, the index triples that `enumerate_fr_triples` and A1A2 scan, the
+    matching queries that `find_fr_triple` asks, and the F-family search's
+    candidate placements.  Perfect-matching searches spend no nodes: they
+    call `cancel` themselves, and their callers set `exhausted` when it
+    fires.  A limit of None takes `default_node_budget()`.
     """
 
     limit: int | None = None

@@ -29,6 +29,7 @@ from .matchcolor import (
     three_edge_colorable,
     three_edge_coloring,
     _as_matching,
+    _canonical_matchings,
 )
 
 
@@ -238,18 +239,73 @@ def iter_fr_triples(pms: PMEnumeration, budget: Budget) -> Iterator[FRTriple]:
         yield FRTriple(pms[i], pms[j], pms[k])
 
 
-def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
-    """First FR-triple over enumerated perfect matchings, canonical order.
+def _next_matching(matchings: Iterator[frozenset[int] | None],
+                   budget: Budget) -> frozenset[int] | None:
+    """The next matching, or None at the end and when a cancel fires, which
+    marks the budget exhausted."""
+    for m in matchings:
+        if m is None:
+            budget.exhausted = True
+        return m
+    return None
 
-    Absence is proved only when the matching enumeration is complete and
-    the budget lasts; a truncated enumeration (cut by the matching cap or
-    by the budget's cancel callback) or an exhausted budget yields an
-    explicit unknown, never a claimed absence.
+
+def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
+    """The first FR-triple `iter_fr_triples` yields, found by oracle queries.
+
+    With M_0, M_1, ... the perfect matchings in canonical order, drawn one
+    by one from `_canonical_matchings`, the pairs (i, j), i <= j, are
+    walked in order.  Each pair spends one budget node and asks one query:
+    the first matching M_k that avoids M_i & M_j.  The first pair answered
+    gives (M_i, M_j, M_k), the triple `iter_fr_triples` yields first over
+    the full enumeration.  By induction every earlier pair had no answer:
+    an M_l with l < j that avoided M_i & M_j would have answered pair
+    (i, l), or (l, i) when l < i, since then M_j avoids M_i & M_l.  So the
+    first answer has k >= j, and the first pair with any answer is the
+    first with an answer k >= j.  Only M_0 ... M_j are held, so no matching
+    cap applies.  When the pairs (0, j) find no triple, one query per edge
+    of M_0 looks for an edge that every matching holds (every bridge is
+    one); it would lie in every triple, so there is none, and the walk
+    stops there instead of asking every pair.
+
+    Absence is proved only when the walk ends with budget to spare;
+    an exhausted budget, or a cancel callback that fires inside a matching
+    search, yields an explicit unknown, never a claimed absence.
     """
     budget = Budget() if budget is None else budget
-    pms = enumerate_perfect_matchings(g, budget=budget)
-    triple = next(iter_fr_triples(pms, budget), None)
-    return SearchResult(triple, triple is not None or not (pms.truncated or budget.exhausted))
+    listing = _canonical_matchings(g, cancel=budget.cancel)
+    drawn: list[frozenset[int]] = []
+
+    def have(j: int) -> bool:
+        # Whether M_j exists, drawing it from the listing when it is next.
+        if j == len(drawn):
+            m = _next_matching(listing, budget)
+            if m is None:
+                return False
+            drawn.append(m)
+        return True
+
+    def avoiding(s: frozenset[int]) -> frozenset[int] | None:
+        # One query for one node: the first matching that avoids s.
+        if not budget.spend():
+            return None
+        return _next_matching(_canonical_matchings(g, s, budget.cancel), budget)
+
+    i = 0
+    while have(i):
+        j = i
+        while have(j):
+            k = avoiding(drawn[i] & drawn[j])
+            if k is not None:
+                return SearchResult(FRTriple(*(PerfectMatching(g, m)
+                                               for m in (drawn[i], drawn[j], k))), True)
+            if budget.exhausted:
+                return SearchResult(None, False)
+            j += 1
+        if i == 0 and any(avoiding(frozenset([e])) is None for e in sorted(drawn[0])):
+            break  # an edge in every matching, such as a bridge, is in every triple
+        i += 1
+    return SearchResult(None, not budget.exhausted)
 
 
 def enumerate_fr_triples(g: CubicGraph,

@@ -5,10 +5,11 @@ from subset enumeration, bridges from edge deletion plus connectivity,
 cyclic cuts from edge-subset enumeration, colorability from matching
 partitions or raw assignment enumeration, F-families from balanced subsets
 of the matching.  The random cubic multigraphs that the differential tests
-feed them come from one Hypothesis helper here.  Three former library
+feed them come from one Hypothesis helper here.  Four former library
 searches live on here as references: the plain depth-first perfect-matching
 search and the slot search for F-families (for the orders the library
-yields), and the brute-force cyclic-connectivity test.
+yields), the brute-force cyclic-connectivity test, and the FR-triple search
+that enumerates every matching before it scans for the first triple.
 """
 
 import random
@@ -18,10 +19,11 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from fulkerson_lab.budget import Budget
+from fulkerson_lab.budget import Budget, SearchResult
 from fulkerson_lab.ffamily import FFamily, _checked_family, _cycle_condition
+from fulkerson_lab.fulkerson import FRTriple, iter_fr_triples
 from fulkerson_lab.graph_core import CubicGraph, GraphError, MultiGraph
-from fulkerson_lab.matchcolor import PerfectMatching, two_factor_cycles
+from fulkerson_lab.matchcolor import PerfectMatching, enumerate_perfect_matchings, two_factor_cycles
 
 
 def brute_force_perfect_matchings(g: MultiGraph) -> list[frozenset[int]]:
@@ -284,6 +286,19 @@ def fr_triple_partitions(g: MultiGraph) -> set[tuple[frozenset[int], frozenset[i
         out.add((frozenset(e for e, c in counts.items() if c == 2),
                  frozenset(range(g.num_edges)).difference(counts)))
     return out
+
+
+def enumerated_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
+    """The first FR-triple over every enumerated perfect matching, canonical order.
+
+    The former library search, which `find_fr_triple` must agree with: it
+    lists and sorts every matching, then scans the index triples.  Absence
+    is proved only when the enumeration is complete and the budget lasts.
+    """
+    budget = Budget() if budget is None else budget
+    pms = enumerate_perfect_matchings(g, budget=budget)
+    triple = next(iter_fr_triples(pms, budget), None)
+    return SearchResult(triple, triple is not None or not (pms.truncated or budget.exhausted))
 
 
 def balanced_subsets(g: MultiGraph, m) -> set[frozenset[int]]:

@@ -455,6 +455,16 @@ n 3 8 9 12
         assert out.startswith(self.PETERSEN_FIRST_TRIPLE)
         assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_TRIPLES_SHA256
 
+    # `search.J11.fr-triple` in bench/golden.json, taken from the enumerating search
+    J11_TRIPLE_SHA256 = "6742e91e1e96724914000243f1affeb63725c2108d36aa3350b0fbe979e15680"
+
+    def test_search_j11_fr_triple(self, capsys, tmp_path):
+        path = tmp_path / "j11.graph"
+        path.write_text(write_graph_file(flower_snark(11)))
+        code, out, _ = run(capsys, "search", str(path), "fr-triple")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.J11_TRIPLE_SHA256
+
     def test_enumerate_fr_triples_gives_the_pinned_triples(self):
         res = enumerate_fr_triples(petersen())
         assert res.complete

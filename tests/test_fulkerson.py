@@ -1,5 +1,7 @@
-import pytest
+import time
 from itertools import combinations
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from fulkerson_lab.generators import (
 )
 from fulkerson_lab.graph_core import CubicGraph, GraphError, Matching
 from fulkerson_lab.matchcolor import (
+    PerfectMatching,
     color_classes_as_matchings,
     enumerate_perfect_matchings,
     split_and_suppress,
@@ -43,6 +46,7 @@ from fulkerson_lab.fulkerson import (
 from oracles import (
     brute_force_perfect_matchings,
     covering_exists,
+    enumerated_fr_triple,
     fr_triple_partitions,
     proper_covering_exists,
     random_cubic_multigraph,
@@ -58,6 +62,20 @@ def petersen_triples():
 
 def color_triple(g):
     return FRTriple(*color_classes_as_matchings(three_edge_coloring(g)))
+
+
+def bridged_prisms(k):
+    """Two k-prisms, each with one rung subdivided, joined by a bridge
+    between the two subdivision vertices: every perfect matching holds the
+    bridge, so there is no FR-triple."""
+    edges = []
+    for off in (0, 2 * k + 1):
+        for i in range(k):
+            edges += [(off + i, off + (i + 1) % k), (off + k + i, off + k + (i + 1) % k)]
+        edges += [(off + i, off + k + i) for i in range(1, k)]
+        edges += [(off, off + 2 * k), (off + 2 * k, off + k)]
+    edges.append((2 * k, 4 * k + 1))
+    return CubicGraph(4 * k + 2, edges)
 
 
 class TestFRTriple:
@@ -232,10 +250,85 @@ class TestFindFRTriple:
         res = find_fr_triple(flower_snark(5), budget=Budget(limit=1))
         assert res.unknown
 
-    def test_truncated_enumeration_without_triple_is_unknown(self, monkeypatch):
-        # J5's first two canonical matchings share edges, so no triple lies among them
+    def test_search_stopped_after_a_failing_pair_is_unknown(self):
+        # No matching of J5 avoids M_0, so pair (0, 0) fails and pair (0, 1)
+        # answers; a budget of one node stops the walk between the two.
+        budget = Budget(limit=1)
+        res = find_fr_triple(flower_snark(5), budget=budget)
+        assert res.unknown and not res.definitely_absent
+        assert budget.exhausted and budget.spent == 2
+        budget = Budget(limit=2)
+        assert find_fr_triple(flower_snark(5), budget=budget).found
+        assert budget.spent == 2 and not budget.exhausted
+
+    def test_matching_cap_does_not_limit_the_search(self, monkeypatch):
+        want = find_fr_triple(flower_snark(5))
         monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 2)
-        assert find_fr_triple(flower_snark(5)).unknown
+        assert find_fr_triple(flower_snark(5)) == want
+
+    @pytest.mark.parametrize("make", [petersen, lambda: flower_snark(5), lambda: goldberg(5)],
+                             ids=["petersen", "J5", "G5"])
+    def test_never_lists_every_matching(self, monkeypatch, make):
+        want = enumerated_fr_triple(make())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_fr_triple listed every perfect matching")
+
+        for target in ("fulkerson_lab.fulkerson.enumerate_perfect_matchings",
+                       "fulkerson_lab.matchcolor.enumerate_perfect_matchings",
+                       "fulkerson_lab.matchcolor._perfect_matchings"):
+            monkeypatch.setattr(target, refuse)
+        assert find_fr_triple(make()) == want
+
+    # The first triples of the enumerating search (now `enumerated_fr_triple`),
+    # pinned from one run of it: J19 took 48 s, G9 6.6 s.
+    J19_TRIPLE = [
+        [0, 2, 4, 6, 8, 10, 12, 14, 16, 20, 22, 24, 26, 28, 30, 32, 34, 36, 56, 59, 62, 65, 68,
+         71, 74, 77, 80, 83, 86, 89, 92, 95, 98, 101, 104, 107, 110, 111],
+        [0, 2, 4, 6, 8, 10, 12, 14, 16, 20, 22, 24, 26, 28, 30, 32, 34, 37, 55, 58, 62, 65, 68,
+         71, 74, 77, 80, 83, 86, 89, 92, 95, 98, 101, 104, 107, 109, 111],
+        [1, 3, 5, 7, 9, 11, 13, 15, 17, 38, 40, 42, 44, 46, 48, 50, 52, 54, 56, 57, 61, 64, 67,
+         70, 73, 76, 79, 82, 85, 88, 91, 94, 97, 100, 103, 106, 109, 112],
+    ]
+    G9_TRIPLE = [
+        [0, 5, 6, 7, 12, 13, 14, 19, 20, 21, 26, 27, 28, 33, 34, 35, 40, 41, 42, 47, 48, 49, 54,
+         55, 57, 59, 62, 63, 69, 73, 79, 83, 89, 93, 99, 105],
+        [0, 5, 6, 7, 12, 13, 14, 19, 20, 21, 26, 27, 28, 33, 34, 35, 40, 41, 42, 47, 48, 49, 54,
+         59, 60, 61, 63, 64, 73, 74, 83, 84, 93, 94, 101, 102],
+        [1, 3, 8, 10, 15, 17, 22, 24, 29, 31, 36, 38, 43, 45, 51, 53, 58, 60, 62, 65, 66, 67, 69,
+         75, 76, 77, 79, 85, 86, 87, 89, 95, 96, 97, 98, 105],
+    ]
+
+    @pytest.mark.parametrize("make,want,pairs", [
+        (lambda: flower_snark(19), J19_TRIPLE, 2),
+        (lambda: goldberg(9), G9_TRIPLE, 4),
+    ], ids=["J19", "G9"])
+    def test_pinned_first_triples_come_fast(self, make, want, pairs):
+        g = make()
+        budget = Budget()
+        start = time.perf_counter()
+        res = find_fr_triple(g, budget=budget)
+        assert time.perf_counter() - start < 0.1
+        assert [sorted(m.members) for m in res.value.matchings] == want
+        assert budget.spent == pairs
+
+    @pytest.mark.parametrize("k,queries", [(4, 45), (5, 47)])
+    def test_an_edge_in_every_matching_ends_the_walk(self, k, queries):
+        # After the pairs (0, j), the queries on M_0's edges find the bridge,
+        # and absence is proved without asking the other pairs.
+        g = bridged_prisms(k)
+        budget = Budget()
+        res = find_fr_triple(g, budget)
+        assert res.definitely_absent
+        assert budget.spent == queries
+        assert res == enumerated_fr_triple(g)
+
+    def test_j21_past_the_matching_cap(self):
+        # 2^21 perfect matchings, more than the enumeration keeps
+        g = flower_snark(21)
+        res = find_fr_triple(g)
+        assert res.found
+        FRTriple(*(PerfectMatching(g, m.members) for m in res.value.matchings))
 
     def test_enumerate_starts_with_the_first_triple(self):
         g = petersen()
@@ -248,6 +341,20 @@ class TestFindFRTriple:
         res = enumerate_fr_triples(petersen(), budget=Budget(limit=1))
         assert not res.complete
         assert res.value == []
+
+
+class TestFRTripleOracle:
+    """The pair walk returns what the enumerate-then-scan search returns,
+    found or definitely absent, on connected cubic multigraphs, bridged ones
+    included (some of which have no triple)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_result_as_the_enumerating_search(self, data):
+        g = random_cubic_multigraph(data, max_order=12)
+        res = find_fr_triple(g)
+        assert res == enumerated_fr_triple(g)
+        assert res.complete
 
 
 class TestFindCovering:

@@ -26,6 +26,7 @@ from fulkerson_lab.graph_core import (
 from fulkerson_lab.matchcolor import (
     EdgeColoring,
     PerfectMatching,
+    _canonical_matchings,
     _perfect_matchings,
     color_classes_as_matchings,
     enumerate_perfect_matchings,
@@ -619,6 +620,46 @@ class TestPlainSearchOrder:
     def test_same_sequence_on_snarks(self, make):
         g = make()
         assert list(_perfect_matchings(g)) == list(naive_perfect_matchings(g))
+
+
+class TestCanonicalOrder:
+    """The lazy generator yields the perfect matchings avoiding its exclude
+    set in canonical order, on multigraphs with loops, parallel edges and
+    bridges, and its full listing is the enumeration's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sorted_plain_search_under_random_excludes(self, data):
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        exclude = frozenset(data.draw(st.sets(st.sampled_from(g.edge_ids()), max_size=6)))
+        want = sorted(naive_perfect_matchings(g, exclude=exclude), key=lambda m: tuple(sorted(m)))
+        assert list(_canonical_matchings(g, exclude)) == want
+
+    @pytest.mark.parametrize("make", [petersen, k33, lambda: flower_snark(5), lambda: goldberg(3),
+                                      lambda: doubled_matching_cycle(10)],
+                             ids=["petersen", "K33", "J5", "G3", "dmc10"])
+    def test_full_listing_is_the_enumeration(self, make):
+        g = make()
+        assert list(_canonical_matchings(g)) == [m.members for m in enumerate_perfect_matchings(g)]
+
+    def test_parallel_twin_survives_the_exclusion(self):
+        # theta: three parallel edges between two vertices
+        assert list(_canonical_matchings(theta(), frozenset([0]))) == [{1}, {2}]
+
+    # On J13 at most 26 searches build `mate` up front, and the first
+    # matching comes after 51 calls: the 30th falls in the descent to it,
+    # the 60th after it.
+    @pytest.mark.parametrize("fire_on,yielded", [(1, 0), (30, 0), (60, 1)])
+    def test_cancel_yields_none_and_stops(self, fire_on, yielded):
+        calls = []
+
+        def cancel():
+            calls.append(None)
+            return len(calls) >= fire_on
+
+        got = list(_canonical_matchings(flower_snark(13), cancel=cancel))
+        assert got[-1] is None and None not in got[:-1]
+        assert len(got) == yielded + 1 and len(calls) == fire_on
 
 
 def test_coloring_rejects_loops():
