@@ -49,9 +49,10 @@ class Budget:
     edge-colouring searches' nodes (lifts included), the exact cover's
     nodes, the index triples that `enumerate_fr_triples` and A1A2 scan, the
     matching queries that `find_fr_triple` asks, and the F-family search's
-    candidate placements.  Perfect-matching searches spend no nodes: they
-    call `cancel` themselves, and their callers set `exhausted` when it
-    fires.  A limit of None takes `default_node_budget()`.
+    candidate placements.  The two perfect-matching generators spend no
+    nodes: they ask stopped() before each oracle search and end once the
+    budget is exhausted, whether by a node search, a cancel or a read past
+    the matching cap.  A limit of None takes `default_node_budget()`.
     """
 
     limit: int | None = None
@@ -71,6 +72,12 @@ class Budget:
             self.exhausted = True
             return False
         return True
+
+    def stopped(self) -> bool:
+        """True once exhausted; else asks `cancel`, and a True answer exhausts the budget."""
+        if not self.exhausted and self.cancel is not None and self.cancel():
+            self.exhausted = True
+        return self.exhausted
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,14 @@ from .generators import DotProductResult, DotProductSpec, dot_product, petersen
 from .graph_core import CubicGraph, Cycle, CycleSet, GraphError, Matching
 from .matchcolor import (
     PerfectMatching,
-    enumerate_perfect_matchings,
     find_c5_two_factor,
+    find_perfect_matching,
     five_edge_coloring,
     shrink_to_gstar,
     two_factor_cycles,
     _as_matching,
     _as_perfect,
+    _capped_matchings,
     _first_two_factor,
     _member_positions,
     _odd_arcs,
@@ -392,8 +393,6 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
     shorter than 5 has no two disjoint edges, so such a matching is
     rejected before any set-up.
     """
-    if budget.exhausted:  # skip the set-up for the matchings left after the budget ran out
-        return
     factor = two_factor_cycles(g, m)
     cycles = factor.cycles
     if any(cyc.is_odd and len(cyc) < 5 for cyc in cycles):
@@ -479,15 +478,11 @@ def _checked_family(g: CubicGraph, m: PerfectMatching, members: Sequence[Iterabl
 
 
 def _families(g: CubicGraph, m: PerfectMatching | Iterable[int] | None,
-              budget: Budget) -> tuple[Iterator[FFamily], bool]:
-    """Families over m, or over every perfect matching, and whether that source is complete."""
-    if m is not None:
-        matchings: Sequence[PerfectMatching] = [_as_perfect(g, m)]
-        complete = True
-    else:
-        enum = enumerate_perfect_matchings(g, budget=budget)
-        matchings, complete = enum.matchings, not enum.truncated
-    return (fam for pm in matchings for fam in _ffamilies(g, pm, budget)), complete
+              budget: Budget) -> Iterator[FFamily]:
+    """Families over m, or over the capped canonical stream of matchings, which
+    ends once the budget is exhausted."""
+    matchings = [_as_perfect(g, m)] if m is not None else _capped_matchings(g, budget)
+    return (fam for pm in matchings for fam in _ffamilies(g, pm, budget))
 
 
 def find_ffamily(g: CubicGraph, m: PerfectMatching | Iterable[int] | None = None,
@@ -500,17 +495,15 @@ def find_ffamily(g: CubicGraph, m: PerfectMatching | Iterable[int] | None = None
     unknown when the budget is exceeded or cancelled.
     """
     budget = Budget() if budget is None else budget
-    families, complete = _families(g, m, budget)
-    fam = next(families, None)
-    return SearchResult(fam, fam is not None or (complete and not budget.exhausted))
+    fam = next(_families(g, m, budget), None)
+    return SearchResult(fam, fam is not None or not budget.exhausted)
 
 
 def enumerate_ffamilies(g: CubicGraph, budget: Budget | None = None) -> SearchResult[list[FFamily]]:
     """All F-families over all perfect matchings (canonical order, budget-capped)."""
     budget = Budget() if budget is None else budget
-    families, complete = _families(g, None, budget)
-    out = list(families)
-    return SearchResult(out, complete and not budget.exhausted)
+    out = list(_families(g, None, budget))
+    return SearchResult(out, not budget.exhausted)
 
 
 @dataclass(frozen=True)
@@ -726,7 +719,8 @@ def iterate_dot_sequence(base: CubicGraph, steps: Sequence[DotStep],
 
     The base graph's family is searched unless supplied; every intermediate
     family is verified by the transport operations themselves.  An F-family
-    search that runs out of budget raises `BudgetExhausted`, and an edge
+    search that runs out of budget, or a two-odd-cycle matching search that
+    reaches the matching cap, raises `BudgetExhausted`, and an edge
     option outside its graph (e1 and e2 in the accumulated graph, e3 in the
     factor) raises `StepOptionError`.
     """
@@ -777,14 +771,14 @@ def petersen_expansion() -> PetersenExpansion:
     ten chordless 5-cycles.
     """
     host = petersen()
-    host_m = enumerate_perfect_matchings(host)[0]
+    host_m = find_perfect_matching(host)
     current: CubicGraph = host
     pending = sorted(host_m.members)  # ids in the current graph, updated per step
     factor_edges: list[int] = []  # 2-factor edge ids in the current graph
 
     for _ in range(5):
         block = petersen()
-        block_m = enumerate_perfect_matchings(block)[0]
+        block_m = find_perfect_matching(block)
         e1, e2 = sorted(block_m.members)[:2]
         spec = DotProductSpec(e1=e1, e2=e2, e3=pending[0])
         product = dot_product(block, current, spec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Iterable, Iterator
 
 from .budget import Budget, BudgetExhausted, SearchResult
@@ -239,17 +239,6 @@ def iter_fr_triples(pms: PMEnumeration, budget: Budget) -> Iterator[FRTriple]:
         yield FRTriple(pms[i], pms[j], pms[k])
 
 
-def _next_matching(matchings: Iterator[frozenset[int] | None],
-                   budget: Budget) -> frozenset[int] | None:
-    """The next matching, or None at the end and when a cancel fires, which
-    marks the budget exhausted."""
-    for m in matchings:
-        if m is None:
-            budget.exhausted = True
-        return m
-    return None
-
-
 def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
     """The first FR-triple `iter_fr_triples` yields, found by oracle queries.
 
@@ -273,23 +262,20 @@ def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[
     search, yields an explicit unknown, never a claimed absence.
     """
     budget = Budget() if budget is None else budget
-    listing = _canonical_matchings(g, cancel=budget.cancel)
+    listing = _canonical_matchings(g, budget=budget)
     drawn: list[frozenset[int]] = []
 
     def have(j: int) -> bool:
         # Whether M_j exists, drawing it from the listing when it is next.
         if j == len(drawn):
-            m = _next_matching(listing, budget)
-            if m is None:
-                return False
-            drawn.append(m)
-        return True
+            drawn.extend(islice(listing, 1))
+        return j < len(drawn)
 
     def avoiding(s: frozenset[int]) -> frozenset[int] | None:
         # One query for one node: the first matching that avoids s.
         if not budget.spend():
             return None
-        return _next_matching(_canonical_matchings(g, s, budget.cancel), budget)
+        return next(_canonical_matchings(g, s, budget=budget), None)
 
     i = 0
     while have(i):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -628,3 +629,45 @@ class TestPatchPoints:
         code, _, _ = run(capsys, "pipeline", str(recipe))
         assert code == 0
         assert calls == ["petersen"] * 3
+
+
+class TestFirstMatchReach:
+    """Searches that stop at a first match read the lazy canonical stream:
+    outputs as when they listed every matching, at a fraction of the time,
+    and "unknown" rather than "absent" past the matching cap."""
+
+    # stdout of the listing searches, pinned from one run of them (J15 took
+    # 1.4 s and the flower pipeline 13.8 s)
+    J15_FFAMILY_SHA256 = "fefaca5fc64e9a464d2adcb4fb5ef36dfc5f40b88dc168ab02e7a03c1bfd13ec"
+    FLOWER17_PIPELINE_SHA256 = "74090a52c05f64bf79bcf4d73aca313b4bc3462350074ff7a6dfb56d44748336"
+
+    def test_search_j15_ffamily(self, capsys, tmp_path):
+        path = tmp_path / "j15.graph"
+        path.write_text(write_graph_file(flower_snark(15)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "search", str(path), "ffamily")
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.J15_FFAMILY_SHA256
+
+    def test_flower17_pipeline(self, capsys, tmp_path):
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base flower 17\ndot type1 petersen\ndot type2 petersen\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "pipeline", str(recipe))
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FLOWER17_PIPELINE_SHA256
+
+    # ten-c5's first matching with a two-odd-cycle 2-factor is its 9th of 9
+    @pytest.mark.parametrize("cap,exit_code", [(None, 0), (9, 0), (8, 3), (2, 3)])
+    def test_ten_c5_factor_past_the_cap_exits_three(self, capsys, tmp_path, monkeypatch,
+                                                    cap, exit_code):
+        if cap is not None:
+            monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", cap)
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\ndot type2 ten-c5\n")
+        code, _, err = run(capsys, "pipeline", str(recipe))
+        assert code == exit_code
+        if exit_code:
+            assert err.startswith("pipeline failed: step 1 failed: none of the first")

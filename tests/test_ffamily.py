@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -24,9 +25,12 @@ from fulkerson_lab.graph_core import (
     cyclic_edge_connectivity_at_least,
     is_bridgeless,
 )
+from fulkerson_lab import ffamily, fulkerson, matchcolor
 from fulkerson_lab.matchcolor import (
     PerfectMatching,
     enumerate_perfect_matchings,
+    find_c5_two_factor,
+    find_perfect_matching,
     three_edge_coloring,
     two_factor_cycles,
 )
@@ -46,6 +50,7 @@ from fulkerson_lab.ffamily import (
     _cycle_condition,
     _end_labels,
     _ffamilies,
+    _first_two_odd_cycle_pm,
     find_ffamily,
     iterate_dot_sequence,
     petersen_expansion,
@@ -757,3 +762,54 @@ class TestOracleDifferential:
         g = random_cubic_multigraph(data, max_order=10, bridgeless=True)
         for m in brute_force_perfect_matchings(g):
             assert find_ffamily(g, m=m).found == ffamily_exists(g, m)
+
+
+class TestFirstMatchStream:
+    """Searches that stop at a first match read the lazy canonical stream,
+    never a full listing, and past the matching cap they answer unknown."""
+
+    @pytest.mark.parametrize("search", [
+        lambda: find_ffamily(flower_snark(9)).found,
+        lambda: find_c5_two_factor(petersen_expansion().graph) is not None,
+        lambda: _first_two_odd_cycle_pm(flower_snark(17)) is not None,
+        lambda: find_perfect_matching(goldberg(7)) is not None,
+        lambda: petersen_expansion().graph.num_vertices == 50,
+    ], ids=["find_ffamily-J9", "find_c5_two_factor", "_first_two_odd_cycle_pm",
+            "find_perfect_matching", "petersen_expansion"])
+    def test_never_lists_every_matching(self, monkeypatch, search):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a first-match search listed every perfect matching")
+
+        for module in (matchcolor, fulkerson, ffamily):
+            if hasattr(module, "enumerate_perfect_matchings"):
+                monkeypatch.setattr(module, "enumerate_perfect_matchings", refuse)
+        monkeypatch.setattr(matchcolor, "_perfect_matchings", refuse)
+        assert search()
+
+    def test_c5_factor_past_the_cap_is_unknown(self, monkeypatch):
+        # the expansion's first chordless-C5 2-factor is that of its 899th
+        # matching of 1,286
+        g = petersen_expansion().graph
+        want = find_c5_two_factor(g)
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 899)
+        assert find_c5_two_factor(g) == want
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 100)
+        with pytest.raises(BudgetExhausted, match="first 100 perfect matchings"):
+            find_c5_two_factor(g)
+
+    def test_family_search_past_the_cap_is_unknown(self, monkeypatch):
+        # G5 has no F-family, but only its first two matchings are read
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 2)
+        budget = Budget()
+        res = find_ffamily(goldberg(5), budget=budget)
+        assert res.unknown and budget.exhausted
+        assert not enumerate_ffamilies(goldberg(5)).complete
+
+    def test_two_odd_cycle_matching_of_a_large_flower_snark_comes_fast(self):
+        g = flower_snark(17)
+        start = time.perf_counter()
+        m, cycles = _first_two_odd_cycle_pm(g)
+        assert time.perf_counter() - start < 0.1
+        # the canonical first matching already leaves two odd cycles
+        assert m == find_perfect_matching(g)
+        assert sorted(len(c) for c in cycles) == [19, 49]

@@ -115,12 +115,11 @@ class TestEnumeratePerfectMatchings:
 
 
 class TestFindPerfectMatching:
-    def test_first_in_search_order_not_canonical_order(self):
-        g = goldberg(5)
-        found = sorted(find_perfect_matching(g).members)
-        canonical = sorted(enumerate_perfect_matchings(g)[0].members)
-        assert found[:3] == [3, 4, 5]
-        assert canonical[:3] == [0, 5, 6]
+    @pytest.mark.parametrize("make", [petersen, lambda: flower_snark(5), lambda: goldberg(5)],
+                             ids=["petersen", "J5", "G5"])
+    def test_first_in_canonical_order(self, make):
+        g = make()
+        assert find_perfect_matching(g) == enumerate_perfect_matchings(g)[0]
 
     def test_every_petersen_edge_extends(self):
         g = petersen()
@@ -156,8 +155,9 @@ class TestFindPerfectMatching:
         with pytest.raises(GraphError):
             find_perfect_matching(petersen(), exclude=EdgeSet(k4(), [0, 1, 2]))
 
-    # The first matchings of the plain depth-first search, which the pruned
-    # search must return unchanged.
+    # The first matchings in canonical order.  J15, J17 and J19 were pinned
+    # from the depth-first search, whose first matching is the canonical
+    # one there; G7 was re-pinned when the canonical order took over.
     @pytest.mark.parametrize("make,first", [
         (lambda: flower_snark(15),
          [0, 2, 4, 6, 8, 10, 12, 16, 18, 20, 22, 24, 26, 28, 44, 47, 50, 53, 56, 59, 62, 65,
@@ -169,8 +169,8 @@ class TestFindPerfectMatching:
          [0, 2, 4, 6, 8, 10, 12, 14, 16, 20, 22, 24, 26, 28, 30, 32, 34, 36, 56, 59, 62, 65,
           68, 71, 74, 77, 80, 83, 86, 89, 92, 95, 98, 101, 104, 107, 110, 111]),
         (lambda: goldberg(7),
-         [3, 4, 5, 6, 10, 11, 12, 13, 17, 18, 19, 20, 24, 25, 26, 27, 31, 32, 33, 34, 38, 39,
-          40, 41, 45, 46, 47, 48]),
+         [0, 5, 6, 7, 12, 13, 14, 19, 20, 21, 26, 27, 28, 33, 34, 35, 40, 41, 43, 45, 48, 49,
+          55, 59, 65, 69, 75, 81]),
     ])
     def test_pinned_first_matchings(self, make, first):
         assert sorted(find_perfect_matching(make()).members) == first
@@ -236,6 +236,7 @@ class TestBalanced:
             raise AssertionError("is_m_balanced ran a perfect-matching search")
 
         monkeypatch.setattr("fulkerson_lab.matchcolor._perfect_matchings", no_search)
+        monkeypatch.setattr("fulkerson_lab.matchcolor._canonical_matchings", no_search)
         k = 25
         g = flower_snark(k)
         # each claw centre t_i takes x_i; the y-z 2k-cycle (edge ids k..3k-1) alternates
@@ -593,28 +594,16 @@ class TestOracleDifferential:
 
 
 class TestPlainSearchOrder:
-    """The pruned engine yields exactly what the plain depth-first search
-    yields, in the same order, on multigraphs with loops and parallel edges
-    under random include and exclude sets."""
+    """The pruned lister yields exactly what the plain depth-first search
+    yields, in the same order, on multigraphs with loops and parallel edges."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_same_sequence_as_the_plain_search(self, data):
         g = random_cubic_multigraph(data, max_order=12, loops=True)
-        include: set[int] = set()
-        ends: set[int] = set()
-        for e in data.draw(st.lists(st.sampled_from(g.edge_ids()), max_size=3)):
-            u, v = g.endpoints(e)
-            if u != v and not {u, v} & ends:
-                include.add(e)
-                ends |= {u, v}
-        others = sorted(set(g.edge_ids()) - include)
-        exclude = frozenset(data.draw(st.sets(st.sampled_from(others), max_size=5)))
-        include = frozenset(include)
-        got = list(_perfect_matchings(g, include, exclude))
-        assert got == list(naive_perfect_matchings(g, include, exclude))
-        assert sorted(got, key=lambda m: tuple(sorted(m))) == [
-            m for m in brute_force_perfect_matchings(g) if include <= m and not m & exclude]
+        got = list(_perfect_matchings(g))
+        assert got == list(naive_perfect_matchings(g))
+        assert sorted(got, key=lambda m: tuple(sorted(m))) == brute_force_perfect_matchings(g)
 
     @pytest.mark.parametrize("make", [lambda: flower_snark(9), lambda: goldberg(5), petersen])
     def test_same_sequence_on_snarks(self, make):
@@ -650,16 +639,57 @@ class TestCanonicalOrder:
     # matching comes after 51 calls: the 30th falls in the descent to it,
     # the 60th after it.
     @pytest.mark.parametrize("fire_on,yielded", [(1, 0), (30, 0), (60, 1)])
-    def test_cancel_yields_none_and_stops(self, fire_on, yielded):
+    def test_cancel_exhausts_the_budget_and_stops(self, fire_on, yielded):
         calls = []
 
         def cancel():
             calls.append(None)
             return len(calls) >= fire_on
 
-        got = list(_canonical_matchings(flower_snark(13), cancel=cancel))
-        assert got[-1] is None and None not in got[:-1]
-        assert len(got) == yielded + 1 and len(calls) == fire_on
+        budget = Budget(limit=0, cancel=cancel)
+        got = list(_canonical_matchings(flower_snark(13), budget=budget))
+        assert len(got) == yielded and len(calls) == fire_on
+        assert budget.exhausted and budget.spent == 0
+
+    @pytest.mark.parametrize("generator", [_canonical_matchings, _perfect_matchings])
+    @pytest.mark.parametrize("make", [petersen, lambda: CubicGraph(0, [])], ids=["petersen", "empty"])
+    def test_an_exhausted_budget_yields_nothing(self, generator, make):
+        budget = Budget(limit=0)
+        assert not budget.spend()
+        assert list(generator(make(), budget=budget)) == []
+
+    @pytest.mark.parametrize("generator", [_canonical_matchings, _perfect_matchings])
+    def test_exhaustion_between_draws_ends_the_stream(self, generator):
+        budget = Budget(limit=0)
+        stream = generator(flower_snark(5), budget=budget)
+        assert next(stream) is not None
+        budget.spend()  # a reader's own search runs out
+        assert list(stream) == []
+
+
+class TestFirstMatchDifferential:
+    """`find_perfect_matching` gives the canonical-first matching holding
+    `include` and avoiding `exclude`, on multigraphs with loops and parallel
+    edges."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_canonical_first_of_the_plain_search(self, data):
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        include: set[int] = set()
+        ends: set[int] = set()
+        for e in data.draw(st.lists(st.sampled_from(g.edge_ids()), max_size=3)):
+            u, v = g.endpoints(e)
+            if u != v and not {u, v} & ends:
+                include.add(e)
+                ends |= {u, v}
+        others = sorted(set(g.edge_ids()) - include)
+        exclude = frozenset(data.draw(st.sets(st.sampled_from(others), max_size=5)))
+        include = frozenset(include)
+        found = find_perfect_matching(g, include, exclude)
+        want = min(naive_perfect_matchings(g, include, exclude),
+                   key=lambda m: tuple(sorted(m)), default=None)
+        assert (None if found is None else found.members) == want
 
 
 def test_coloring_rejects_loops():
