@@ -46,13 +46,15 @@ class Budget:
 
     Searches call spend() once per explored node; a False return means the
     search must unwind and report an incomplete result.  The nodes are the
-    edge-colouring searches' nodes (lifts included), the exact cover's
-    nodes, the index triples that `enumerate_fr_triples` and A1A2 scan, the
-    matching queries that `find_fr_triple` asks, and the F-family search's
-    candidate placements.  The two perfect-matching generators spend no
-    nodes: they ask stopped() before each oracle search and end once the
-    budget is exhausted, whether by a node search, a cancel or a read past
-    the matching cap.  A limit of None takes `default_node_budget()`.
+    edge-colouring searches' nodes (lifts included), the perfect matchings
+    that `three_edge_coloring` draws alongside its colouring search (one
+    node each), the exact cover's nodes, the index triples that
+    `enumerate_fr_triples` and A1A2 scan, the matching queries that
+    `find_fr_triple` asks, and the F-family search's candidate placements.
+    The two perfect-matching generators spend no nodes themselves: they ask
+    stopped() before each oracle search and end once the budget is
+    exhausted, whether by a node search, a cancel or a read past the
+    matching cap.  A limit of None takes `default_node_budget()`.
     """
 
     limit: int | None = None

@@ -457,8 +457,13 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     exact multiset cover over enumerated matchings; A1A2 searches disjoint
     matching pairs whose splits are both 3-edge-colorable.  AUTO cascades
     the three, enumerating the perfect matchings once for the last two.
-    When the colour stage spends the budget, AUTO stops there: absent if g
-    has no perfect matching (one search, no enumeration), else unknown.
+
+    The coloring is `three_edge_coloring`'s: a perfect matching m with an
+    even 2-factor gives m color 0 and alternates 1, 2 around each cycle of
+    G - m from its lowest edge id, unless the coloring search finishes
+    first.  COLOR without a coloring is unknown, never absent.  When the
+    colour stage spends the budget, AUTO stops there: absent if g has no
+    perfect matching (one search, no enumeration), else unknown.
     """
     strat = strategy.lower()
     if strat not in _STRATEGIES:

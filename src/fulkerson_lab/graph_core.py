@@ -9,7 +9,7 @@ therefore safe to share between concurrent searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -428,24 +428,45 @@ def cycle_decomposition(g: MultiGraph, s: EdgeSet | Iterable[int]) -> CycleSet:
         # name the bad vertex that the edges, taken in ascending id, reach first
         v = min(bad, key=lambda v: (at[v][0], g.endpoints(at[v][0])[0] != v))
         raise GraphError(f"vertex {v} has degree {len(at[v])} in the edge set, expected 2")
-    place: list[tuple[int, int] | None] = [None] * g.num_vertices
-    cycles = []
-    for start in g.vertices():
-        if place[start] is not None or not at[start]:
+    return _cycle_set(g, at)
+
+
+def _cycle_walk(g: MultiGraph, at: Sequence[Sequence[int]],
+                place: list[tuple[int, int] | None]) -> Iterator[tuple[list[int], list[int]]]:
+    """The cycles of an edge set, lazily, as (vertices, edges) lists.
+
+    at[v] lists the set's edges at v, ascending: two on a cycle, none off
+    it, and no loop.  Cycles come in order of their lowest vertex; each
+    starts there and steps first to the lower neighbour, the lower edge id
+    breaking a tie.  place[v] gets (cycle index, position) as the walk
+    passes v, and a vertex already placed starts no cycle.
+    """
+    index = 0
+    for start, two in enumerate(at):
+        if place[start] is not None or not two:
             continue
-        # Choose the first step: lower neighbor vertex, edge id breaking ties.
-        e = min(at[start], key=lambda e: (g.other_end(e, start), e))
+        e, f = two
+        if g.other_end(f, start) < g.other_end(e, start):
+            e = f
         verts = [start]
         edges = [e]
-        place[start] = (len(cycles), 0)
+        place[start] = (index, 0)
         cur = g.other_end(e, start)
         while cur != start:
-            place[cur] = (len(cycles), len(verts))
+            place[cur] = (index, len(verts))
             verts.append(cur)
-            e = at[cur][at[cur][0] == e]  # the other edge of the set at cur
+            x, y = at[cur]
+            e = y if x == e else x  # the other edge of the set at cur
             edges.append(e)
             cur = g.other_end(e, cur)
-        cycles.append(Cycle(tuple(verts), tuple(edges)))
-    found = CycleSet(tuple(cycles))
+        yield verts, edges
+        index += 1
+
+
+def _cycle_set(g: MultiGraph, at: Sequence[Sequence[int]]) -> CycleSet:
+    """Every cycle `_cycle_walk` finds, with `CycleSet.place` filled in."""
+    place: list[tuple[int, int] | None] = [None] * g.num_vertices
+    found = CycleSet(tuple(Cycle(tuple(verts), tuple(edges))
+                           for verts, edges in _cycle_walk(g, at, place)))
     object.__setattr__(found, "place", tuple(place))  # the frozen field no caller sets
     return found

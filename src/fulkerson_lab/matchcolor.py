@@ -23,6 +23,8 @@ from .graph_core import (
     Matching,
     MultiGraph,
     _components,
+    _cycle_set,
+    _cycle_walk,
     cycle_decomposition,
 )
 
@@ -584,7 +586,7 @@ def split_and_suppress(
 
 
 def _edge_colorings(g: MultiGraph, colors: int,
-                    budget: Budget | None = None) -> Iterator[tuple[int, ...]]:
+                    budget: Budget | None = None) -> Iterator[tuple[int, ...] | None]:
     """Proper edge colorings by deterministic backtracking on an explicit stack.
 
     Pre-colors the lowest non-isolated vertex's edges 0, 1, 2, ..., which
@@ -594,6 +596,8 @@ def _edge_colorings(g: MultiGraph, colors: int,
     included, spends one budget node; the search stops when the budget
     runs out.  The uncolored edges sit in buckets by their number of free
     colors, so a node costs time in proportion to one bucket, not to m.
+    A leaf yields its coloring and every other node yields None, so a
+    caller can run the search node by node.
     """
     m = g.num_edges
     if g.has_loops():
@@ -647,6 +651,7 @@ def _edge_colorings(g: MultiGraph, colors: int,
             free = full & ~(used[u] | used[v])
             if free:
                 stack.append([e, [c for c in range(colors) if free >> c & 1], 0])
+            yield None
         # Backtrack to the deepest edge with an untried color and place it.
         while stack:
             frame = stack[-1]
@@ -663,10 +668,77 @@ def _edge_colorings(g: MultiGraph, colors: int,
             return
 
 
+def _first_coloring(g: MultiGraph, colors: int, budget: Budget | None) -> EdgeColoring | None:
+    """The first coloring `_edge_colorings` finds, or None."""
+    sol = next((s for s in _edge_colorings(g, colors, budget) if s is not None), None)
+    return None if sol is None else EdgeColoring(g, sol, colors)
+
+
+def _tait_coloring(g: MultiGraph, others: list[dict[int, tuple[int, int]]],
+                   m: frozenset[int]) -> tuple[int, ...] | None:
+    """The 3-edge-coloring a perfect matching gives when its 2-factor has no odd cycle.
+
+    others[v][e] is the pair of v's other two edges, ascending.  m takes
+    color 0; on each cycle of G - m the lowest edge id takes color 1, and
+    the colors alternate 1, 2 from it.  None at the first odd cycle.
+    """
+    at: list[tuple[int, ...]] = [()] * g.num_vertices
+    for e in m:
+        u, w = g.endpoints(e)
+        at[u] = others[u][e]
+        at[w] = others[w][e]
+    assignment = [0] * g.num_edges
+    for _, edges in _cycle_walk(g, at, [None] * g.num_vertices):
+        if len(edges) % 2:
+            return None
+        low = edges.index(min(edges))
+        for i, e in enumerate(edges):
+            assignment[e] = 1 + (i - low) % 2
+    return tuple(assignment)
+
+
+# Coloring-search nodes run per perfect matching drawn, in `three_edge_coloring`.
+# The matching stream refutes the flower snarks J_k first and the node
+# search the Goldberg snarks G_k; a draw costs about as much as 15 nodes.
+# Of k = 4 ... 16, 8 gave about the lowest total on J9, J11, G5 and G7
+# (CHANGES.md).
+NODES_PER_MATCHING = 8
+
+
 def three_edge_coloring(g: MultiGraph, budget: Budget | None = None) -> EdgeColoring | None:
-    """A proper 3-edge-coloring, or None when none exists."""
-    sol = next(_edge_colorings(g, 3, budget), None)
-    return None if sol is None else EdgeColoring(g, sol, 3)
+    """A proper 3-edge-coloring, or None: absent, or unknown when `budget` is exhausted.
+
+    On loopless 3-regular input two searches alternate, counted in work:
+    one perfect matching drawn from the canonical stream for one budget
+    node, then `NODES_PER_MATCHING` nodes of the coloring search.  By
+    Tait's equivalence a matching m whose 2-factor G - m has no odd cycle
+    gives a coloring: m takes color 0, and on each cycle the lowest edge id
+    takes color 1, the colors alternating 1, 2 after it.  The first search
+    to finish decides, and one that runs out with budget to spare proves
+    absence.  Other input runs the coloring search alone; a loop refutes at
+    once.
+    """
+    if g.has_loops() or any(len(g.incident(v)) != 3 for v in g.vertices()):
+        return _first_coloring(g, 3, budget)
+    colorings = _edge_colorings(g, 3, budget)
+    matchings = _canonical_matchings(g, budget=budget)
+    others = [{a: (b, c), b: (a, c), c: (a, b)} for a, b, c in map(g.incident, g.vertices())]
+    while True:
+        if budget is not None and not budget.spend():
+            return None
+        m = next(matchings, None)
+        if m is None:
+            return None  # the stream ended
+        sol = _tait_coloring(g, others, m)
+        if sol is not None:
+            return EdgeColoring(g, sol, 3)
+        steps = 0
+        for sol in islice(colorings, NODES_PER_MATCHING):
+            if sol is not None:
+                return EdgeColoring(g, sol, 3)
+            steps += 1
+        if steps < NODES_PER_MATCHING:
+            return None  # the coloring search ended
 
 
 def three_edge_colorable(s: SuppressedGraph,
@@ -695,7 +767,8 @@ def enumerate_three_edge_colorings(g: MultiGraph) -> list[EdgeColoring]:
     Each orbit is represented by its lexicographically minimal assignment;
     the list is sorted by that assignment.
     """
-    reps = sorted({_canonical_color_form(sol, 3) for sol in _edge_colorings(g, 3)})
+    reps = sorted({_canonical_color_form(sol, 3) for sol in _edge_colorings(g, 3)
+                   if sol is not None})
     return [EdgeColoring(g, rep, 3) for rep in reps]
 
 
@@ -742,9 +815,16 @@ def kempe_exchange(c: EdgeColoring, x: int, y: int,
 
 
 def two_factor_cycles(g: CubicGraph, m: PerfectMatching | Iterable[int]) -> CycleSet:
-    """Cycles of the 2-factor complementary to a perfect matching."""
+    """Cycles of the 2-factor complementary to a perfect matching.
+
+    The `CycleSet` that `cycle_decomposition` gives for G - m, place
+    included, from one walk with no edge-set check beyond m's own.
+    """
     m = _as_perfect(g, m)
-    return cycle_decomposition(g, set(g.edge_ids()) - m.members)
+    at = [[e for e in g.incident(v) if e not in m.members] for v in g.vertices()]
+    if not isinstance(g, CubicGraph) and (g.has_loops() or any(len(two) != 2 for two in at)):
+        raise GraphError("a perfect matching leaves a 2-factor only in a loopless cubic graph")
+    return _cycle_set(g, at)
 
 
 def _member_positions(g: MultiGraph, cycles: CycleSet,
@@ -864,5 +944,4 @@ def five_edge_coloring(gstar: MultiGraph, budget: Budget | None = None) -> EdgeC
     for v in gstar.vertices():
         if gstar.degree(v) != 5:
             raise GraphError(f"vertex {v} has degree {gstar.degree(v)}, expected 5")
-    sol = next(_edge_colorings(gstar, 5, budget), None)
-    return None if sol is None else EdgeColoring(gstar, sol, 5)
+    return _first_coloring(gstar, 5, budget)

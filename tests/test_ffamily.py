@@ -221,19 +221,18 @@ class TestFindFFamily:
         assert res.unknown
 
     def test_cancel_during_the_search_reports_unknown(self):
-        # The perfect matchings are listed first, and they call cancel
-        # themselves; then each node calls it once.  Fire halfway through the nodes.
-        def run(fire_on):
-            calls = []
-            budget = Budget(cancel=lambda: calls.append(None) or len(calls) == fire_on)
-            return find_ffamily(flower_snark(9), budget=budget), budget, len(calls)
-
-        res, budget, total = run(None)
-        assert res.found
-        spent = budget.spent
-        res, budget, _ = run(total - spent // 2)
+        # The matching stream asks cancel before its blossom searches and
+        # each node asks it once, interleaved as the matchings are drawn.
+        # A cancel keyed to the nodes spent fires halfway through a full
+        # run wherever the stream's own calls fall.
+        full = Budget()
+        assert find_ffamily(flower_snark(9), budget=full).found
+        half = full.spent // 2
+        assert half > 0
+        budget = Budget(cancel=lambda: budget.spent >= half)
+        res = find_ffamily(flower_snark(9), budget=budget)
         assert res.unknown
-        assert budget.spent == spent - spent // 2
+        assert budget.exhausted and budget.spent == half
 
     def test_enumerate_families_petersen(self):
         res = enumerate_ffamilies(petersen())

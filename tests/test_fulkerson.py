@@ -201,8 +201,9 @@ class TestLift:
             fr_triple_from_matchings(petersen(), [], [])
 
     def test_lift_that_runs_out_of_its_budget_raises_budget_exhausted(self):
+        # One node would already draw the first matching, which colors this split.
         with pytest.raises(BudgetExhausted):
-            fr_triple_from_matchings(petersen(), [0, 3, 6], [4, 11, 13], Budget(limit=1))
+            fr_triple_from_matchings(petersen(), [0, 3, 6], [4, 11, 13], Budget(limit=0))
 
     def test_budgeted_lift_of_an_uncolorable_split_is_still_a_lift_error(self):
         budget = Budget()
@@ -730,3 +731,11 @@ class TestGoldbergCoverings:
         assert verify_covering(g, res.value).ok
         # class 2, so Fulkerson coverings are automatically proper
         assert is_proper(res.value)
+
+    def test_a1a2_covering_verifies(self):
+        # G5's A1A2 covering comes from lift colourings that the matching
+        # stream can decide, so it is checked, not pinned.
+        g = goldberg(5)
+        res = find_fulkerson_covering(g, "a1a2", budget=Budget(limit=2_000_000))
+        assert res.found
+        assert verify_covering(g, res.value).ok

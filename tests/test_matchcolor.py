@@ -1,6 +1,7 @@
-import pytest
+import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fulkerson_lab.budget import Budget
@@ -23,10 +24,13 @@ from fulkerson_lab.graph_core import (
     MultiGraph,
     cycle_decomposition,
 )
+from fulkerson_lab import matchcolor
 from fulkerson_lab.matchcolor import (
+    NODES_PER_MATCHING,
     EdgeColoring,
     PerfectMatching,
     _canonical_matchings,
+    _first_coloring,
     _perfect_matchings,
     color_classes_as_matchings,
     enumerate_perfect_matchings,
@@ -47,6 +51,7 @@ from fulkerson_lab.matchcolor import (
 from oracles import (
     balanced_subsets,
     brute_force_perfect_matchings,
+    colorable_via_matching_partition,
     count_proper_colorings,
     naive_perfect_matchings,
     random_cubic_multigraph,
@@ -467,6 +472,31 @@ class TestTwoFactor:
             frozenset(names[str(j)] for j in range(1, 6)),
         }
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_same_cycles_and_places_as_the_decomposition(self, data):
+        g = random_cubic_multigraph(data, max_order=12, bridgeless=True)
+        for m in brute_force_perfect_matchings(g):
+            got = two_factor_cycles(g, m)
+            want = cycle_decomposition(g, set(g.edge_ids()) - m)
+            assert got == want
+            assert got.place == want.place
+            # The two share one walk, so check its order on its own too:
+            # cycles by lowest vertex, each from there toward the lower
+            # neighbour, the lower edge id first between parallels.
+            assert got.covered_edges() == frozenset(g.edge_ids()) - m
+            starts = [cyc.vertices[0] for cyc in got]
+            assert starts == sorted(starts)
+            for cyc in got:
+                assert cyc.vertices[0] == min(cyc.vertices)
+                assert (cyc.vertices[1], cyc.edges[0]) < (cyc.vertices[-1], cyc.edges[-1])
+
+    def test_rejects_a_graph_with_a_loop(self):
+        # 3-regular, but the loop at 0 stays in G - m
+        g = MultiGraph(2, [(0, 0), (0, 1), (1, 1)])
+        with pytest.raises(GraphError):
+            two_factor_cycles(g, [1])
+
 
 class TestC5Structure:
     def test_petersen_found(self):
@@ -554,15 +584,118 @@ class TestDepthAndNodeCounts:
         g = doubled_matching_cycle(700)
         assert EdgeColoring(g, three_edge_coloring(g).assignment, 3)
 
+    # The coloring search alone, as five_edge_coloring and non-cubic input run it.
     @pytest.mark.parametrize("make,spent", [
         (petersen, 33), (lambda: flower_snark(5), 358), (lambda: goldberg(5), 900),
         (cube_q3, 10), (lambda: flower_snark(7), 2402), (lambda: flower_snark(9), 13541),
     ])
     def test_coloring_node_counts(self, make, spent):
         budget = Budget(limit=5_000_000)
-        three_edge_coloring(make(), budget=budget)
+        _first_coloring(make(), 3, budget)
         assert budget.spent == spent
         assert not budget.exhausted
+
+    # The coloring search run alongside the matching stream: nodes plus
+    # matchings drawn.  The flower snarks are refuted by the stream, J13 in
+    # 8,193 matchings where the coloring search alone spends 344,485 nodes;
+    # Q3 and the pairing-model graph are colored by a matching.
+    @pytest.mark.parametrize("make,spent,found", [
+        (petersen, 38, False), (lambda: flower_snark(5), 289, False),
+        (lambda: goldberg(5), 1013, False), (cube_q3, 1, True),
+        (lambda: flower_snark(7), 1153, False), (lambda: flower_snark(9), 4609, False),
+        (lambda: flower_snark(13), 73729, False), (lambda: pairing_model(300, seed=1), 253, True),
+    ], ids=["petersen", "J5", "G5", "Q3", "J7", "J9", "J13", "pairing300"])
+    def test_three_edge_coloring_node_counts(self, make, spent, found):
+        g = make()
+        budget = Budget(limit=5_000_000)
+        col = three_edge_coloring(g, budget=budget)
+        assert (col is not None) == found
+        assert budget.spent == spent < 100_000
+        assert not budget.exhausted
+
+
+def pairing_model(n: int, seed: int) -> CubicGraph:
+    """A seeded pairing-model cubic multigraph, redrawn until it has no loop."""
+    rng = random.Random(seed)
+    points = list(range(3 * n))
+    while True:
+        rng.shuffle(points)
+        pairs = [(points[i] // 3, points[i + 1] // 3) for i in range(0, 3 * n, 2)]
+        if all(u != v for u, v in pairs):
+            return CubicGraph(n, pairs)
+
+
+class TestColoringByMatchings:
+    """`three_edge_coloring` runs the coloring search alongside the canonical
+    matching stream; either may decide."""
+
+    # k = 0 runs the matching stream alone, k = 10**9 the coloring search alone.
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_colorable_iff_three_matchings_partition_the_edges(self, data):
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        colorable = colorable_via_matching_partition(g)
+        for k in (0, 1, NODES_PER_MATCHING, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matchcolor, "NODES_PER_MATCHING", k)
+                col = three_edge_coloring(g)
+            assert (col is not None) == colorable
+            if col is not None:
+                assert EdgeColoring(g, col.assignment, 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_the_stream_colors_by_the_lowest_edge_rule(self, data):
+        # The first matching, in canonical order, whose 2-factor is even
+        # takes color 0; on each cycle the lowest edge takes color 1 and the
+        # colors alternate from it, whichever way the cycle is walked.
+        g = random_cubic_multigraph(data, max_order=12)
+        want = None
+        for m in brute_force_perfect_matchings(g):
+            cycles = cycle_decomposition(g, set(g.edge_ids()) - m)
+            if all(len(cyc) % 2 == 0 for cyc in cycles):
+                want = [0] * g.num_edges
+                for cyc in cycles:
+                    low = cyc.edges.index(min(cyc.edges))
+                    for i, e in enumerate(cyc.edges):
+                        want[e] = 1 + (i - low) % 2
+                want = tuple(want)
+                break
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matchcolor, "NODES_PER_MATCHING", 0)
+            col = three_edge_coloring(g)
+        assert (None if col is None else col.assignment) == want
+
+    def test_one_node_budget_is_unknown(self):
+        budget = Budget(limit=1)
+        assert three_edge_coloring(pairing_model(300, seed=1), budget=budget) is None
+        assert budget.exhausted
+
+    # The search spends one node for the first matching, then the stream
+    # asks cancel before its first blossom search.
+    @pytest.mark.parametrize("fire_on", [2, 500, 3000])
+    def test_cancel_inside_the_stream_is_unknown(self, fire_on):
+        calls = []
+
+        def cancel():
+            calls.append(None)
+            return len(calls) >= fire_on
+
+        budget = Budget(cancel=cancel)
+        assert three_edge_coloring(flower_snark(9), budget=budget) is None
+        assert budget.exhausted and len(calls) == fire_on
+        if fire_on == 2:
+            assert budget.spent == 1
+
+    def test_lists_no_matchings(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("three_edge_coloring listed perfect matchings")
+
+        monkeypatch.setattr(matchcolor, "enumerate_perfect_matchings", refuse)
+        monkeypatch.setattr(matchcolor, "_perfect_matchings", refuse)
+        assert three_edge_coloring(flower_snark(9)) is None
+        assert three_edge_coloring(pairing_model(300, seed=1)) is not None
+        assert three_edge_coloring(cube_q3()) is not None
 
 
 class TestOracleDifferential:
