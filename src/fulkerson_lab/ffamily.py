@@ -481,7 +481,8 @@ def _families(g: CubicGraph, m: PerfectMatching | Iterable[int] | None,
               budget: Budget) -> Iterator[FFamily]:
     """Families over m, or over the capped canonical stream of matchings, which
     ends once the budget is exhausted."""
-    matchings = [_as_perfect(g, m)] if m is not None else _capped_matchings(g, budget)
+    matchings = ([_as_perfect(g, m)] if m is not None
+                 else (PerfectMatching(g, s) for s in _capped_matchings(g, budget)))
     return (fam for pm in matchings for fam in _ffamilies(g, pm, budget))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
 from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition
@@ -30,6 +30,9 @@ from .matchcolor import (
     three_edge_coloring,
     _as_matching,
     _canonical_matchings,
+    _enumeration,
+    _matching_list,
+    _MatchingRecord,
 )
 
 
@@ -310,8 +313,10 @@ AUTO = "auto"
 _STRATEGIES = (COLOR, EXACT2COVER, A1A2, AUTO)
 
 
-def _covering_by_color(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
-    coloring = three_edge_coloring(g, budget=budget)
+def _covering_by_color(g: CubicGraph, budget: Budget,
+                       matchings: _MatchingRecord | None = None
+                       ) -> SearchResult[FulkersonCovering]:
+    coloring = three_edge_coloring(g, budget=budget, matchings=matchings)
     if coloring is None:
         # Failure to 3-color never proves a covering absent.
         return SearchResult(None, False)
@@ -328,12 +333,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _two_covers(g: CubicGraph, pms: PMEnumeration,
+def _two_covers(g: CubicGraph, pms: Sequence[frozenset[int]],
                 budget: Budget) -> Iterator[tuple[int, ...]]:
     """Index 6-tuples of matchings that cover every edge exactly twice.
 
     The exact-multiplicity cover (after Knuth's Algorithm M) shared by
-    EXACT2COVER and the covering enumeration, on int bitmasks:
+    EXACT2COVER and the covering enumeration, over the raw edge-id sets of
+    `_matching_list` (no `PerfectMatching` is built), on int bitmasks:
     ``holders[e]`` has bit i set iff edge e lies in matching i; an edge is
     open twice, open once or closed; a matching is usable while none of
     its edges is closed.  Each node spends one budget node and branches on
@@ -341,13 +347,13 @@ def _two_covers(g: CubicGraph, pms: PMEnumeration,
     index order with repeats allowed, so one multiset may come out in
     several orders.  The search unwinds as soon as the budget runs out.
     """
-    if not pms.matchings:
+    if not pms:
         return
     holders = [0] * g.num_edges
     edges_of = []
     for idx, pm in enumerate(pms):
         mask = 0
-        for e in pm.members:
+        for e in pm:
             holders[e] |= 1 << idx
             mask |= 1 << e
         edges_of.append(mask)
@@ -380,20 +386,21 @@ def _two_covers(g: CubicGraph, pms: PMEnumeration,
     yield from search((), (1 << len(pms)) - 1, everything, everything)
 
 
-def _covering_by_exact_cover(g: CubicGraph, pms: PMEnumeration,
+def _covering_by_exact_cover(g: CubicGraph, pms: Sequence[frozenset[int]], truncated: bool,
                              budget: Budget) -> SearchResult[FulkersonCovering]:
     """EXACT2COVER: the first cover `_two_covers` finds over the matchings.
 
-    Finding none proves absence only when the matching enumeration was not
-    truncated and the budget held out; otherwise the result is unknown.
+    Only the six matchings chosen become `PerfectMatching`s.  Finding none
+    proves absence only when the matching list was not truncated and the
+    budget held out; otherwise the result is unknown.
     """
-    if not pms.matchings:
-        return SearchResult(None, not pms.truncated)
+    if not pms:
+        return SearchResult(None, not truncated)
     chosen = next(_two_covers(g, pms, budget), None)
     if chosen is not None:
-        return SearchResult(_checked_covering(g, (pms[i] for i in chosen),
+        return SearchResult(_checked_covering(g, (PerfectMatching(g, pms[i]) for i in chosen),
                                               "exact cover result does not cover"), True)
-    return SearchResult(None, not pms.truncated and not budget.exhausted)
+    return SearchResult(None, not truncated and not budget.exhausted)
 
 
 def _covering_by_a1a2(g: CubicGraph, pms: PMEnumeration,
@@ -434,19 +441,16 @@ def enumerate_fulkerson_coverings(g: CubicGraph,
 
     Runs `_two_covers`, the search EXACT2COVER stops at its first cover, to
     the end; each multiset is kept once, members in index order, and the
-    list is sorted by the members' edge sets.
+    list is sorted by the members' edge sets.  The matchings are listed in
+    canonical order, so index order is edge-set order, and only the members
+    of the coverings kept become `PerfectMatching`s.
     """
     budget = Budget() if budget is None else budget
-    pms = enumerate_perfect_matchings(g, budget=budget)
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    out: list[FulkersonCovering] = []
-    for chosen in _two_covers(g, pms, budget):
-        key = tuple(sorted(tuple(sorted(pms[i].members)) for i in chosen))
-        if key not in seen:
-            seen.add(key)
-            out.append(FulkersonCovering(tuple(pms[i] for i in sorted(chosen))))
-    out.sort(key=lambda c: tuple(sorted(tuple(sorted(m.members)) for m in c.matchings)))
-    return SearchResult(out, not pms.truncated and not budget.exhausted)
+    pms, truncated = _matching_list(g, budget=budget)
+    kept = sorted({tuple(sorted(chosen)) for chosen in _two_covers(g, pms, budget)})
+    out = [FulkersonCovering(tuple(PerfectMatching(g, pms[i]) for i in chosen))
+           for chosen in kept]
+    return SearchResult(out, not truncated and not budget.exhausted)
 
 
 def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
@@ -456,7 +460,8 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     COLOR doubles a 3-edge-coloring when one exists; EXACT2COVER solves the
     exact multiset cover over enumerated matchings; A1A2 searches disjoint
     matching pairs whose splits are both 3-edge-colorable.  AUTO cascades
-    the three, enumerating the perfect matchings once for the last two.
+    the three and lists the perfect matchings at most once, for the last
+    two.
 
     The coloring is `three_edge_coloring`'s: a perfect matching m with an
     even 2-factor gives m color 0 and alternates 1, 2 around each cycle of
@@ -464,23 +469,35 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     first.  COLOR without a coloring is unknown, never absent.  When the
     colour stage spends the budget, AUTO stops there: absent if g has no
     perfect matching (one search, no enumeration), else unknown.
+
+    AUTO's colour stage draws from a `_MatchingRecord`.  When it refutes a
+    coloring because that canonical stream ran to its end, with the budget
+    not exhausted and at most `DEFAULT_PM_LIMIT` matchings, the drawn
+    matchings are the listing; otherwise `_perfect_matchings` lists once,
+    as in `enumerate_perfect_matchings`.  The matchings stay edge-id sets:
+    only the six of a covering become `PerfectMatching`s, and A1A2
+    validates the whole list only when it runs.
     """
     strat = strategy.lower()
     if strat not in _STRATEGIES:
         raise GraphError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
     budget = Budget() if budget is None else budget
+    listing = None
     if strat in (COLOR, AUTO):
-        result = _covering_by_color(g, budget)
+        record = _MatchingRecord(g, budget) if strat == AUTO else None
+        result = _covering_by_color(g, budget, record)
         if strat == COLOR or result.found:
             return result
         if budget.exhausted:
             return SearchResult(None, find_perfect_matching(g) is None)
-    pms = enumerate_perfect_matchings(g, budget=budget)
+        listing = record.listing
+        del record  # what an unfinished stream drew is not held through the listing
+    pms, truncated = (listing, False) if listing is not None else _matching_list(g, budget=budget)
     if strat != A1A2:
-        result = _covering_by_exact_cover(g, pms, budget)
+        result = _covering_by_exact_cover(g, pms, truncated, budget)
         if strat == EXACT2COVER or result.found or result.definitely_absent:
             return result
-    return _covering_by_a1a2(g, pms, budget)
+    return _covering_by_a1a2(g, _enumeration(g, pms, truncated), budget)
 
 
 def is_proper(f: FulkersonCovering) -> bool:

@@ -260,7 +260,7 @@ def _repair(near: Sequence[Sequence[int]], saturated: list[bool], mate: list[int
 
 
 def _perfect_matchings(g: MultiGraph, budget: Budget | None = None) -> Iterator[frozenset[int]]:
-    """Every perfect matching of g, the lister behind `enumerate_perfect_matchings`.
+    """Every perfect matching of g, the lister behind `_matching_list`.
 
     Depth first on an explicit stack: branch on the lowest unsaturated
     vertex and try its edges in ascending id.  Every vertex below a
@@ -450,7 +450,7 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
             return
 
 
-def _capped_matchings(g: CubicGraph, budget: Budget) -> Iterator[PerfectMatching]:
+def _capped_matchings(g: CubicGraph, budget: Budget) -> Iterator[frozenset[int]]:
     """The first `DEFAULT_PM_LIMIT` perfect matchings in canonical order, lazily.
 
     Asking for one more exhausts `budget`: past the cap is unknown, not absent.
@@ -459,7 +459,59 @@ def _capped_matchings(g: CubicGraph, budget: Budget) -> Iterator[PerfectMatching
         if i == DEFAULT_PM_LIMIT:
             budget.exhausted = True
             return
-        yield PerfectMatching(g, m)
+        yield m
+
+
+class _MatchingRecord:
+    """The canonical stream of g, kept as it is drawn so that it can serve as a listing.
+
+    `listing` stays None until the stream runs out with the budget not
+    exhausted.  The stream stops early only on an exhausted budget, so then
+    the matchings drawn are every perfect matching of g, in the order of
+    `enumerate_perfect_matchings`.  Past `DEFAULT_PM_LIMIT` matchings the
+    record keeps none: the capped enumeration keeps the first ones that
+    `_perfect_matchings` finds, in its own order.
+    """
+
+    def __init__(self, g: MultiGraph, budget: Budget | None):
+        self.listing: list[frozenset[int]] | None = None
+        self._drawn: list[frozenset[int]] | None = []
+        self._budget = budget
+        self._stream = _canonical_matchings(g, budget=budget)
+
+    def __iter__(self) -> Iterator[frozenset[int]]:
+        return self
+
+    def __next__(self) -> frozenset[int]:
+        m = next(self._stream, None)
+        if m is None:
+            if self._budget is None or not self._budget.exhausted:
+                self.listing = self._drawn
+            raise StopIteration
+        if self._drawn is not None:
+            self._drawn.append(m)
+            if len(self._drawn) > DEFAULT_PM_LIMIT:
+                self._drawn = None
+        return m
+
+
+def _matching_list(g: MultiGraph, limit: int | None = None,
+                   budget: Budget | None = None) -> tuple[list[frozenset[int]], bool]:
+    """The perfect matchings of g as edge-id sets, canonical order, and whether truncated.
+
+    `_perfect_matchings` lists them: the first `limit` it finds (default
+    `DEFAULT_PM_LIMIT`) are kept and sorted, and the list is truncated when
+    there are more or when the search stops on an exhausted budget.
+    """
+    limit = DEFAULT_PM_LIMIT if limit is None else limit
+    found = list(islice(_perfect_matchings(g, budget), limit + 1))
+    truncated = len(found) > limit or budget is not None and budget.exhausted
+    return sorted(found[:limit], key=lambda s: tuple(sorted(s))), truncated
+
+
+def _enumeration(g: CubicGraph, found: Sequence[frozenset[int]], truncated: bool) -> PMEnumeration:
+    """The listed matchings, each validated as a `PerfectMatching`."""
+    return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
 
 
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
@@ -473,15 +525,12 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
     exhausted budget leaves the enumeration truncated.  No budget nodes
     are spent.
 
-    `_perfect_matchings` lists 1.7-3.9x faster than `_canonical_matchings`,
-    which serves every first-match search (G7: 95 ms against 370 ms).
+    It validates every matching of `_matching_list`, the listing that the
+    covering searches read as raw edge-id sets.  `_perfect_matchings`
+    lists 1.7-3.9x faster than `_canonical_matchings`, which serves every
+    first-match search (G7: 95 ms against 370 ms).
     """
-    limit = DEFAULT_PM_LIMIT if limit is None else limit
-    found = list(islice(_perfect_matchings(g, budget), limit + 1))
-    truncated = len(found) > limit or budget is not None and budget.exhausted
-    matchings = tuple(PerfectMatching(g, s)
-                      for s in sorted(found[:limit], key=lambda s: tuple(sorted(s))))
-    return PMEnumeration(matchings, truncated)
+    return _enumeration(g, *_matching_list(g, limit, budget))
 
 
 def find_perfect_matching(
@@ -705,7 +754,8 @@ def _tait_coloring(g: MultiGraph, others: list[dict[int, tuple[int, int]]],
 NODES_PER_MATCHING = 8
 
 
-def three_edge_coloring(g: MultiGraph, budget: Budget | None = None) -> EdgeColoring | None:
+def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
+                        matchings: Iterator[frozenset[int]] | None = None) -> EdgeColoring | None:
     """A proper 3-edge-coloring, or None: absent, or unknown when `budget` is exhausted.
 
     On loopless 3-regular input two searches alternate, counted in work:
@@ -717,11 +767,17 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None) -> EdgeColo
     to finish decides, and one that runs out with budget to spare proves
     absence.  Other input runs the coloring search alone; a loop refutes at
     once.
+
+    `matchings` is the stream drawn from, by default a fresh
+    `_canonical_matchings(g, budget=budget)`.  AUTO passes a
+    `_MatchingRecord`, so that a stream that ran to its end on a refuted
+    graph serves as its listing of the perfect matchings.
     """
     if g.has_loops() or any(len(g.incident(v)) != 3 for v in g.vertices()):
         return _first_coloring(g, 3, budget)
     colorings = _edge_colorings(g, 3, budget)
-    matchings = _canonical_matchings(g, budget=budget)
+    if matchings is None:
+        matchings = _canonical_matchings(g, budget=budget)
     others = [{a: (b, c), b: (a, c), c: (a, b)} for a, b, c in map(g.incident, g.vertices())]
     while True:
         if budget is not None and not budget.spend():
@@ -820,8 +876,12 @@ def two_factor_cycles(g: CubicGraph, m: PerfectMatching | Iterable[int]) -> Cycl
     The `CycleSet` that `cycle_decomposition` gives for G - m, place
     included, from one walk with no edge-set check beyond m's own.
     """
-    m = _as_perfect(g, m)
-    at = [[e for e in g.incident(v) if e not in m.members] for v in g.vertices()]
+    return _two_factor(g, _as_perfect(g, m).members)
+
+
+def _two_factor(g: CubicGraph, m: frozenset[int]) -> CycleSet:
+    """`two_factor_cycles` of the edge-id set of a perfect matching, taken as valid."""
+    at = [[e for e in g.incident(v) if e not in m] for v in g.vertices()]
     if not isinstance(g, CubicGraph) and (g.has_loops() or any(len(two) != 2 for two in at)):
         raise GraphError("a perfect matching leaves a 2-factor only in a loopless cubic graph")
     return _cycle_set(g, at)
@@ -893,9 +953,9 @@ def _first_two_factor(g: CubicGraph, test: Callable[[CycleSet], bool]
     """
     budget = Budget(limit=0)  # spent by nothing; flags a read past the cap
     for m in _capped_matchings(g, budget):
-        cycles = two_factor_cycles(g, m)
+        cycles = _two_factor(g, m)
         if test(cycles):
-            return m, cycles
+            return PerfectMatching(g, m), cycles
     if budget.exhausted:
         raise BudgetExhausted(f"none of the first {DEFAULT_PM_LIMIT} perfect matchings "
                               "has the 2-factor sought")

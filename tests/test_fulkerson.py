@@ -388,31 +388,118 @@ class TestFindCovering:
         with pytest.raises(GraphError):
             find_fulkerson_covering(k4(), "dance")
 
+    @staticmethod
+    def lister_starts(monkeypatch):
+        """The graphs `_perfect_matchings`, the vertex lister, is started on."""
+        from fulkerson_lab import matchcolor
+
+        seen = []
+        lister = matchcolor._perfect_matchings
+
+        def counting(g, *args, **kwargs):
+            seen.append(g)
+            return lister(g, *args, **kwargs)
+
+        monkeypatch.setattr(matchcolor, "_perfect_matchings", counting)
+        return seen
+
     @pytest.mark.parametrize("strategy,calls", [
         ("auto", 0), ("color", 0), ("exact2cover", 1), ("a1a2", 1),
     ])
     def test_matchings_enumerated_at_most_once(self, monkeypatch, strategy, calls):
-        import fulkerson_lab.fulkerson as fulkerson
-
-        seen = []
-
-        def counting(g, *args, **kwargs):
-            seen.append(g)
-            return enumerate_perfect_matchings(g, *args, **kwargs)
-
-        monkeypatch.setattr(fulkerson, "enumerate_perfect_matchings", counting)
+        seen = self.lister_starts(monkeypatch)
         res = find_fulkerson_covering(flower_snark(5), strategy, budget=Budget(limit=0))
         assert res.unknown
         assert len(seen) == calls
 
-    def test_auto_stops_once_the_colour_stage_spends_the_budget(self, monkeypatch):
-        import time
+    @pytest.mark.parametrize("make,calls", [
+        (lambda: flower_snark(5), 0), (lambda: flower_snark(7), 0), (lambda: flower_snark(9), 0),
+        (petersen, 1), (lambda: goldberg(5), 1), (lambda: goldberg(7), 1),
+    ], ids=["J5", "J7", "J9", "petersen", "G5", "G7"])
+    def test_auto_lists_once_unless_the_colour_stream_ended(self, monkeypatch, make, calls):
+        # The stream refutes the flower snarks' colourings by running to its
+        # end, and AUTO reuses what it drew; on the others the colouring
+        # search refutes first and the lister runs once.
+        seen = self.lister_starts(monkeypatch)
+        res = find_fulkerson_covering(make())
+        assert res.found
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("k", [5, 7, 9])
+    def test_auto_covering_from_the_reused_stream_is_exact2covers(self, k):
+        g = flower_snark(k)
+        auto = find_fulkerson_covering(g, "auto")
+        exact = find_fulkerson_covering(g, "exact2cover")
+        assert [m.members for m in auto.value.matchings] == \
+            [m.members for m in exact.value.matchings]
+
+    def test_auto_past_the_matching_cap_lists_as_enumerate_does(self, monkeypatch):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        g = flower_snark(7)
+        assert len(enumerate_perfect_matchings(g)) == 128
+        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 100)
+        listings = []
+        listing = fulkerson._matching_list
+        monkeypatch.setattr(fulkerson, "_matching_list",
+                            lambda *args, **kwargs: listings.append(listing(*args, **kwargs))
+                            or listings[-1])
+        auto = find_fulkerson_covering(g, "auto")
+        exact = find_fulkerson_covering(g, "exact2cover")
+        capped = enumerate_perfect_matchings(g)
+        assert capped.truncated and len(capped) == 100
+        assert listings[0] == ([m.members for m in capped], True)
+        assert not auto.definitely_absent
+        assert auto.complete == exact.complete
+        assert (auto.value is None) == (exact.value is None)
+        if auto.found:
+            assert [m.members for m in auto.value.matchings] == \
+                [m.members for m in exact.value.matchings]
+
+    def test_cancel_inside_the_colour_stream_gives_unknown(self, monkeypatch):
+        import sys
 
         import fulkerson_lab.fulkerson as fulkerson
 
-        seen = []
-        monkeypatch.setattr(fulkerson, "enumerate_perfect_matchings",
-                            lambda g, *args, **kwargs: seen.append(g))
+        seen = self.lister_starts(monkeypatch)
+        covers = []
+        two_covers = fulkerson._two_covers
+        monkeypatch.setattr(fulkerson, "_two_covers",
+                            lambda *args: covers.append(args) or two_covers(*args))
+        asked = []
+
+        def cancel():
+            # Budget.stopped asks on behalf of the canonical stream; fire
+            # at its 100th question, well before J9's 512 matchings are drawn.
+            if sys._getframe(2).f_code.co_name == "_canonical_matchings":
+                asked.append(True)
+            return len(asked) >= 100
+
+        budget = Budget(cancel=cancel)
+        res = find_fulkerson_covering(flower_snark(9), budget=budget)
+        assert len(asked) >= 100
+        assert budget.exhausted
+        assert res.unknown
+        assert seen == [] and covers == []
+
+    def test_auto_wraps_only_the_matchings_it_returns(self, monkeypatch):
+        made = []
+        init = PerfectMatching.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PerfectMatching, "__init__", counting)
+        res = find_fulkerson_covering(goldberg(5))
+        assert res.found
+        # G5 has 619 perfect matchings; only the covering's six are wrapped
+        assert len(made) <= 6
+
+    def test_auto_stops_once_the_colour_stage_spends_the_budget(self, monkeypatch):
+        import time
+
+        seen = self.lister_starts(monkeypatch)
         start = time.perf_counter()
         res = find_fulkerson_covering(flower_snark(17), budget=Budget(limit=1000))
         assert time.perf_counter() - start < 2

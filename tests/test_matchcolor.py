@@ -511,6 +511,19 @@ class TestC5Structure:
     def test_ten_vertex_found(self):
         assert find_c5_two_factor(ten_vertex_c5_example()) is not None
 
+    def test_only_the_matching_returned_is_wrapped(self, monkeypatch):
+        # ten-c5's first matching with a two-odd-cycle 2-factor is its 9th of 9
+        made = []
+        init = PerfectMatching.__init__
+        monkeypatch.setattr(PerfectMatching, "__init__",
+                            lambda self, *args: made.append(self) or init(self, *args))
+        g = ten_vertex_c5_example()
+        m, cycles = matchcolor._first_two_factor(
+            g, lambda cs: len(cs) == 2 and all(c.is_odd for c in cs))
+        assert made == [m]
+        assert m.members == enumerate_perfect_matchings(g)[8].members
+        assert cycles == two_factor_cycles(g, m)
+
     def test_shrink_petersen_two_vertices_five_parallels(self):
         g = petersen()
         m, cycles = find_c5_two_factor(g)
@@ -686,6 +699,39 @@ class TestColoringByMatchings:
         assert budget.exhausted and len(calls) == fire_on
         if fire_on == 2:
             assert budget.spent == 1
+
+    def test_a_record_that_ran_out_is_the_listing(self):
+        g = flower_snark(9)
+        record = matchcolor._MatchingRecord(g, Budget())
+        assert three_edge_coloring(g, matchings=record) is None
+        assert record.listing == [m.members for m in enumerate_perfect_matchings(g)]
+
+    @pytest.mark.parametrize("fire_on", [2, 500])
+    def test_a_record_cut_by_a_cancel_is_no_listing(self, fire_on):
+        calls = []
+
+        def cancel():
+            calls.append(None)
+            return len(calls) >= fire_on
+
+        g = flower_snark(9)
+        budget = Budget(cancel=cancel)
+        record = matchcolor._MatchingRecord(g, budget)
+        assert three_edge_coloring(g, budget, matchings=record) is None
+        assert list(record) == []  # the stream has run out
+        assert budget.exhausted and record.listing is None
+
+    def test_a_record_past_the_cap_is_no_listing(self, monkeypatch):
+        g = flower_snark(5)
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 31)
+        record = matchcolor._MatchingRecord(g, Budget())
+        assert len(list(record)) == 32
+        assert record.listing is None
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 32)
+        record = matchcolor._MatchingRecord(g, Budget())
+        assert record.listing is None  # nothing drawn yet
+        assert list(record) == record.listing
+        assert len(record.listing) == 32
 
     def test_lists_no_matchings(self, monkeypatch):
         def refuse(*args, **kwargs):
