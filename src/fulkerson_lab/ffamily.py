@@ -32,6 +32,7 @@ from .matchcolor import (
     _first_two_factor,
     _member_positions,
     _odd_arcs,
+    _two_factors,
 )
 from .fulkerson import FulkersonCovering, _checked_covering
 
@@ -376,7 +377,8 @@ def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]], fixed:
             return
 
 
-def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:
+def _ffamilies(g: CubicGraph, m: PerfectMatching | Iterable[int], budget: Budget,
+               factor: CycleSet | None = None) -> Iterator[FFamily]:
     """Every family for m in canonical order: per-cycle placements on an explicit stack.
 
     Each m-edge is labelled -1 (no member) or with a member at the first
@@ -389,20 +391,19 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
     ends.  Placements are tried in the order of the own edges' label
     vectors, -1 < 0 < 1 < 2 < 3, so families come in lexicographic order
     of all the labels, cycle by cycle and by edge id within a cycle.
-    Every candidate placement examined spends one node.  An odd cycle
-    shorter than 5 has no two disjoint edges, so such a matching is
-    rejected before any set-up.
+    Every candidate placement examined spends one node.  m is an edge-id
+    set with its 2-factor from `_two_factors`, or a perfect matching whose
+    2-factor is walked here, and m is wrapped only for a family yielded.
     """
-    factor = two_factor_cycles(g, m)
+    if factor is None:
+        factor = two_factor_cycles(g, m)
     cycles = factor.cycles
-    if any(cyc.is_odd and len(cyc) < 5 for cyc in cycles):
-        return
     order = sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci))
     turn = {ci: r for r, ci in enumerate(order)}  # the cycle's place in the order
     own: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]  # (m-edge, positions)
     prior: list[list[tuple[int, int]]] = [[] for _ in order]  # (m-edge met before, position)
     far: dict[int, int] = {}  # m-edge -> the later cycle it touches, or -1
-    for e in sorted(m.members):
+    for e in sorted(m):
         on: dict[int, list[int]] = {}
         for v in g.endpoints(e):
             ci, pos = factor.place[v]
@@ -413,7 +414,7 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
             prior[far[e]].append((e, on[far[e]][0]))
     caps = [1 if cycles[ci].is_odd else 4 for ci in order]
     counts = [[0] * 5 for _ in order]  # member ends fixed on each cycle, then their total
-    label = dict.fromkeys(m.members, -1)
+    label = dict.fromkeys(m, -1)
 
     def place(key: tuple[tuple[int, int], ...], sign: int) -> bool:
         """Apply (sign 1) or undo (sign -1) a placement; False if a later cycle is overfull.
@@ -462,9 +463,10 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FF
             return
 
 
-def _checked_family(g: CubicGraph, m: PerfectMatching, members: Sequence[Iterable[int]],
-                    what: str) -> FFamily:
+def _checked_family(g: CubicGraph, m: PerfectMatching | Iterable[int],
+                    members: Sequence[Iterable[int]], what: str) -> FFamily:
     """The family of m with these members and their N; the callers ensure that it verifies."""
+    m = _as_perfect(g, m)
     members = [Matching(g, mem) for mem in members]
     n = derive_n(g, m, members)
     if n is None:
@@ -481,9 +483,11 @@ def _families(g: CubicGraph, m: PerfectMatching | Iterable[int] | None,
               budget: Budget) -> Iterator[FFamily]:
     """Families over m, or over the capped canonical stream of matchings, which
     ends once the budget is exhausted."""
-    matchings = ([_as_perfect(g, m)] if m is not None
-                 else (PerfectMatching(g, s) for s in _capped_matchings(g, budget)))
-    return (fam for pm in matchings for fam in _ffamilies(g, pm, budget))
+    matchings = [_as_perfect(g, m).members] if m is not None else _capped_matchings(g, budget)
+    # an odd cycle shorter than 5 has no two disjoint edges to hold N
+    factors = _two_factors(g, matchings, lambda verts: len(verts) % 2 == 0 or len(verts) >= 5)
+    return (fam for s, factor in factors if factor is not None
+            for fam in _ffamilies(g, s, budget, factor))
 
 
 def find_ffamily(g: CubicGraph, m: PerfectMatching | Iterable[int] | None = None,
@@ -652,7 +656,7 @@ class PipelineResult:
 
 
 def _first_two_odd_cycle_pm(g: CubicGraph) -> tuple[PerfectMatching, CycleSet]:
-    found = _first_two_factor(g, lambda cs: len(cs) == 2 and all(c.is_odd for c in cs))
+    found = _first_two_factor(g, lambda verts: len(verts) % 2 == 1, count=2)
     if found is None:
         raise TransportError("no perfect matching with a two-odd-cycle 2-factor")
     return found

@@ -18,9 +18,7 @@ from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decompo
 from .matchcolor import (
     EdgeColoring,
     PerfectMatching,
-    PMEnumeration,
     color_classes_as_matchings,
-    enumerate_perfect_matchings,
     enumerate_three_edge_colorings,
     find_perfect_matching,
     kempe_exchange,
@@ -30,7 +28,6 @@ from .matchcolor import (
     three_edge_coloring,
     _as_matching,
     _canonical_matchings,
-    _enumeration,
     _matching_list,
     _MatchingRecord,
 )
@@ -227,19 +224,21 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
     return triple
 
 
-def iter_fr_triples(pms: PMEnumeration, budget: Budget) -> Iterator[FRTriple]:
-    """FR-triples among enumerated matchings, canonical order, repeats allowed.
+def iter_fr_triples(g: CubicGraph, pms: Sequence[frozenset[int]],
+                    budget: Budget) -> Iterator[FRTriple]:
+    """FR-triples among listed perfect matchings of g, canonical order, repeats allowed.
 
-    Spends one budget node per candidate index triple and stops when the
-    budget runs out, so callers tell exhaustion from absence by
-    ``budget.exhausted``.
+    pms are edge-id sets, as `_matching_list` gives them; only the three
+    matchings of a triple yielded become `PerfectMatching`s.  Spends one
+    budget node per candidate index triple and stops when the budget runs
+    out, so callers tell exhaustion from absence by ``budget.exhausted``.
     """
     for i, j, k in combinations_with_replacement(range(len(pms)), 3):
         if not budget.spend():
             return
-        if pms[i].members & pms[j].members & pms[k].members:
+        if pms[i] & pms[j] & pms[k]:
             continue
-        yield FRTriple(pms[i], pms[j], pms[k])
+        yield FRTriple(*(PerfectMatching(g, pms[x]) for x in (i, j, k)))
 
 
 def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
@@ -301,9 +300,9 @@ def enumerate_fr_triples(g: CubicGraph,
                          budget: Budget | None = None) -> SearchResult[list[FRTriple]]:
     """Every FR-triple `iter_fr_triples` yields, complete unless truncated or out of budget."""
     budget = Budget() if budget is None else budget
-    pms = enumerate_perfect_matchings(g, budget=budget)
-    triples = list(iter_fr_triples(pms, budget))
-    return SearchResult(triples, not pms.truncated and not budget.exhausted)
+    pms, truncated = _matching_list(g, budget=budget)
+    triples = list(iter_fr_triples(g, pms, budget))
+    return SearchResult(triples, not truncated and not budget.exhausted)
 
 
 COLOR = "color"
@@ -403,7 +402,7 @@ def _covering_by_exact_cover(g: CubicGraph, pms: Sequence[frozenset[int]], trunc
     return SearchResult(None, not truncated and not budget.exhausted)
 
 
-def _covering_by_a1a2(g: CubicGraph, pms: PMEnumeration,
+def _covering_by_a1a2(g: CubicGraph, pms: Sequence[frozenset[int]], truncated: bool,
                       budget: Budget) -> SearchResult[FulkersonCovering]:
     """Search matching pairs (T2, T0) of FR-triples per the splitting criterion.
 
@@ -415,23 +414,21 @@ def _covering_by_a1a2(g: CubicGraph, pms: PMEnumeration,
     the search as unknown.
     """
     seen_pairs: set[tuple[frozenset[int], frozenset[int]]] = set()
-    for triple in iter_fr_triples(pms, budget):
+    for triple in iter_fr_triples(g, pms, budget):
         part = t_partition(g, triple)
         key = (part.t2.members, part.t0.members)
         if key in seen_pairs:
             continue
         seen_pairs.add(key)
-        a1 = Matching(g, part.t2.members)
-        a2 = Matching(g, part.t0.members)
         try:
-            lifted = fr_triple_from_matchings(g, a1, a2, budget)
-            partner = fr_triple_from_matchings(g, a2, a1, budget)
+            lifted = fr_triple_from_matchings(g, part.t2, part.t0, budget)
+            partner = fr_triple_from_matchings(g, part.t0, part.t2, budget)
         except LiftError:
             continue
         except BudgetExhausted:
             break
         return SearchResult(covering_from_compatible(lifted, partner), True)
-    return SearchResult(None, not pms.truncated and not budget.exhausted)
+    return SearchResult(None, not truncated and not budget.exhausted)
 
 
 def enumerate_fulkerson_coverings(g: CubicGraph,
@@ -475,8 +472,8 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     not exhausted and at most `DEFAULT_PM_LIMIT` matchings, the drawn
     matchings are the listing; otherwise `_perfect_matchings` lists once,
     as in `enumerate_perfect_matchings`.  The matchings stay edge-id sets:
-    only the six of a covering become `PerfectMatching`s, and A1A2
-    validates the whole list only when it runs.
+    only the six of a covering, and in A1A2 the three of each FR-triple
+    tried, become `PerfectMatching`s.
     """
     strat = strategy.lower()
     if strat not in _STRATEGIES:
@@ -497,7 +494,7 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
         result = _covering_by_exact_cover(g, pms, truncated, budget)
         if strat == EXACT2COVER or result.found or result.definitely_absent:
             return result
-    return _covering_by_a1a2(g, _enumeration(g, pms, truncated), budget)
+    return _covering_by_a1a2(g, pms, truncated, budget)
 
 
 def is_proper(f: FulkersonCovering) -> bool:

@@ -9,7 +9,7 @@ therefore safe to share between concurrent searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -431,17 +431,18 @@ def cycle_decomposition(g: MultiGraph, s: EdgeSet | Iterable[int]) -> CycleSet:
     return _cycle_set(g, at)
 
 
-def _cycle_walk(g: MultiGraph, at: Sequence[Sequence[int]],
-                place: list[tuple[int, int] | None]) -> Iterator[tuple[list[int], list[int]]]:
-    """The cycles of an edge set, lazily, as (vertices, edges) lists.
+def _cycle_set(g: MultiGraph, at: Sequence[Sequence[int]],
+               keep: Callable[[list[int]], bool] = lambda verts: True) -> CycleSet | None:
+    """The cycles of an edge set, walked once, with `CycleSet.place` filled in.
 
     at[v] lists the set's edges at v, ascending: two on a cycle, none off
     it, and no loop.  Cycles come in order of their lowest vertex; each
     starts there and steps first to the lower neighbour, the lower edge id
-    breaking a tie.  place[v] gets (cycle index, position) as the walk
-    passes v, and a vertex already placed starts no cycle.
+    breaking a tie.  The walk stops at the first cycle whose vertex list
+    keep rejects, and None comes with no `Cycle` built.
     """
-    index = 0
+    place: list[tuple[int, int] | None] = [None] * g.num_vertices
+    cycles: list[tuple[list[int], list[int]]] = []
     for start, two in enumerate(at):
         if place[start] is not None or not two:
             continue
@@ -450,23 +451,18 @@ def _cycle_walk(g: MultiGraph, at: Sequence[Sequence[int]],
             e = f
         verts = [start]
         edges = [e]
-        place[start] = (index, 0)
+        place[start] = (len(cycles), 0)
         cur = g.other_end(e, start)
         while cur != start:
-            place[cur] = (index, len(verts))
+            place[cur] = (len(cycles), len(verts))
             verts.append(cur)
             x, y = at[cur]
             e = y if x == e else x  # the other edge of the set at cur
             edges.append(e)
             cur = g.other_end(e, cur)
-        yield verts, edges
-        index += 1
-
-
-def _cycle_set(g: MultiGraph, at: Sequence[Sequence[int]]) -> CycleSet:
-    """Every cycle `_cycle_walk` finds, with `CycleSet.place` filled in."""
-    place: list[tuple[int, int] | None] = [None] * g.num_vertices
-    found = CycleSet(tuple(Cycle(tuple(verts), tuple(edges))
-                           for verts, edges in _cycle_walk(g, at, place)))
+        if not keep(verts):
+            return None
+        cycles.append((verts, edges))
+    found = CycleSet(tuple(Cycle(tuple(verts), tuple(edges)) for verts, edges in cycles))
     object.__setattr__(found, "place", tuple(place))  # the frozen field no caller sets
     return found

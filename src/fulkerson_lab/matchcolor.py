@@ -24,7 +24,6 @@ from .graph_core import (
     MultiGraph,
     _components,
     _cycle_set,
-    _cycle_walk,
     cycle_decomposition,
 )
 
@@ -509,11 +508,6 @@ def _matching_list(g: MultiGraph, limit: int | None = None,
     return sorted(found[:limit], key=lambda s: tuple(sorted(s))), truncated
 
 
-def _enumeration(g: CubicGraph, found: Sequence[frozenset[int]], truncated: bool) -> PMEnumeration:
-    """The listed matchings, each validated as a `PerfectMatching`."""
-    return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
-
-
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
                                 budget: Budget | None = None) -> PMEnumeration:
     """All perfect matchings of g, lexicographic by sorted edge-id tuple.
@@ -530,7 +524,8 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
     lists 1.7-3.9x faster than `_canonical_matchings`, which serves every
     first-match search (G7: 95 ms against 370 ms).
     """
-    return _enumeration(g, *_matching_list(g, limit, budget))
+    found, truncated = _matching_list(g, limit, budget)
+    return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
 
 
 def find_perfect_matching(
@@ -723,29 +718,6 @@ def _first_coloring(g: MultiGraph, colors: int, budget: Budget | None) -> EdgeCo
     return None if sol is None else EdgeColoring(g, sol, colors)
 
 
-def _tait_coloring(g: MultiGraph, others: list[dict[int, tuple[int, int]]],
-                   m: frozenset[int]) -> tuple[int, ...] | None:
-    """The 3-edge-coloring a perfect matching gives when its 2-factor has no odd cycle.
-
-    others[v][e] is the pair of v's other two edges, ascending.  m takes
-    color 0; on each cycle of G - m the lowest edge id takes color 1, and
-    the colors alternate 1, 2 from it.  None at the first odd cycle.
-    """
-    at: list[tuple[int, ...]] = [()] * g.num_vertices
-    for e in m:
-        u, w = g.endpoints(e)
-        at[u] = others[u][e]
-        at[w] = others[w][e]
-    assignment = [0] * g.num_edges
-    for _, edges in _cycle_walk(g, at, [None] * g.num_vertices):
-        if len(edges) % 2:
-            return None
-        low = edges.index(min(edges))
-        for i, e in enumerate(edges):
-            assignment[e] = 1 + (i - low) % 2
-    return tuple(assignment)
-
-
 # Coloring-search nodes run per perfect matching drawn, in `three_edge_coloring`.
 # The matching stream refutes the flower snarks J_k first and the node
 # search the Goldberg snarks G_k; a draw costs about as much as 15 nodes.
@@ -773,21 +745,25 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
     `_MatchingRecord`, so that a stream that ran to its end on a refuted
     graph serves as its listing of the perfect matchings.
     """
-    if g.has_loops() or any(len(g.incident(v)) != 3 for v in g.vertices()):
+    if not _loopless_cubic(g):
         return _first_coloring(g, 3, budget)
     colorings = _edge_colorings(g, 3, budget)
     if matchings is None:
         matchings = _canonical_matchings(g, budget=budget)
-    others = [{a: (b, c), b: (a, c), c: (a, b)} for a, b, c in map(g.incident, g.vertices())]
+    factors = _two_factors(g, matchings, lambda verts: len(verts) % 2 == 0)
     while True:
         if budget is not None and not budget.spend():
             return None
-        m = next(matchings, None)
+        m, factor = next(factors, (None, None))
         if m is None:
             return None  # the stream ended
-        sol = _tait_coloring(g, others, m)
-        if sol is not None:
-            return EdgeColoring(g, sol, 3)
+        if factor is not None:
+            assignment = [0] * g.num_edges
+            for cyc in factor:
+                low = cyc.edges.index(min(cyc.edges))
+                for i, e in enumerate(cyc.edges):
+                    assignment[e] = 1 + (i - low) % 2
+            return EdgeColoring(g, tuple(assignment), 3)
         steps = 0
         for sol in islice(colorings, NODES_PER_MATCHING):
             if sol is not None:
@@ -874,17 +850,38 @@ def two_factor_cycles(g: CubicGraph, m: PerfectMatching | Iterable[int]) -> Cycl
     """Cycles of the 2-factor complementary to a perfect matching.
 
     The `CycleSet` that `cycle_decomposition` gives for G - m, place
-    included, from one walk with no edge-set check beyond m's own.
+    included, from `_two_factors` with no edge-set check beyond m's own.
     """
-    return _two_factor(g, _as_perfect(g, m).members)
+    (_, cycles), = _two_factors(g, [_as_perfect(g, m).members])
+    return cycles
 
 
-def _two_factor(g: CubicGraph, m: frozenset[int]) -> CycleSet:
-    """`two_factor_cycles` of the edge-id set of a perfect matching, taken as valid."""
-    at = [[e for e in g.incident(v) if e not in m] for v in g.vertices()]
-    if not isinstance(g, CubicGraph) and (g.has_loops() or any(len(two) != 2 for two in at)):
+def _loopless_cubic(g: MultiGraph) -> bool:
+    return isinstance(g, CubicGraph) or (not g.has_loops()
+                                         and all(len(g.incident(v)) == 3 for v in g.vertices()))
+
+
+def _two_factors(g: MultiGraph, matchings: Iterable[frozenset[int]],
+                 keep: Callable[[list[int]], bool] = lambda verts: True
+                 ) -> Iterator[tuple[frozenset[int], CycleSet | None]]:
+    """(m, the 2-factor G - m) for each perfect matching m drawn, as edge-id sets.
+
+    The one walk of G - m that every search reads.  g must be loopless and
+    3-regular, checked once, and the other two edges at each vertex are
+    tabled once.  The 2-factor is `cycle_decomposition(g, E - m)`, or None
+    at its first cycle that keep rejects (see `_cycle_set`).
+    """
+    if not _loopless_cubic(g):
         raise GraphError("a perfect matching leaves a 2-factor only in a loopless cubic graph")
-    return _cycle_set(g, at)
+    incident = [g.incident(v) for v in g.vertices()]
+    others = [((b, c), (a, c), (a, b)) for a, b, c in incident]  # all but incident[v][i]
+    for m in matchings:
+        at: list[tuple[int, ...]] = [()] * g.num_vertices
+        for e in m:
+            u, w = g.endpoints(e)
+            at[u] = others[u][incident[u].index(e)]
+            at[w] = others[w][incident[w].index(e)]
+        yield m, _cycle_set(g, at, keep)
 
 
 def _member_positions(g: MultiGraph, cycles: CycleSet,
@@ -933,8 +930,7 @@ def is_m_balanced(g: CubicGraph, m: PerfectMatching, a: Matching | Iterable[int]
                for cyc, posns in zip(cycles, _member_positions(g, cycles, [a])))
 
 
-def _chordless(g: MultiGraph, cyc: Cycle) -> bool:
-    verts = cyc.vertices
+def _chordless(g: MultiGraph, verts: Sequence[int]) -> bool:
     k = len(verts)
     for i in range(k):
         for j in range(i + 1, k):
@@ -945,16 +941,16 @@ def _chordless(g: MultiGraph, cyc: Cycle) -> bool:
     return True
 
 
-def _first_two_factor(g: CubicGraph, test: Callable[[CycleSet], bool]
+def _first_two_factor(g: CubicGraph, keep: Callable[[list[int]], bool], count: int | None = None
                       ) -> tuple[PerfectMatching, CycleSet] | None:
-    """The first perfect matching, in canonical order, whose 2-factor passes test, with it.
+    """The first perfect matching, in canonical order, whose 2-factor passes
+    keep at every cycle and has `count` cycles when given, with that 2-factor.
 
     Raises `BudgetExhausted` when none passes before the matching cap.
     """
     budget = Budget(limit=0)  # spent by nothing; flags a read past the cap
-    for m in _capped_matchings(g, budget):
-        cycles = _two_factor(g, m)
-        if test(cycles):
+    for m, cycles in _two_factors(g, _capped_matchings(g, budget), keep):
+        if cycles is not None and (count is None or len(cycles) == count):
             return PerfectMatching(g, m), cycles
     if budget.exhausted:
         raise BudgetExhausted(f"none of the first {DEFAULT_PM_LIMIT} perfect matchings "
@@ -969,7 +965,7 @@ def find_c5_two_factor(g: CubicGraph) -> tuple[PerfectMatching, CycleSet] | None
     """
     if g.num_vertices % 5 != 0 or g.num_vertices % 2 == 1:
         return None
-    return _first_two_factor(g, lambda cs: all(len(c) == 5 and _chordless(g, c) for c in cs))
+    return _first_two_factor(g, lambda verts: len(verts) == 5 and _chordless(g, verts))
 
 
 @dataclass(frozen=True)
@@ -992,7 +988,7 @@ def shrink_to_gstar(g: CubicGraph, m: PerfectMatching | Iterable[int],
     if cs != two_factor_cycles(g, m):
         raise GraphError("cycle set is not the 2-factor of the matching")
     for c in cs:
-        if len(c) != 5 or not _chordless(g, c):
+        if len(c) != 5 or not _chordless(g, c.vertices):
             raise GraphError("every 2-factor cycle must be a chordless 5-cycle")
     origin = tuple(sorted(m.members))
     edge_list = [tuple(cs.place[v][0] for v in g.endpoints(e)) for e in origin]

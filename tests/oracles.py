@@ -297,7 +297,7 @@ def enumerated_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchR
     """
     budget = Budget() if budget is None else budget
     pms = enumerate_perfect_matchings(g, budget=budget)
-    triple = next(iter_fr_triples(pms, budget), None)
+    triple = next(iter_fr_triples(g, [pm.members for pm in pms], budget), None)
     return SearchResult(triple, triple is not None or not (pms.truncated or budget.exhausted))
 
 

@@ -7,6 +7,8 @@ import pytest
 import fulkerson_lab.cli as cli
 from fulkerson_lab.cli import (
     Certificate,
+    certificate_of_covering,
+    certificate_of_family,
     certificate_of_triple,
     main,
     parse_certificate,
@@ -14,6 +16,7 @@ from fulkerson_lab.cli import (
     write_certificate,
     write_graph_file,
 )
+from fulkerson_lab.ffamily import covering_from_c5_structure, petersen_expansion
 from fulkerson_lab.fulkerson import enumerate_fr_triples
 from fulkerson_lab.generators import (
     cube_q3,
@@ -485,6 +488,42 @@ n 3 8 9 12
         assert out.count("certificate ffamily") == 30
         assert out.startswith(self.PETERSEN_FIRST_FAMILY)
         assert hashlib.sha256(out.encode()).hexdigest() == self.PETERSEN_FAMILIES_SHA256
+
+    # stdout of `pipeline` on `base petersen`, `dot type1 petersen`, then 1 or 8
+    # lines of `dot type2 petersen`: `pipeline.composite26` and `pipeline.chain8`
+    # in bench/golden.json
+    PIPELINE_SHA256 = {
+        1: "0a038d6e1a09b6540b22a47671c96af85bec1386a87a56bdb53713de9234ca27",
+        8: "a4e5edfc5bfc720da57dfae0b8df16e9db4cf77f472cc7d3a7934883d093533e",
+    }
+
+    @pytest.mark.parametrize("type2_steps", [1, 8], ids=["composite26", "chain8"])
+    def test_pipeline(self, capsys, tmp_path, type2_steps):
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\ndot type1 petersen\n"
+                          + "dot type2 petersen\n" * type2_steps)
+        code, out, _ = run(capsys, "pipeline", str(recipe))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PIPELINE_SHA256[type2_steps]
+
+    J5_A1A2_COVERING_SHA256 = "80b75850425c6b5ba6b3b89aa5d096ad94ce1b454a110eb21d3c7e17a24573f4"
+
+    def test_search_j5_covering_by_a1a2(self, capsys, tmp_path):
+        path = tmp_path / "j5.graph"
+        path.write_text(write_graph_file(flower_snark(5)))
+        code, out, _ = run(capsys, "search", str(path), "covering", "--strategy", "a1a2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.J5_A1A2_COVERING_SHA256
+
+    # the certificates of the covering and of the family
+    EXPANSION_C5_SHA256 = ("1ad81274f6edde772349f4a76b51b0b8112ff9abbee8254833d145a61acc7eb3",
+                           "6aa1e0aea1998585c3e43c9ab4c7fdc737eeb4ae7566eff08451213fd25e70a9")
+
+    def test_c5_structure_of_the_petersen_expansion(self):
+        res = covering_from_c5_structure(petersen_expansion().graph)
+        certs = (certificate_of_covering(res.covering), certificate_of_family(res.family))
+        assert tuple(hashlib.sha256(write_certificate(c).encode()).hexdigest()
+                     for c in certs) == self.EXPANSION_C5_SHA256
 
 
 class TestVerifyFamilyOutput:

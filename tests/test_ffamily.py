@@ -437,7 +437,7 @@ class TestPetersenExpansion:
         from fulkerson_lab.matchcolor import _chordless
 
         exp = petersen_expansion()
-        assert all(_chordless(exp.graph, c) for c in exp.cycles)
+        assert all(_chordless(exp.graph, c.vertices) for c in exp.cycles)
 
     def test_contracted_graph_is_5_regular_and_bridgeless(self):
         from fulkerson_lab.matchcolor import shrink_to_gstar
@@ -812,3 +812,30 @@ class TestFirstMatchStream:
         # the canonical first matching already leaves two odd cycles
         assert m == find_perfect_matching(g)
         assert sorted(len(c) for c in cycles) == [19, 49]
+
+
+class TestRejectedTwoFactorsBuildNothing:
+    """A 2-factor that fails a search's cycle test is rejected at its first
+    failing cycle, before any `Cycle` or `PerfectMatching` is built for it."""
+
+    @staticmethod
+    def _count(monkeypatch, cls):
+        made = []
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args: made.append(1) or init(self, *args))
+        return made
+
+    def test_absence_proof_on_goldberg5_wraps_no_matching(self, monkeypatch):
+        g = goldberg(5)
+        made = self._count(monkeypatch, PerfectMatching)
+        res = find_ffamily(g, budget=Budget(limit=500_000))
+        assert res.definitely_absent
+        assert made == []
+
+    def test_c5_search_on_the_expansion_builds_few_cycles(self, monkeypatch):
+        # 899 matchings are drawn; every 2-factor before the last holds a
+        # cycle that is not a chordless 5-cycle
+        g = petersen_expansion().graph
+        made = self._count(monkeypatch, Cycle)
+        assert find_c5_two_factor(g) is not None
+        assert len(made) < 1000

@@ -275,8 +275,7 @@ class TestFindFRTriple:
         def refuse(*args, **kwargs):
             raise AssertionError("find_fr_triple listed every perfect matching")
 
-        for target in ("fulkerson_lab.fulkerson.enumerate_perfect_matchings",
-                       "fulkerson_lab.matchcolor.enumerate_perfect_matchings",
+        for target in ("fulkerson_lab.matchcolor.enumerate_perfect_matchings",
                        "fulkerson_lab.matchcolor._perfect_matchings"):
             monkeypatch.setattr(target, refuse)
         assert find_fr_triple(make()) == want

@@ -476,11 +476,21 @@ class TestTwoFactor:
     @given(st.data())
     def test_same_cycles_and_places_as_the_decomposition(self, data):
         g = random_cubic_multigraph(data, max_order=12, bridgeless=True)
-        for m in brute_force_perfect_matchings(g):
+        # the shared walk with a keep rule: one cycle length is rejected
+        banned = data.draw(st.integers(min_value=2, max_value=12), label="rejected length")
+        ms = brute_force_perfect_matchings(g)
+        walks = list(matchcolor._two_factors(g, ms, lambda verts: len(verts) != banned))
+        assert [m for m, _ in walks] == ms
+        for m, (_, kept) in zip(ms, walks):
             got = two_factor_cycles(g, m)
             want = cycle_decomposition(g, set(g.edge_ids()) - m)
             assert got == want
             assert got.place == want.place
+            if any(len(cyc) == banned for cyc in want):
+                assert kept is None
+            else:
+                assert kept == want
+                assert kept.place == want.place
             # The two share one walk, so check its order on its own too:
             # cycles by lowest vertex, each from there toward the lower
             # neighbour, the lower edge id first between parallels.
@@ -518,8 +528,7 @@ class TestC5Structure:
         monkeypatch.setattr(PerfectMatching, "__init__",
                             lambda self, *args: made.append(self) or init(self, *args))
         g = ten_vertex_c5_example()
-        m, cycles = matchcolor._first_two_factor(
-            g, lambda cs: len(cs) == 2 and all(c.is_odd for c in cs))
+        m, cycles = matchcolor._first_two_factor(g, lambda verts: len(verts) % 2 == 1, count=2)
         assert made == [m]
         assert m.members == enumerate_perfect_matchings(g)[8].members
         assert cycles == two_factor_cycles(g, m)
