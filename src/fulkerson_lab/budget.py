@@ -48,9 +48,9 @@ class Budget:
     search must unwind and report an incomplete result.  The nodes are the
     edge-colouring searches' nodes (lifts included), the perfect matchings
     that `three_edge_coloring` draws alongside its colouring search (one
-    node each), the exact cover's nodes, the index triples that
-    `enumerate_fr_triples` and A1A2 scan, the matching queries that
-    `find_fr_triple` asks, and the F-family search's candidate placements.
+    node each), the exact cover's nodes, the pair queries of the FR-triple
+    walk that `find_fr_triple`, `enumerate_fr_triples` and A1A2 share, and
+    the F-family search's candidate placements.
     The two perfect-matching generators spend no nodes themselves: they ask
     stopped() before each oracle search and end once the budget is
     exhausted, whether by a node search, a cancel or a read past the

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from functools import cache, partial
+from itertools import dropwhile, islice
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
@@ -224,46 +225,23 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
     return triple
 
 
-def iter_fr_triples(g: CubicGraph, pms: Sequence[frozenset[int]],
-                    budget: Budget) -> Iterator[FRTriple]:
-    """FR-triples among listed perfect matchings of g, canonical order, repeats allowed.
+def _fr_triples(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int], ...]]:
+    """Every FR-triple (M_i, M_j, M_k), i <= j <= k, as edge-id sets, by pair queries.
 
-    pms are edge-id sets, as `_matching_list` gives them; only the three
-    matchings of a triple yielded become `PerfectMatching`s.  Spends one
-    budget node per candidate index triple and stops when the budget runs
-    out, so callers tell exhaustion from absence by ``budget.exhausted``.
+    M_0, M_1, ... are the perfect matchings in canonical order, drawn one
+    by one from `_canonical_matchings`.  The pairs (i, j), i <= j, are
+    walked in order; each spends one budget node and asks one query, the
+    matchings from M_j on that avoid M_i & M_j, so the triples come in
+    index order.  Row 0 asks a stream that excludes M_0 & M_j, dropping
+    what sorts before M_j, and holds only M_0 ... M_j, so no matching cap
+    applies; it draws every matching, so the later rows scan the drawn
+    list.  No matching at all avoids M_i & M_j for a pair before the first
+    triple's: an M_l, l < j, would have answered pair (i, l) with M_j, or
+    (l, i) when l < i.  When row 0 yields nothing, one query per edge of
+    M_0 looks for an edge that every matching holds (every bridge is one):
+    it would lie in every triple, so the walk stops there.  It also stops
+    when the budget runs out, which callers tell by ``budget.exhausted``.
     """
-    for i, j, k in combinations_with_replacement(range(len(pms)), 3):
-        if not budget.spend():
-            return
-        if pms[i] & pms[j] & pms[k]:
-            continue
-        yield FRTriple(*(PerfectMatching(g, pms[x]) for x in (i, j, k)))
-
-
-def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
-    """The first FR-triple `iter_fr_triples` yields, found by oracle queries.
-
-    With M_0, M_1, ... the perfect matchings in canonical order, drawn one
-    by one from `_canonical_matchings`, the pairs (i, j), i <= j, are
-    walked in order.  Each pair spends one budget node and asks one query:
-    the first matching M_k that avoids M_i & M_j.  The first pair answered
-    gives (M_i, M_j, M_k), the triple `iter_fr_triples` yields first over
-    the full enumeration.  By induction every earlier pair had no answer:
-    an M_l with l < j that avoided M_i & M_j would have answered pair
-    (i, l), or (l, i) when l < i, since then M_j avoids M_i & M_l.  So the
-    first answer has k >= j, and the first pair with any answer is the
-    first with an answer k >= j.  Only M_0 ... M_j are held, so no matching
-    cap applies.  When the pairs (0, j) find no triple, one query per edge
-    of M_0 looks for an edge that every matching holds (every bridge is
-    one); it would lie in every triple, so there is none, and the walk
-    stops there instead of asking every pair.
-
-    Absence is proved only when the walk ends with budget to spare;
-    an exhausted budget, or a cancel callback that fires inside a matching
-    search, yields an explicit unknown, never a claimed absence.
-    """
-    budget = Budget() if budget is None else budget
     listing = _canonical_matchings(g, budget=budget)
     drawn: list[frozenset[int]] = []
 
@@ -273,36 +251,56 @@ def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[
             drawn.extend(islice(listing, 1))
         return j < len(drawn)
 
-    def avoiding(s: frozenset[int]) -> frozenset[int] | None:
-        # One query for one node: the first matching that avoids s.
-        if not budget.spend():
-            return None
-        return next(_canonical_matchings(g, s, budget=budget), None)
-
     i = 0
     while have(i):
-        j = i
+        j, met = i, False
         while have(j):
-            k = avoiding(drawn[i] & drawn[j])
-            if k is not None:
-                return SearchResult(FRTriple(*(PerfectMatching(g, m)
-                                               for m in (drawn[i], drawn[j], k))), True)
+            if not budget.spend():
+                return
+            s = drawn[i] & drawn[j]
+            if i == 0:
+                answers = dropwhile(lambda m, start=sorted(drawn[j]): sorted(m) < start,
+                                    _canonical_matchings(g, s, budget=budget))
+            else:
+                answers = (m for m in drawn[j:] if not m & s)
+            for k in answers:
+                met = True
+                yield drawn[i], drawn[j], k
             if budget.exhausted:
-                return SearchResult(None, False)
+                return
             j += 1
-        if i == 0 and any(avoiding(frozenset([e])) is None for e in sorted(drawn[0])):
-            break  # an edge in every matching, such as a bridge, is in every triple
+        if i == 0 and not met:
+            for e in sorted(drawn[0]):  # an edge in every matching lies in every triple
+                if not budget.spend() or next(_canonical_matchings(g, frozenset([e]),
+                                                                   budget=budget), None) is None:
+                    return
         i += 1
-    return SearchResult(None, not budget.exhausted)
+
+
+def find_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
+    """The first FR-triple in canonical order, the first that `_fr_triples` yields.
+
+    Only its three matchings become `PerfectMatching`s.  Absence is proved
+    only when the walk ends with budget to spare; an exhausted budget, or a
+    cancel callback that fires inside a matching search, yields an explicit
+    unknown, never a claimed absence.
+    """
+    budget = Budget() if budget is None else budget
+    triple = next(_fr_triples(g, budget), None)
+    if triple is None:
+        return SearchResult(None, not budget.exhausted)
+    return SearchResult(FRTriple(*(PerfectMatching(g, m) for m in triple)), True)
 
 
 def enumerate_fr_triples(g: CubicGraph,
                          budget: Budget | None = None) -> SearchResult[list[FRTriple]]:
-    """Every FR-triple `iter_fr_triples` yields, complete unless truncated or out of budget."""
+    """Every FR-triple `_fr_triples` yields, complete unless out of budget.
+
+    The triples share one `PerfectMatching` per perfect matching they hold."""
     budget = Budget() if budget is None else budget
-    pms, truncated = _matching_list(g, budget=budget)
-    triples = list(iter_fr_triples(g, pms, budget))
-    return SearchResult(triples, not truncated and not budget.exhausted)
+    wrap = cache(partial(PerfectMatching, g))
+    triples = [FRTriple(*map(wrap, t)) for t in _fr_triples(g, budget)]
+    return SearchResult(triples, not budget.exhausted)
 
 
 COLOR = "color"
@@ -385,14 +383,15 @@ def _two_covers(g: CubicGraph, pms: Sequence[frozenset[int]],
     yield from search((), (1 << len(pms)) - 1, everything, everything)
 
 
-def _covering_by_exact_cover(g: CubicGraph, pms: Sequence[frozenset[int]], truncated: bool,
+def _covering_by_exact_cover(g: CubicGraph, listing: list[frozenset[int]] | None,
                              budget: Budget) -> SearchResult[FulkersonCovering]:
     """EXACT2COVER: the first cover `_two_covers` finds over the matchings.
 
-    Only the six matchings chosen become `PerfectMatching`s.  Finding none
-    proves absence only when the matching list was not truncated and the
-    budget held out; otherwise the result is unknown.
+    They are the complete `listing` given, else `_matching_list`'s; only the
+    six chosen become `PerfectMatching`s.  Finding none proves absence only
+    when the list was not truncated and the budget held out.
     """
+    pms, truncated = (listing, False) if listing is not None else _matching_list(g, budget=budget)
     if not pms:
         return SearchResult(None, not truncated)
     chosen = next(_two_covers(g, pms, budget), None)
@@ -402,33 +401,32 @@ def _covering_by_exact_cover(g: CubicGraph, pms: Sequence[frozenset[int]], trunc
     return SearchResult(None, not truncated and not budget.exhausted)
 
 
-def _covering_by_a1a2(g: CubicGraph, pms: Sequence[frozenset[int]], truncated: bool,
-                      budget: Budget) -> SearchResult[FulkersonCovering]:
+def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
     """Search matching pairs (T2, T0) of FR-triples per the splitting criterion.
 
-    Every FR-triple built from enumerated matchings supplies a candidate
-    pair (a1, a2) = (T2, T0); when the split of a2 is also 3-edge-colorable
-    the double lift yields two compatible triples, hence a covering.  The
-    search is complete relative to a complete matching enumeration.  The
-    lifts' colorings spend the budget too, and one that runs out of it ends
-    the search as unknown.
+    Every FR-triple that `_fr_triples` yields supplies a candidate pair
+    (a1, a2) = (T2, T0), each pair tried once; when the split of a2 is
+    also 3-edge-colorable the double lift yields two compatible triples,
+    hence a covering.  Only the lifts build `PerfectMatching`s.  The lifts'
+    colorings spend the budget too, and one that runs out of it ends the
+    search as unknown.
     """
     seen_pairs: set[tuple[frozenset[int], frozenset[int]]] = set()
-    for triple in iter_fr_triples(g, pms, budget):
-        part = t_partition(g, triple)
-        key = (part.t2.members, part.t0.members)
-        if key in seen_pairs:
+    edges = frozenset(g.edge_ids())
+    for a, b, c in _fr_triples(g, budget):
+        t2, t0 = (a & b) | (a & c) | (b & c), edges - a - b - c
+        if (t2, t0) in seen_pairs:
             continue
-        seen_pairs.add(key)
+        seen_pairs.add((t2, t0))
         try:
-            lifted = fr_triple_from_matchings(g, part.t2, part.t0, budget)
-            partner = fr_triple_from_matchings(g, part.t0, part.t2, budget)
+            lifted = fr_triple_from_matchings(g, t2, t0, budget)
+            partner = fr_triple_from_matchings(g, t0, t2, budget)
         except LiftError:
             continue
         except BudgetExhausted:
             break
         return SearchResult(covering_from_compatible(lifted, partner), True)
-    return SearchResult(None, not truncated and not budget.exhausted)
+    return SearchResult(None, not budget.exhausted)
 
 
 def enumerate_fulkerson_coverings(g: CubicGraph,
@@ -456,9 +454,9 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
 
     COLOR doubles a 3-edge-coloring when one exists; EXACT2COVER solves the
     exact multiset cover over enumerated matchings; A1A2 searches disjoint
-    matching pairs whose splits are both 3-edge-colorable.  AUTO cascades
-    the three and lists the perfect matchings at most once, for the last
-    two.
+    matching pairs whose splits are both 3-edge-colorable, drawing them from
+    the FR-triples of `_fr_triples`.  AUTO cascades the three and lists the
+    perfect matchings at most once, for the exact cover.
 
     The coloring is `three_edge_coloring`'s: a perfect matching m with an
     even 2-factor gives m color 0 and alternates 1, 2 around each cycle of
@@ -472,13 +470,15 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     not exhausted and at most `DEFAULT_PM_LIMIT` matchings, the drawn
     matchings are the listing; otherwise `_perfect_matchings` lists once,
     as in `enumerate_perfect_matchings`.  The matchings stay edge-id sets:
-    only the six of a covering, and in A1A2 the three of each FR-triple
-    tried, become `PerfectMatching`s.
+    only the six of a covering, and in A1A2 those of each successful lift,
+    become `PerfectMatching`s.
     """
     strat = strategy.lower()
     if strat not in _STRATEGIES:
         raise GraphError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
     budget = Budget() if budget is None else budget
+    if strat == A1A2:
+        return _covering_by_a1a2(g, budget)
     listing = None
     if strat in (COLOR, AUTO):
         record = _MatchingRecord(g, budget) if strat == AUTO else None
@@ -489,12 +489,10 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
             return SearchResult(None, find_perfect_matching(g) is None)
         listing = record.listing
         del record  # what an unfinished stream drew is not held through the listing
-    pms, truncated = (listing, False) if listing is not None else _matching_list(g, budget=budget)
-    if strat != A1A2:
-        result = _covering_by_exact_cover(g, pms, truncated, budget)
-        if strat == EXACT2COVER or result.found or result.definitely_absent:
-            return result
-    return _covering_by_a1a2(g, pms, truncated, budget)
+    result = _covering_by_exact_cover(g, listing, budget)
+    if strat == EXACT2COVER or result.found or result.definitely_absent:
+        return result
+    return _covering_by_a1a2(g, budget)
 
 
 def is_proper(f: FulkersonCovering) -> bool:

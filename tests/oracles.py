@@ -9,7 +9,8 @@ feed them come from one Hypothesis helper here.  Four former library
 searches live on here as references: the plain depth-first perfect-matching
 search and the slot search for F-families (for the orders the library
 yields), the brute-force cyclic-connectivity test, and the FR-triple search
-that enumerates every matching before it scans for the first triple.
+that enumerates every matching before it scans the index triples (the scan,
+`fr_triple_scan`, gives the order `enumerate_fr_triples` must keep).
 """
 
 import random
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from fulkerson_lab.budget import Budget, SearchResult
 from fulkerson_lab.ffamily import FFamily, _checked_family, _cycle_condition
-from fulkerson_lab.fulkerson import FRTriple, iter_fr_triples
+from fulkerson_lab.fulkerson import FRTriple
 from fulkerson_lab.graph_core import CubicGraph, GraphError, MultiGraph
 from fulkerson_lab.matchcolor import PerfectMatching, enumerate_perfect_matchings, two_factor_cycles
 
@@ -288,6 +289,20 @@ def fr_triple_partitions(g: MultiGraph) -> set[tuple[frozenset[int], frozenset[i
     return out
 
 
+def fr_triple_scan(pms: list[frozenset[int]],
+                   budget: Budget) -> Iterator[tuple[frozenset[int], ...]]:
+    """The FR-triples among listed matchings, by index triple i <= j <= k.
+
+    The former library scan: one budget node per index triple, stopping
+    when the budget runs out.
+    """
+    for i, j, k in combinations_with_replacement(range(len(pms)), 3):
+        if not budget.spend():
+            return
+        if not pms[i] & pms[j] & pms[k]:
+            yield pms[i], pms[j], pms[k]
+
+
 def enumerated_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchResult[FRTriple]:
     """The first FR-triple over every enumerated perfect matching, canonical order.
 
@@ -297,7 +312,9 @@ def enumerated_fr_triple(g: CubicGraph, budget: Budget | None = None) -> SearchR
     """
     budget = Budget() if budget is None else budget
     pms = enumerate_perfect_matchings(g, budget=budget)
-    triple = next(iter_fr_triples(g, [pm.members for pm in pms], budget), None)
+    triple = next(fr_triple_scan([pm.members for pm in pms], budget), None)
+    if triple is not None:
+        triple = FRTriple(*(PerfectMatching(g, m) for m in triple))
     return SearchResult(triple, triple is not None or not (pms.truncated or budget.exhausted))
 
 

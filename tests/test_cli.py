@@ -28,6 +28,7 @@ from fulkerson_lab.generators import (
 from fulkerson_lab.cli import ParseError
 
 from test_ffamily import pentagons_and_hexagon
+from test_fulkerson import chain8
 
 
 def run(capsys, *argv):
@@ -514,6 +515,25 @@ n 3 8 9 12
         code, out, _ = run(capsys, "search", str(path), "covering", "--strategy", "a1a2")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.J5_A1A2_COVERING_SHA256
+
+    # taken from the index-triple scan that A1A2 walked before the pair walk
+    A1A2_COVERING_SHA256 = {
+        "J7": "c9271e2f91785183eda6db1f42b4fde1bf7aae55a927aed5cad1cee680f836da",
+        "G5": "3548e82ff02437e7f8d1f63bc6d7f2e3b612e7e2d754a4d515ee6cd0b2e4f8cf",
+        "J15": "4de9dee9cb9d6187f1b35ba94301e153048a31ecbb9e8af87432c3a57da02621",
+        "chain8": "224ac20a80f6643a251a82febbace362d72ae53a9eb4082464b7bb28a6ed0546",
+    }
+
+    @pytest.mark.parametrize("name,make", [
+        ("J7", lambda: flower_snark(7)), ("G5", lambda: goldberg(5)),
+        ("J15", lambda: flower_snark(15)), ("chain8", chain8),
+    ], ids=["J7", "G5", "J15", "chain8"])
+    def test_search_covering_by_a1a2(self, capsys, tmp_path, name, make):
+        path = tmp_path / "g.graph"
+        path.write_text(write_graph_file(make()))
+        code, out, _ = run(capsys, "search", str(path), "covering", "--strategy", "a1a2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.A1A2_COVERING_SHA256[name]
 
     # the certificates of the covering and of the family
     EXPANSION_C5_SHA256 = ("1ad81274f6edde772349f4a76b51b0b8112ff9abbee8254833d145a61acc7eb3",

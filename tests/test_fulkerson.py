@@ -17,6 +17,7 @@ from fulkerson_lab.generators import (
     ten_vertex_c5_example,
     theta,
 )
+from fulkerson_lab.ffamily import DotStep, iterate_dot_sequence
 from fulkerson_lab.graph_core import CubicGraph, GraphError, Matching
 from fulkerson_lab.matchcolor import (
     PerfectMatching,
@@ -48,6 +49,7 @@ from oracles import (
     covering_exists,
     enumerated_fr_triple,
     fr_triple_partitions,
+    fr_triple_scan,
     proper_covering_exists,
     random_cubic_multigraph,
 )
@@ -62,6 +64,13 @@ def petersen_triples():
 
 def color_triple(g):
     return FRTriple(*color_classes_as_matchings(three_edge_coloring(g)))
+
+
+def chain8():
+    """The 82-vertex graph of the pipeline `base petersen`, `dot type1
+    petersen`, then eight `dot type2 petersen` steps."""
+    steps = [DotStep("type1", petersen())] + [DotStep("type2", petersen())] * 8
+    return iterate_dot_sequence(petersen(), steps).graph
 
 
 def bridged_prisms(k):
@@ -356,6 +365,24 @@ class TestFRTripleOracle:
         assert res == enumerated_fr_triple(g)
         assert res.complete
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_enumeration_is_the_index_triple_scan(self, data):
+        # Every triple in index order, and a run cut by a cancel at its k-th
+        # pair query is incomplete and keeps a prefix.
+        g = random_cubic_multigraph(data, max_order=10)
+        budget = Budget()
+        res = enumerate_fr_triples(g, budget)
+        assert res.complete
+        got = [tuple(m.members for m in t.matchings) for t in res.value]
+        assert got == list(fr_triple_scan(brute_force_perfect_matchings(g), Budget()))
+        if budget.spent:
+            k = data.draw(st.integers(min_value=1, max_value=budget.spent))
+            cut_budget = Budget(cancel=lambda: cut_budget.spent >= k)
+            cut = enumerate_fr_triples(g, cut_budget)
+            assert not cut.complete
+            assert cut.value == res.value[:len(cut.value)]
+
 
 class TestFindCovering:
     def test_k4_color_strategy(self):
@@ -403,13 +430,40 @@ class TestFindCovering:
         return seen
 
     @pytest.mark.parametrize("strategy,calls", [
-        ("auto", 0), ("color", 0), ("exact2cover", 1), ("a1a2", 1),
+        ("auto", 0), ("color", 0), ("exact2cover", 1), ("a1a2", 0),
     ])
     def test_matchings_enumerated_at_most_once(self, monkeypatch, strategy, calls):
         seen = self.lister_starts(monkeypatch)
         res = find_fulkerson_covering(flower_snark(5), strategy, budget=Budget(limit=0))
         assert res.unknown
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("search", [
+        lambda g: find_fulkerson_covering(g, "a1a2"),
+        # a short run: the full one yields 3,228,016 triples
+        lambda g: enumerate_fr_triples(g, Budget(limit=10)),
+    ], ids=["a1a2", "enumerate_fr_triples"])
+    def test_the_fr_triple_walk_lists_no_matchings(self, monkeypatch, search):
+        seen = self.lister_starts(monkeypatch)
+        assert search(goldberg(5)).value
+        assert seen == []
+
+    def test_a1a2_wraps_only_what_its_lifts_build(self, monkeypatch):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        made = []
+        init = PerfectMatching.__init__
+        monkeypatch.setattr(PerfectMatching, "__init__",
+                            lambda self, *args: made.append(self) or init(self, *args))
+        lifted = []
+        lift = fulkerson.fr_triple_from_matchings
+        monkeypatch.setattr(fulkerson, "fr_triple_from_matchings",
+                            lambda *args: lifted.append(lift(*args)) or lifted[-1])
+        res = find_fulkerson_covering(goldberg(5), "a1a2")
+        assert res.found
+        # the covering is the last two lifts' six matchings
+        assert made == [m for t in lifted for m in t.matchings]
+        assert list(res.value.matchings) == made[-6:]
 
     @pytest.mark.parametrize("make,calls", [
         (lambda: flower_snark(5), 0), (lambda: flower_snark(7), 0), (lambda: flower_snark(9), 0),
@@ -817,6 +871,19 @@ class TestGoldbergCoverings:
         assert verify_covering(g, res.value).ok
         # class 2, so Fulkerson coverings are automatically proper
         assert is_proper(res.value)
+
+    @pytest.mark.parametrize("make,spent", [
+        (lambda: flower_snark(21), 4), (lambda: goldberg(9), 1743), (chain8, 4),
+    ], ids=["J21", "G9", "chain8"])
+    def test_a1a2_node_counts(self, make, spent):
+        # J21 has 2^21 perfect matchings, more than the matching cap, which
+        # the walk does not need.
+        g = make()
+        budget = Budget(limit=5_000_000)
+        res = find_fulkerson_covering(g, "a1a2", budget)
+        assert res.found
+        assert verify_covering(g, res.value).ok
+        assert budget.spent == spent
 
     def test_a1a2_covering_verifies(self):
         # G5's A1A2 covering comes from lift colourings that the matching
