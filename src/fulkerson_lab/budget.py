@@ -51,9 +51,9 @@ class Budget:
     node each), the exact cover's nodes, the pair queries of the FR-triple
     walk that `find_fr_triple`, `enumerate_fr_triples` and A1A2 share, and
     the F-family search's candidate placements.
-    The two perfect-matching generators spend no nodes themselves: they ask
-    stopped() before each oracle search and end once the budget is
-    exhausted, whether by a node search, a cancel or a read past the
+    The perfect-matching stream spends no nodes itself: it asks stopped()
+    before each blossom search and 4-cycle repair and ends once the budget
+    is exhausted, whether by a node search, a cancel or a read past the
     matching cap.  A limit of None takes `default_node_budget()`.
     """
 

@@ -336,7 +336,7 @@ def _two_covers(g: CubicGraph, pms: Sequence[frozenset[int]],
 
     The exact-multiplicity cover (after Knuth's Algorithm M) shared by
     EXACT2COVER and the covering enumeration, over the raw edge-id sets of
-    `_matching_list` (no `PerfectMatching` is built), on int bitmasks:
+    a matching listing (no `PerfectMatching` is built), on int bitmasks:
     ``holders[e]`` has bit i set iff edge e lies in matching i; an edge is
     open twice, open once or closed; a matching is usable while none of
     its edges is closed.  Each node spends one budget node and branches on
@@ -383,15 +383,15 @@ def _two_covers(g: CubicGraph, pms: Sequence[frozenset[int]],
     yield from search((), (1 << len(pms)) - 1, everything, everything)
 
 
-def _covering_by_exact_cover(g: CubicGraph, listing: list[frozenset[int]] | None,
+def _covering_by_exact_cover(g: CubicGraph, matchings: _MatchingRecord,
                              budget: Budget) -> SearchResult[FulkersonCovering]:
     """EXACT2COVER: the first cover `_two_covers` finds over the matchings.
 
-    They are the complete `listing` given, else `_matching_list`'s; only the
-    six chosen become `PerfectMatching`s.  Finding none proves absence only
-    when the list was not truncated and the budget held out.
+    They are the `listing` of `matchings`; only the six chosen become
+    `PerfectMatching`s.  Finding none proves absence only when the list was
+    not truncated and the budget held out.
     """
-    pms, truncated = (listing, False) if listing is not None else _matching_list(g, budget=budget)
+    pms, truncated = matchings.listing()
     if not pms:
         return SearchResult(None, not truncated)
     chosen = next(_two_covers(g, pms, budget), None)
@@ -465,13 +465,12 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     colour stage spends the budget, AUTO stops there: absent if g has no
     perfect matching (one search, no enumeration), else unknown.
 
-    AUTO's colour stage draws from a `_MatchingRecord`.  When it refutes a
-    coloring because that canonical stream ran to its end, with the budget
-    not exhausted and at most `DEFAULT_PM_LIMIT` matchings, the drawn
-    matchings are the listing; otherwise `_perfect_matchings` lists once,
-    as in `enumerate_perfect_matchings`.  The matchings stay edge-id sets:
-    only the six of a covering, and in A1A2 those of each successful lift,
-    become `PerfectMatching`s.
+    AUTO's colour stage draws from a `_MatchingRecord`, and the exact cover
+    lists from the same record: first what the colour stage drew, then the
+    rest of that canonical stream, capped as in
+    `enumerate_perfect_matchings`, so one stream serves both.  The
+    matchings stay edge-id sets: only the six of a covering, and in A1A2
+    those of each successful lift, become `PerfectMatching`s.
     """
     strat = strategy.lower()
     if strat not in _STRATEGIES:
@@ -479,17 +478,15 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     budget = Budget() if budget is None else budget
     if strat == A1A2:
         return _covering_by_a1a2(g, budget)
-    listing = None
+    record = _MatchingRecord(g, budget)
     if strat in (COLOR, AUTO):
-        record = _MatchingRecord(g, budget) if strat == AUTO else None
-        result = _covering_by_color(g, budget, record)
+        # only AUTO lists after the colour stage, so only AUTO keeps its draws
+        result = _covering_by_color(g, budget, record if strat == AUTO else None)
         if strat == COLOR or result.found:
             return result
         if budget.exhausted:
             return SearchResult(None, find_perfect_matching(g) is None)
-        listing = record.listing
-        del record  # what an unfinished stream drew is not held through the listing
-    result = _covering_by_exact_cover(g, listing, budget)
+    result = _covering_by_exact_cover(g, record, budget)
     if strat == EXACT2COVER or result.found or result.definitely_absent:
         return result
     return _covering_by_a1a2(g, budget)

@@ -258,123 +258,50 @@ def _repair(near: Sequence[Sequence[int]], saturated: list[bool], mate: list[int
     return False
 
 
-def _perfect_matchings(g: MultiGraph, budget: Budget | None = None) -> Iterator[frozenset[int]]:
-    """Every perfect matching of g, the lister behind `_matching_list`.
-
-    Depth first on an explicit stack: branch on the lowest unsaturated
-    vertex and try its edges in ascending id.  Every vertex below a
-    branching vertex stays saturated, so the next one is looked up from
-    there onward.
-
-    The search never enters a subtree without a matching in it: `mate` is
-    always one perfect matching of g that holds every chosen edge, so every
-    stack frame has a completion.  Taking an edge uw that `mate` does not
-    pair frees the old partners of u and w; one `_augment` search between
-    them either repairs `mate` or proves the subtree empty, and the edge is
-    skipped.  Between two yields the search leaves and enters at most n/2
-    frames each and tries each frame's edges once, so on a cubic graph it
-    makes O(n) repairs of O(m) each.  `mate` is built up front by one
-    search per exposed vertex, so a graph with no perfect matching is
-    decided before any branching.
-
-    Both generators spend no nodes.  With a cancel callback they ask
-    `budget.stopped()` before each oracle search and repair (nothing else
-    exhausts the budget between yields); they end there, or on resuming
-    from a yield once the budget is exhausted.
-    """
-    n = g.num_vertices
-    if n % 2 == 1 or budget is not None and budget.exhausted:
-        return
-    cancel = None if budget is None else budget.cancel
-    saturated = [False] * n
-    mate = [-1] * n
-    options = [[(e, g.other_end(e, v)) for e in g.incident(v)] for v in g.vertices()]
-    near = [tuple(dict.fromkeys(w for _, w in opts if w != v)) for v, opts in enumerate(options)]
-    # A search pairs its root with its first exposed neighbour when there
-    # is one, which is the edge the depth-first search tries first.
-    for v in range(n):
-        if mate[v] == -1:
-            if cancel is not None and budget.stopped():
-                return
-            if not _augment(near, saturated, mate, v):
-                return
-    chosen: list[int] = []
-    stack: list[list[int]] = []  # [branching vertex, index of the edge taken there]
-    u = 0
-    while True:
-        while u < n and saturated[u]:
-            u += 1
-        if u == n:
-            yield frozenset(chosen)
-            if budget is not None and budget.exhausted:
-                return
-        else:
-            saturated[u] = True
-            stack.append([u, -1])
-        # Backtrack to the deepest vertex with an untried edge that still
-        # has a completion, and take it.
-        while stack:
-            frame = stack[-1]
-            v, i = frame
-            opts = options[v]
-            if i >= 0:
-                saturated[opts[i][1]] = False
-                chosen.pop()
-            for i in range(i + 1, len(opts)):
-                e, w = opts[i]
-                if saturated[w]:
-                    continue
-                if mate[v] == w:
-                    break
-                if cancel is not None and budget.stopped():
-                    return
-                saturated[w] = True
-                if _repair(near, saturated, mate, v, w):
-                    break
-                saturated[w] = False
-            else:
-                saturated[v] = False
-                stack.pop()
-                continue
-            frame[1] = i
-            saturated[w] = True
-            chosen.append(e)
-            u = v + 1
-            break
-        else:
-            return
-
-
 def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
                          include: frozenset[int] = frozenset(),
                          budget: Budget | None = None) -> Iterator[frozenset[int]]:
     """Perfect matchings holding the matching `include` and avoiding `exclude`,
-    lazily, lexicographic by sorted edge-id tuple.
+    lazily, lexicographic by sorted edge-id tuple: the one perfect-matching generator.
 
     A binary partition over the edges in ascending id, each edge with two
     unmatched ends first included, then excluded (the flashlight method;
     Read and Tarjan, Networks 5, 1975).  Matchings that hold an edge and
     agree below it with matchings that avoid it come first, so the order
-    is that of `enumerate_perfect_matchings` with no sort, and the first
-    few come without the rest.  The edges of `include` are matched up
-    front; the order among matchings that all hold them is the same.  As
-    in `_perfect_matchings`, `mate` is always one perfect matching of the
-    allowed graph that holds every included edge, so no subtree without a
-    completion is entered: including an edge that `mate` does not pair is
-    one `_repair`, and excluding one that it does pair is one `_augment`
-    between its ends.  `near[u][w]` counts the allowed edges between u and
-    w, so excluding one of two parallel edges leaves its twin usable; loops
-    are never allowed.  It stops on `budget` as `_perfect_matchings` does.
+    is canonical with no sort, and the first few come without the rest.
+    The edges of `include` are matched up front; the order among matchings
+    that all hold them is the same.
+
+    `mate` is always one perfect matching of the allowed graph that holds
+    every included edge, found up front by one `_augment` search per
+    exposed vertex, so no subtree without a completion is entered:
+    including an edge that `mate` does not pair is one `_repair`, and
+    excluding one that it does pair re-matches its ends, by an alternating
+    4-cycle u-x-mate(x)-w when there is one, else by one `_augment`.
+    `near[u][w]` counts the allowed edges between u and w, so excluding one
+    of two parallel edges leaves its twin usable; loops are never allowed.
+    Once the first matching is out, a bare vertex left with one allowed
+    edge to another bare vertex takes it at once; such a forced edge takes
+    no search, going in or coming out on backtracking.  It lies in every
+    completion of the subtree, so the order is the same.
+
+    It spends no nodes.  With a cancel callback it asks `budget.stopped()`
+    before every blossom search and every 4-cycle repair (nothing else
+    exhausts the budget between yields); it ends there, or on resuming from
+    a yield once the budget is exhausted.
     """
     n = g.num_vertices
     if n % 2 == 1 or budget is not None and budget.exhausted:
         return
     cancel = None if budget is None else budget.cancel
-    ends = [g.endpoints(e) for e in g.edge_ids()]
+    ends = [(u, w) for _, u, w in g.edges]
     near: list[dict[int, int]] = [{} for _ in range(n)]
+    out = [True] * len(ends)  # the edges not allowed
 
-    def allow(u: int, w: int, k: int) -> None:
-        # Adds k (1 or -1) to the allowed edges between u and w.
+    def allow(e: int, k: int) -> None:
+        # Adds k (1 or -1) to the allowed edges between the ends of e.
+        u, w = ends[e]
+        out[e] = k < 0
         c = near[u].get(w, 0) + k
         if c:
             near[u][w] = near[w][u] = c
@@ -383,7 +310,8 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
 
     for e, (u, w) in enumerate(ends):
         if u != w and e not in exclude:
-            allow(u, w, 1)
+            out[e] = False
+            near[u][w] = near[w][u] = near[u].get(w, 0) + 1
     saturated = [False] * n
     mate = [-1] * n
     for e in include:
@@ -397,14 +325,46 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
             if not _augment(near, saturated, mate, v):
                 return
     chosen = list(include)
-    stack: list[tuple[int, bool]] = []  # (edge decided, whether it was included)
+    EXCLUDED, INCLUDED, FORCED = range(3)
+    stack: list[tuple[int, int]] = []  # (edge decided, how)
+    forcing = False
+
+    def force(todo: list[int]) -> int:
+        # Matches each bare vertex of todo that has one allowed edge left to
+        # a bare vertex along that edge, then checks the neighbours of both
+        # ends in turn; returns how many vertices it matched.
+        matched = 0
+        for x in todo:
+            if saturated[x]:
+                continue
+            w = -1
+            options = near[x]
+            for y in options:
+                if not saturated[y]:
+                    if w != -1:
+                        break
+                    w = y
+            else:  # w is mate[x], the one bare vertex left next to x
+                if options[w] > 1:
+                    continue
+                for f in g.incident(x):
+                    if not out[f] and w in ends[f]:
+                        break
+                saturated[x] = saturated[w] = True
+                chosen.append(f)
+                stack.append((f, FORCED))
+                matched += 2
+                todo += options
+                todo += near[w]
+        return matched
+
     e, bare = 0, n - 2 * len(include)
     while True:
         # Decide the edges in ascending id until every vertex is matched;
         # `mate` guarantees that happens before the edges run out.
         while bare:
             u, w = ends[e]
-            if u != w and not saturated[u] and not saturated[w] and e not in exclude:
+            if not out[e] and not saturated[u] and not saturated[w]:
                 take = mate[u] == w
                 if not take:
                     if cancel is not None and budget.stopped():
@@ -415,34 +375,51 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
                 if take:
                     chosen.append(e)
                     bare -= 2
+                    stack.append((e, INCLUDED))
+                    if forcing:
+                        bare -= force([*near[u], *near[w]])
                 else:  # `mate` avoids u-w, so it survives the exclusion
-                    allow(u, w, -1)
-                stack.append((e, take))
+                    allow(e, -1)
+                    stack.append((e, EXCLUDED))
+                    if forcing:
+                        bare -= force([u, w])
             e += 1
         yield frozenset(chosen)
         if budget is not None and budget.exhausted:
             return
-        # Backtrack to the deepest included edge whose exclusion still has
-        # a completion, and exclude it.
+        forcing = True
+        # Backtrack to the deepest chosen edge whose exclusion still has a
+        # completion, and exclude it.
         while stack:
-            e, took = stack.pop()
-            u, w = ends[e]
-            allow(u, w, -1 if took else 1)
-            if not took:
+            e, how = stack.pop()
+            if how == EXCLUDED:
+                allow(e, 1)
                 continue
+            u, w = ends[e]
             saturated[u] = saturated[w] = False
             chosen.pop()
             bare += 2
+            if how == FORCED:
+                continue
+            allow(e, -1)
             if w not in near[u]:  # no parallel twin takes over, so re-match u and w
                 if cancel is not None and budget.stopped():
                     return
                 mate[u] = mate[w] = -1
-                # a w with no free neighbour left is a dead end without a search
-                if all(saturated[x] for x in near[w]) or not _augment(near, saturated, mate, u):
-                    mate[u], mate[w] = w, u
-                    allow(u, w, 1)
-                    continue
-            stack.append((e, False))
+                for x in near[u]:
+                    if not saturated[x] and mate[x] in near[w]:
+                        y = mate[x]
+                        mate[u], mate[x], mate[w], mate[y] = x, u, y, w
+                        break
+                else:
+                    # a w with no free neighbour left is a dead end without a search
+                    if all(saturated[x] for x in near[w]) or not _augment(near, saturated,
+                                                                          mate, u):
+                        mate[u], mate[w] = w, u
+                        allow(e, 1)
+                        continue
+            stack.append((e, EXCLUDED))
+            bare -= force([u, w])
             e += 1
             break
         else:
@@ -462,19 +439,16 @@ def _capped_matchings(g: CubicGraph, budget: Budget) -> Iterator[frozenset[int]]
 
 
 class _MatchingRecord:
-    """The canonical stream of g, kept as it is drawn so that it can serve as a listing.
+    """The canonical stream of g, kept as it is drawn so that it can go on as a listing.
 
-    `listing` stays None until the stream runs out with the budget not
-    exhausted.  The stream stops early only on an exhausted budget, so then
-    the matchings drawn are every perfect matching of g, in the order of
-    `enumerate_perfect_matchings`.  Past `DEFAULT_PM_LIMIT` matchings the
-    record keeps none: the capped enumeration keeps the first ones that
-    `_perfect_matchings` finds, in its own order.
+    A colour stage draws from it; `listing` then gives what was drawn and
+    the rest of the same stream, so no second generator starts.  It keeps
+    at most `DEFAULT_PM_LIMIT` + 1 of what is drawn, all a capped listing
+    can read.
     """
 
     def __init__(self, g: MultiGraph, budget: Budget | None):
-        self.listing: list[frozenset[int]] | None = None
-        self._drawn: list[frozenset[int]] | None = []
+        self.drawn: list[frozenset[int]] = []
         self._budget = budget
         self._stream = _canonical_matchings(g, budget=budget)
 
@@ -482,47 +456,38 @@ class _MatchingRecord:
         return self
 
     def __next__(self) -> frozenset[int]:
-        m = next(self._stream, None)
-        if m is None:
-            if self._budget is None or not self._budget.exhausted:
-                self.listing = self._drawn
-            raise StopIteration
-        if self._drawn is not None:
-            self._drawn.append(m)
-            if len(self._drawn) > DEFAULT_PM_LIMIT:
-                self._drawn = None
+        m = next(self._stream)
+        if len(self.drawn) <= DEFAULT_PM_LIMIT:
+            self.drawn.append(m)
         return m
+
+    def listing(self, limit: int | None = None) -> tuple[list[frozenset[int]], bool]:
+        """The first `limit` perfect matchings (default `DEFAULT_PM_LIMIT`),
+        canonical order, and whether the listing is truncated: there are
+        more, or the stream stopped on an exhausted budget."""
+        limit = DEFAULT_PM_LIMIT if limit is None else limit
+        self.drawn += islice(self._stream, max(0, limit + 1 - len(self.drawn)))
+        truncated = len(self.drawn) > limit or self._budget is not None and self._budget.exhausted
+        return self.drawn[:limit], truncated
 
 
 def _matching_list(g: MultiGraph, limit: int | None = None,
                    budget: Budget | None = None) -> tuple[list[frozenset[int]], bool]:
-    """The perfect matchings of g as edge-id sets, canonical order, and whether truncated.
-
-    `_perfect_matchings` lists them: the first `limit` it finds (default
-    `DEFAULT_PM_LIMIT`) are kept and sorted, and the list is truncated when
-    there are more or when the search stops on an exhausted budget.
-    """
-    limit = DEFAULT_PM_LIMIT if limit is None else limit
-    found = list(islice(_perfect_matchings(g, budget), limit + 1))
-    truncated = len(found) > limit or budget is not None and budget.exhausted
-    return sorted(found[:limit], key=lambda s: tuple(sorted(s))), truncated
+    """The perfect matchings of g as edge-id sets, a capped read of the stream
+    (see `_MatchingRecord.listing`)."""
+    return _MatchingRecord(g, budget).listing(limit)
 
 
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
                                 budget: Budget | None = None) -> PMEnumeration:
-    """All perfect matchings of g, lexicographic by sorted edge-id tuple.
+    """The first `limit` perfect matchings of g (default one million),
+    lexicographic by sorted edge-id tuple.
 
-    Keeps the first `limit` matchings the search finds (default one
-    million) and flags the enumeration truncated when there are more.  An
-    odd vertex count yields the empty, complete enumeration.  The search
-    stops on `budget`, when there is one, as `_perfect_matchings` says; an
-    exhausted budget leaves the enumeration truncated.  No budget nodes
-    are spent.
-
+    The enumeration is truncated when there are more, or when `budget`
+    stops the stream (see `_canonical_matchings`); an odd vertex count
+    yields the empty, complete enumeration.  No budget nodes are spent.
     It validates every matching of `_matching_list`, the listing that the
-    covering searches read as raw edge-id sets.  `_perfect_matchings`
-    lists 1.7-3.9x faster than `_canonical_matchings`, which serves every
-    first-match search (G7: 95 ms against 370 ms).
+    covering searches read as raw edge-id sets.
     """
     found, truncated = _matching_list(g, limit, budget)
     return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
@@ -742,8 +707,8 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
 
     `matchings` is the stream drawn from, by default a fresh
     `_canonical_matchings(g, budget=budget)`.  AUTO passes a
-    `_MatchingRecord`, so that a stream that ran to its end on a refuted
-    graph serves as its listing of the perfect matchings.
+    `_MatchingRecord`, so that what the colour stage drew starts its
+    listing of the perfect matchings.
     """
     if not _loopless_cubic(g):
         return _first_coloring(g, 3, budget)

@@ -11,6 +11,8 @@ search and the slot search for F-families (for the orders the library
 yields), the brute-force cyclic-connectivity test, and the FR-triple search
 that enumerates every matching before it scans the index triples (the scan,
 `fr_triple_scan`, gives the order `enumerate_fr_triples` must keep).
+`SearchCounts` counts the blossom searches and stream starts that the
+search-count pins read.
 """
 
 import random
@@ -99,6 +101,41 @@ def naive_perfect_matchings(g: MultiGraph, include: frozenset[int] = frozenset()
             stack.pop()
         else:
             return
+
+
+class SearchCounts:
+    """What the perfect-matching stream does, counted by patching the library.
+
+    `augment` and `repair` count the outcomes (True or False) of every
+    `_augment` and `_repair` call, the `_augment` inside `_repair`
+    included; `starts` lists the graph of every `_canonical_matchings`
+    stream, once it is first read, in every module that imports it.
+    """
+
+    def __init__(self, monkeypatch):
+        from fulkerson_lab import fulkerson, matchcolor
+
+        self.augment: Counter = Counter()
+        self.repair: Counter = Counter()
+        self.starts: list[MultiGraph] = []
+
+        def counted(search, tally):
+            def run(*args):
+                found = search(*args)
+                tally[found] += 1
+                return found
+            return run
+
+        stream = matchcolor._canonical_matchings
+
+        def started(g, *args, **kwargs):
+            self.starts.append(g)
+            yield from stream(g, *args, **kwargs)
+
+        monkeypatch.setattr(matchcolor, "_augment", counted(matchcolor._augment, self.augment))
+        monkeypatch.setattr(matchcolor, "_repair", counted(matchcolor._repair, self.repair))
+        for module in (matchcolor, fulkerson):  # the modules that import the stream
+            monkeypatch.setattr(module, "_canonical_matchings", started)
 
 
 def random_cubic_multigraph(data, max_order: int, bridgeless: bool = False,

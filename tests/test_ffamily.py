@@ -782,7 +782,8 @@ class TestFirstMatchStream:
         for module in (matchcolor, fulkerson, ffamily):
             if hasattr(module, "enumerate_perfect_matchings"):
                 monkeypatch.setattr(module, "enumerate_perfect_matchings", refuse)
-        monkeypatch.setattr(matchcolor, "_perfect_matchings", refuse)
+        monkeypatch.setattr(matchcolor, "_matching_list", refuse)
+        monkeypatch.setattr(matchcolor._MatchingRecord, "listing", refuse)
         assert search()
 
     def test_c5_factor_past_the_cap_is_unknown(self, monkeypatch):

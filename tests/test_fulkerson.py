@@ -45,6 +45,7 @@ from fulkerson_lab.fulkerson import (
     verify_covering,
 )
 from oracles import (
+    SearchCounts,
     brute_force_perfect_matchings,
     covering_exists,
     enumerated_fr_triple,
@@ -285,7 +286,9 @@ class TestFindFRTriple:
             raise AssertionError("find_fr_triple listed every perfect matching")
 
         for target in ("fulkerson_lab.matchcolor.enumerate_perfect_matchings",
-                       "fulkerson_lab.matchcolor._perfect_matchings"):
+                       "fulkerson_lab.matchcolor._matching_list",
+                       "fulkerson_lab.fulkerson._matching_list",
+                       "fulkerson_lab.matchcolor._MatchingRecord.listing"):
             monkeypatch.setattr(target, refuse)
         assert find_fr_triple(make()) == want
 
@@ -415,28 +418,24 @@ class TestFindCovering:
             find_fulkerson_covering(k4(), "dance")
 
     @staticmethod
-    def lister_starts(monkeypatch):
-        """The graphs `_perfect_matchings`, the vertex lister, is started on."""
-        from fulkerson_lab import matchcolor
+    def refuse_listings(monkeypatch):
+        """Makes every capped listing of the perfect matchings fail."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed the perfect matchings")
 
-        seen = []
-        lister = matchcolor._perfect_matchings
+        monkeypatch.setattr("fulkerson_lab.matchcolor._MatchingRecord.listing", refuse)
 
-        def counting(g, *args, **kwargs):
-            seen.append(g)
-            return lister(g, *args, **kwargs)
-
-        monkeypatch.setattr(matchcolor, "_perfect_matchings", counting)
-        return seen
-
+    # Out of budget from the first node: AUTO's colour stage draws nothing,
+    # then one stream decides whether g has a perfect matching; EXACT2COVER
+    # lists; A1A2 draws M_0 before its first pair query.
     @pytest.mark.parametrize("strategy,calls", [
-        ("auto", 0), ("color", 0), ("exact2cover", 1), ("a1a2", 0),
+        ("auto", 1), ("color", 0), ("exact2cover", 1), ("a1a2", 1),
     ])
     def test_matchings_enumerated_at_most_once(self, monkeypatch, strategy, calls):
-        seen = self.lister_starts(monkeypatch)
+        counts = SearchCounts(monkeypatch)
         res = find_fulkerson_covering(flower_snark(5), strategy, budget=Budget(limit=0))
         assert res.unknown
-        assert len(seen) == calls
+        assert len(counts.starts) == calls
 
     @pytest.mark.parametrize("search", [
         lambda g: find_fulkerson_covering(g, "a1a2"),
@@ -444,9 +443,8 @@ class TestFindCovering:
         lambda g: enumerate_fr_triples(g, Budget(limit=10)),
     ], ids=["a1a2", "enumerate_fr_triples"])
     def test_the_fr_triple_walk_lists_no_matchings(self, monkeypatch, search):
-        seen = self.lister_starts(monkeypatch)
+        self.refuse_listings(monkeypatch)
         assert search(goldberg(5)).value
-        assert seen == []
 
     def test_a1a2_wraps_only_what_its_lifts_build(self, monkeypatch):
         import fulkerson_lab.fulkerson as fulkerson
@@ -466,17 +464,19 @@ class TestFindCovering:
         assert list(res.value.matchings) == made[-6:]
 
     @pytest.mark.parametrize("make,calls", [
-        (lambda: flower_snark(5), 0), (lambda: flower_snark(7), 0), (lambda: flower_snark(9), 0),
+        (lambda: flower_snark(5), 1), (lambda: flower_snark(7), 1), (lambda: flower_snark(9), 1),
         (petersen, 1), (lambda: goldberg(5), 1), (lambda: goldberg(7), 1),
     ], ids=["J5", "J7", "J9", "petersen", "G5", "G7"])
     def test_auto_lists_once_unless_the_colour_stream_ended(self, monkeypatch, make, calls):
-        # The stream refutes the flower snarks' colourings by running to its
-        # end, and AUTO reuses what it drew; on the others the colouring
-        # search refutes first and the lister runs once.
-        seen = self.lister_starts(monkeypatch)
-        res = find_fulkerson_covering(make())
-        assert res.found
-        assert len(seen) == calls
+        # The exact cover lists what the colour stage drew, then the rest of
+        # the same stream: the stream refutes the flower snarks' colourings
+        # by running to its end, the colouring search refutes the others
+        # first.  Either way one stream starts, as for EXACT2COVER.
+        counts = SearchCounts(monkeypatch)
+        assert find_fulkerson_covering(make()).found
+        assert len(counts.starts) == calls
+        assert find_fulkerson_covering(make(), "exact2cover").found
+        assert len(counts.starts) == 2 * calls
 
     @pytest.mark.parametrize("k", [5, 7, 9])
     def test_auto_covering_from_the_reused_stream_is_exact2covers(self, k):
@@ -487,34 +487,30 @@ class TestFindCovering:
             [m.members for m in exact.value.matchings]
 
     def test_auto_past_the_matching_cap_lists_as_enumerate_does(self, monkeypatch):
-        import fulkerson_lab.fulkerson as fulkerson
+        from fulkerson_lab import matchcolor
 
         g = flower_snark(7)
         assert len(enumerate_perfect_matchings(g)) == 128
         monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 100)
         listings = []
-        listing = fulkerson._matching_list
-        monkeypatch.setattr(fulkerson, "_matching_list",
-                            lambda *args, **kwargs: listings.append(listing(*args, **kwargs))
-                            or listings[-1])
+        listing = matchcolor._MatchingRecord.listing
+        monkeypatch.setattr(matchcolor._MatchingRecord, "listing",
+                            lambda *args: listings.append(listing(*args)) or listings[-1])
         auto = find_fulkerson_covering(g, "auto")
         exact = find_fulkerson_covering(g, "exact2cover")
         capped = enumerate_perfect_matchings(g)
         assert capped.truncated and len(capped) == 100
-        assert listings[0] == ([m.members for m in capped], True)
+        # AUTO, EXACT2COVER and the enumeration read the same canonical prefix
+        assert listings == [([m.members for m in capped], True)] * 3
         assert not auto.definitely_absent
-        assert auto.complete == exact.complete
-        assert (auto.value is None) == (exact.value is None)
-        if auto.found:
-            assert [m.members for m in auto.value.matchings] == \
-                [m.members for m in exact.value.matchings]
+        assert auto == exact
 
     def test_cancel_inside_the_colour_stream_gives_unknown(self, monkeypatch):
         import sys
 
         import fulkerson_lab.fulkerson as fulkerson
 
-        seen = self.lister_starts(monkeypatch)
+        self.refuse_listings(monkeypatch)
         covers = []
         two_covers = fulkerson._two_covers
         monkeypatch.setattr(fulkerson, "_two_covers",
@@ -533,7 +529,7 @@ class TestFindCovering:
         assert len(asked) >= 100
         assert budget.exhausted
         assert res.unknown
-        assert seen == [] and covers == []
+        assert covers == []
 
     def test_auto_wraps_only_the_matchings_it_returns(self, monkeypatch):
         made = []
@@ -552,12 +548,11 @@ class TestFindCovering:
     def test_auto_stops_once_the_colour_stage_spends_the_budget(self, monkeypatch):
         import time
 
-        seen = self.lister_starts(monkeypatch)
+        self.refuse_listings(monkeypatch)
         start = time.perf_counter()
         res = find_fulkerson_covering(flower_snark(17), budget=Budget(limit=1000))
         assert time.perf_counter() - start < 2
         assert res.unknown
-        assert seen == []
 
     def test_auto_out_of_budget_still_proves_absence_without_a_perfect_matching(self):
         from test_matchcolor import three_bridges

@@ -31,7 +31,6 @@ from fulkerson_lab.matchcolor import (
     PerfectMatching,
     _canonical_matchings,
     _first_coloring,
-    _perfect_matchings,
     color_classes_as_matchings,
     enumerate_perfect_matchings,
     enumerate_three_edge_colorings,
@@ -49,6 +48,7 @@ from fulkerson_lab.matchcolor import (
 )
 
 from oracles import (
+    SearchCounts,
     balanced_subsets,
     brute_force_perfect_matchings,
     colorable_via_matching_partition,
@@ -107,6 +107,16 @@ class TestEnumeratePerfectMatchings:
         enum = enumerate_perfect_matchings(make(), limit=count)
         assert len(enum) == count
         assert not enum.truncated
+
+    @pytest.mark.parametrize("make", [petersen, lambda: flower_snark(7), lambda: goldberg(5)],
+                             ids=["petersen", "J7", "G5"])
+    def test_a_limit_keeps_the_canonical_prefix(self, make):
+        g = make()
+        full = [m.members for m in enumerate_perfect_matchings(g)]
+        for k in range(1, min(len(full), 100) + 1):
+            enum = enumerate_perfect_matchings(g, limit=k)
+            assert [m.members for m in enum] == full[:k]
+            assert enum.truncated == (k < len(full))
 
     def test_limit_at_least_count_finds_the_same_set(self):
         full = {m.members for m in enumerate_perfect_matchings(petersen())}
@@ -240,7 +250,6 @@ class TestBalanced:
         def no_search(*args, **kwargs):
             raise AssertionError("is_m_balanced ran a perfect-matching search")
 
-        monkeypatch.setattr("fulkerson_lab.matchcolor._perfect_matchings", no_search)
         monkeypatch.setattr("fulkerson_lab.matchcolor._canonical_matchings", no_search)
         k = 25
         g = flower_snark(k)
@@ -709,14 +718,19 @@ class TestColoringByMatchings:
         if fire_on == 2:
             assert budget.spent == 1
 
-    def test_a_record_that_ran_out_is_the_listing(self):
+    def test_a_record_that_ran_out_is_the_listing(self, monkeypatch):
         g = flower_snark(9)
+        counts = SearchCounts(monkeypatch)
         record = matchcolor._MatchingRecord(g, Budget())
         assert three_edge_coloring(g, matchings=record) is None
-        assert record.listing == [m.members for m in enumerate_perfect_matchings(g)]
+        full = [m.members for m in enumerate_perfect_matchings(g)]
+        assert record.drawn == full
+        assert record.listing() == (full, False)
+        assert len(counts.starts) == 2  # the record's stream, then the enumeration's
 
     @pytest.mark.parametrize("fire_on", [2, 500])
     def test_a_record_cut_by_a_cancel_is_no_listing(self, fire_on):
+        # what the colour stage drew is a truncated listing, the canonical prefix
         calls = []
 
         def cancel():
@@ -728,26 +742,33 @@ class TestColoringByMatchings:
         record = matchcolor._MatchingRecord(g, budget)
         assert three_edge_coloring(g, budget, matchings=record) is None
         assert list(record) == []  # the stream has run out
-        assert budget.exhausted and record.listing is None
+        assert budget.exhausted
+        listing, truncated = record.listing()
+        assert truncated and listing == record.drawn
+        assert listing == [m.members for m in enumerate_perfect_matchings(g)][:len(listing)]
 
     def test_a_record_past_the_cap_is_no_listing(self, monkeypatch):
+        # a listing past the cap keeps the first matchings and is truncated
         g = flower_snark(5)
-        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 31)
+        full = [m.members for m in enumerate_perfect_matchings(g)]
+        assert len(full) == 32
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 30)
         record = matchcolor._MatchingRecord(g, Budget())
         assert len(list(record)) == 32
-        assert record.listing is None
+        assert record.drawn == full[:31]  # the cap and one more
+        assert record.listing() == (full[:30], True)
         monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 32)
         record = matchcolor._MatchingRecord(g, Budget())
-        assert record.listing is None  # nothing drawn yet
-        assert list(record) == record.listing
-        assert len(record.listing) == 32
+        assert next(record) == full[0]
+        assert record.listing() == (full, False)  # what was drawn, then the rest
 
     def test_lists_no_matchings(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("three_edge_coloring listed perfect matchings")
 
         monkeypatch.setattr(matchcolor, "enumerate_perfect_matchings", refuse)
-        monkeypatch.setattr(matchcolor, "_perfect_matchings", refuse)
+        monkeypatch.setattr(matchcolor, "_matching_list", refuse)
+        monkeypatch.setattr(matchcolor._MatchingRecord, "listing", refuse)
         assert three_edge_coloring(flower_snark(9)) is None
         assert three_edge_coloring(pairing_model(300, seed=1)) is not None
         assert three_edge_coloring(cube_q3()) is not None
@@ -781,22 +802,18 @@ class TestOracleDifferential:
         assert len(enumerate_three_edge_colorings(g)) == count // 6
 
 
-class TestPlainSearchOrder:
-    """The pruned lister yields exactly what the plain depth-first search
-    yields, in the same order, on multigraphs with loops and parallel edges."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_same_sequence_as_the_plain_search(self, data):
-        g = random_cubic_multigraph(data, max_order=12, loops=True)
-        got = list(_perfect_matchings(g))
-        assert got == list(naive_perfect_matchings(g))
-        assert sorted(got, key=lambda m: tuple(sorted(m))) == brute_force_perfect_matchings(g)
-
-    @pytest.mark.parametrize("make", [lambda: flower_snark(9), lambda: goldberg(5), petersen])
-    def test_same_sequence_on_snarks(self, make):
-        g = make()
-        assert list(_perfect_matchings(g)) == list(naive_perfect_matchings(g))
+def draw_include_exclude(data, g: MultiGraph) -> tuple[frozenset[int], frozenset[int]]:
+    """A random matching of up to 3 edges to include, and up to 5 other edges to exclude."""
+    include: set[int] = set()
+    ends: set[int] = set()
+    for e in data.draw(st.lists(st.sampled_from(g.edge_ids()), max_size=3)):
+        u, v = g.endpoints(e)
+        if u != v and not {u, v} & ends:
+            include.add(e)
+            ends |= {u, v}
+    others = sorted(set(g.edge_ids()) - include)
+    exclude = frozenset(data.draw(st.sets(st.sampled_from(others), max_size=5)))
+    return frozenset(include), exclude
 
 
 class TestCanonicalOrder:
@@ -819,6 +836,29 @@ class TestCanonicalOrder:
         g = make()
         assert list(_canonical_matchings(g)) == [m.members for m in enumerate_perfect_matchings(g)]
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sorted_plain_search_under_random_includes_and_excludes(self, data):
+        # the whole stream, where forced edges sit next to parallel twins and loops
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        include, exclude = draw_include_exclude(data, g)
+        want = sorted(naive_perfect_matchings(g, include, exclude), key=lambda m: tuple(sorted(m)))
+        assert list(_canonical_matchings(g, exclude, include)) == want
+
+    # Outcomes of the blossom searches and of the repairs of a full listing,
+    # from one measured run.  Before forced edges and 4-cycle repairs the
+    # stream failed 2,540 (G5) and 45,451 (G7) blossom searches.
+    @pytest.mark.parametrize("make,count,augment,repair", [
+        (lambda: goldberg(5), 619, {False: 122, True: 695}, {False: 169, True: 465}),
+        (lambda: goldberg(7), 8166, {False: 814, True: 8648}, {False: 1396, True: 6392}),
+    ], ids=["G5", "G7"])
+    def test_failed_blossom_searches_of_a_full_listing(self, monkeypatch, make, count, augment,
+                                                       repair):
+        counts = SearchCounts(monkeypatch)
+        assert len(list(_canonical_matchings(make()))) == count
+        assert counts.augment == augment
+        assert counts.repair == repair
+
     def test_parallel_twin_survives_the_exclusion(self):
         # theta: three parallel edges between two vertices
         assert list(_canonical_matchings(theta(), frozenset([0]))) == [{1}, {2}]
@@ -839,14 +879,14 @@ class TestCanonicalOrder:
         assert len(got) == yielded and len(calls) == fire_on
         assert budget.exhausted and budget.spent == 0
 
-    @pytest.mark.parametrize("generator", [_canonical_matchings, _perfect_matchings])
+    @pytest.mark.parametrize("generator", [_canonical_matchings])
     @pytest.mark.parametrize("make", [petersen, lambda: CubicGraph(0, [])], ids=["petersen", "empty"])
     def test_an_exhausted_budget_yields_nothing(self, generator, make):
         budget = Budget(limit=0)
         assert not budget.spend()
         assert list(generator(make(), budget=budget)) == []
 
-    @pytest.mark.parametrize("generator", [_canonical_matchings, _perfect_matchings])
+    @pytest.mark.parametrize("generator", [_canonical_matchings])
     def test_exhaustion_between_draws_ends_the_stream(self, generator):
         budget = Budget(limit=0)
         stream = generator(flower_snark(5), budget=budget)
@@ -864,16 +904,7 @@ class TestFirstMatchDifferential:
     @given(st.data())
     def test_canonical_first_of_the_plain_search(self, data):
         g = random_cubic_multigraph(data, max_order=12, loops=True)
-        include: set[int] = set()
-        ends: set[int] = set()
-        for e in data.draw(st.lists(st.sampled_from(g.edge_ids()), max_size=3)):
-            u, v = g.endpoints(e)
-            if u != v and not {u, v} & ends:
-                include.add(e)
-                ends |= {u, v}
-        others = sorted(set(g.edge_ids()) - include)
-        exclude = frozenset(data.draw(st.sets(st.sampled_from(others), max_size=5)))
-        include = frozenset(include)
+        include, exclude = draw_include_exclude(data, g)
         found = find_perfect_matching(g, include, exclude)
         want = min(naive_perfect_matchings(g, include, exclude),
                    key=lambda m: tuple(sorted(m)), default=None)
