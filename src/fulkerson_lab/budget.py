@@ -45,7 +45,9 @@ class Budget:
     """Cooperative node budget with an optional cancellation callback.
 
     Searches call spend() once per explored node; a False return means the
-    search must unwind and report an incomplete result.  The nodes are the
+    search must unwind and report an incomplete result.  Once the budget is
+    exhausted, spend() refuses at once, without asking `cancel` or counting
+    the node.  The nodes are the
     edge-colouring searches' nodes (lifts included), the perfect matchings
     that `three_edge_coloring` draws alongside its colouring search (one
     node each), the exact cover's nodes, the pair queries of the FR-triple
@@ -66,10 +68,10 @@ class Budget:
         if self.limit is None:
             self.limit = default_node_budget()
 
-    def spend(self, amount: int = 1) -> bool:
+    def spend(self) -> bool:
         if self.exhausted:
             return False
-        self.spent += amount
+        self.spent += 1
         if self.spent > self.limit or (self.cancel is not None and self.cancel()):
             self.exhausted = True
             return False

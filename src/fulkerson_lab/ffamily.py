@@ -378,7 +378,7 @@ def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]], fixed:
 
 
 def _ffamilies(g: CubicGraph, m: PerfectMatching | Iterable[int], budget: Budget,
-               factor: CycleSet | None = None) -> Iterator[FFamily]:
+               factor: CycleSet) -> Iterator[FFamily]:
     """Every family for m in canonical order: per-cycle placements on an explicit stack.
 
     Each m-edge is labelled -1 (no member) or with a member at the first
@@ -391,12 +391,10 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching | Iterable[int], budget: Budget
     ends.  Placements are tried in the order of the own edges' label
     vectors, -1 < 0 < 1 < 2 < 3, so families come in lexicographic order
     of all the labels, cycle by cycle and by edge id within a cycle.
-    Every candidate placement examined spends one node.  m is an edge-id
-    set with its 2-factor from `_two_factors`, or a perfect matching whose
-    2-factor is walked here, and m is wrapped only for a family yielded.
+    Every candidate placement examined spends one node.  `factor` is the
+    2-factor G - m, as `_two_factors` or `two_factor_cycles` walks it, and
+    m is wrapped only for a family yielded.
     """
-    if factor is None:
-        factor = two_factor_cycles(g, m)
     cycles = factor.cycles
     order = sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci))
     turn = {ci: r for r, ci in enumerate(order)}  # the cycle's place in the order

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import dropwhile, islice
+from itertools import dropwhile
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
@@ -29,7 +29,6 @@ from .matchcolor import (
     three_edge_coloring,
     _as_matching,
     _canonical_matchings,
-    _matching_list,
     _MatchingRecord,
 )
 
@@ -111,12 +110,11 @@ def t_partition(g: CubicGraph, t: FRTriple) -> TPartition:
         buckets[counts.get(e, 0)].add(e)
     part = TPartition(EdgeSet(g, buckets[0]), EdgeSet(g, buckets[1]),
                       EdgeSet(g, buckets[2]))
-    # T0 and T2 are always disjoint matchings for a genuine FR-triple; a
-    # failure here indicates a corrupted triple.
+    # T0 and T2 are two buckets of one partition, so they never meet; each
+    # is a matching for a genuine FR-triple, and a failure here indicates a
+    # corrupted triple.
     Matching(g, part.t0.members)
     Matching(g, part.t2.members)
-    if part.t0.members & part.t2.members:
-        raise GraphError("internal invariant failure: T0 and T2 intersect")
     return part
 
 
@@ -228,33 +226,27 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
 def _fr_triples(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int], ...]]:
     """Every FR-triple (M_i, M_j, M_k), i <= j <= k, as edge-id sets, by pair queries.
 
-    M_0, M_1, ... are the perfect matchings in canonical order, drawn one
-    by one from `_canonical_matchings`.  The pairs (i, j), i <= j, are
-    walked in order; each spends one budget node and asks one query, the
-    matchings from M_j on that avoid M_i & M_j, so the triples come in
-    index order.  Row 0 asks a stream that excludes M_0 & M_j, dropping
-    what sorts before M_j, and holds only M_0 ... M_j, so no matching cap
-    applies; it draws every matching, so the later rows scan the drawn
-    list.  No matching at all avoids M_i & M_j for a pair before the first
-    triple's: an M_l, l < j, would have answered pair (i, l) with M_j, or
-    (l, i) when l < i.  When row 0 yields nothing, one query per edge of
+    M_0, M_1, ... are the perfect matchings in canonical order, kept in a
+    `_MatchingRecord` and drawn one by one by its `reach`.  The pairs
+    (i, j), i <= j, are walked in order; each spends one budget node and
+    asks one query, the matchings from M_j on that avoid M_i & M_j, so the
+    triples come in index order.  Row 0 asks a stream that excludes
+    M_0 & M_j, dropping what sorts before M_j, and holds only M_0 ... M_j,
+    so no matching cap applies; it draws every matching, so the later rows
+    scan the drawn list.  No matching at all avoids M_i & M_j for a pair
+    before the first triple's: an M_l, l < j, would have answered pair
+    (i, l) with M_j, or (l, i) when l < i.  When row 0 yields nothing, one query per edge of
     M_0 looks for an edge that every matching holds (every bridge is one):
     it would lie in every triple, so the walk stops there.  It also stops
-    when the budget runs out, which callers tell by ``budget.exhausted``.
+    when the budget runs out, which callers tell by ``budget.exhausted``:
+    the next pair's `spend` refuses, and an exhausted stream draws nothing.
     """
-    listing = _canonical_matchings(g, budget=budget)
-    drawn: list[frozenset[int]] = []
-
-    def have(j: int) -> bool:
-        # Whether M_j exists, drawing it from the listing when it is next.
-        if j == len(drawn):
-            drawn.extend(islice(listing, 1))
-        return j < len(drawn)
-
+    record = _MatchingRecord(g, budget)
+    drawn = record.drawn
     i = 0
-    while have(i):
+    while record.reach(i):
         j, met = i, False
-        while have(j):
+        while record.reach(j):
             if not budget.spend():
                 return
             s = drawn[i] & drawn[j]
@@ -266,8 +258,6 @@ def _fr_triples(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
             for k in answers:
                 met = True
                 yield drawn[i], drawn[j], k
-            if budget.exhausted:
-                return
             j += 1
         if i == 0 and not met:
             for e in sorted(drawn[0]):  # an edge in every matching lies in every triple
@@ -392,8 +382,6 @@ def _covering_by_exact_cover(g: CubicGraph, matchings: _MatchingRecord,
     not truncated and the budget held out.
     """
     pms, truncated = matchings.listing()
-    if not pms:
-        return SearchResult(None, not truncated)
     chosen = next(_two_covers(g, pms, budget), None)
     if chosen is not None:
         return SearchResult(_checked_covering(g, (PerfectMatching(g, pms[i]) for i in chosen),
@@ -441,7 +429,7 @@ def enumerate_fulkerson_coverings(g: CubicGraph,
     of the coverings kept become `PerfectMatching`s.
     """
     budget = Budget() if budget is None else budget
-    pms, truncated = _matching_list(g, budget=budget)
+    pms, truncated = _MatchingRecord(g, budget).listing()
     kept = sorted({tuple(sorted(chosen)) for chosen in _two_covers(g, pms, budget)})
     out = [FulkersonCovering(tuple(PerfectMatching(g, pms[i]) for i in chosen))
            for chosen in kept]

@@ -439,12 +439,14 @@ def _capped_matchings(g: CubicGraph, budget: Budget) -> Iterator[frozenset[int]]
 
 
 class _MatchingRecord:
-    """The canonical stream of g, kept as it is drawn so that it can go on as a listing.
+    """The canonical stream of g, kept as it is drawn: M_0, M_1, ... in `drawn`.
 
-    A colour stage draws from it; `listing` then gives what was drawn and
-    the rest of the same stream, so no second generator starts.  It keeps
-    at most `DEFAULT_PM_LIMIT` + 1 of what is drawn, all a capped listing
-    can read.
+    It is the one reader of the stream that keeps what it draws.  A colour
+    stage iterates it, keeping at most `DEFAULT_PM_LIMIT` + 1 draws, all
+    that the default `listing` reads; `listing` then gives what was drawn
+    and the rest of the same stream, so no second generator starts.  The
+    FR-triple walk and the enumerations draw only by `reach`, which keeps
+    every draw, so `drawn` stays a canonical prefix.
     """
 
     def __init__(self, g: MultiGraph, budget: Budget | None):
@@ -461,21 +463,19 @@ class _MatchingRecord:
             self.drawn.append(m)
         return m
 
+    def reach(self, i: int) -> bool:
+        """Whether M_i exists, drawing up to it when it is not drawn yet."""
+        if i >= len(self.drawn):
+            self.drawn += islice(self._stream, i + 1 - len(self.drawn))
+        return i < len(self.drawn)
+
     def listing(self, limit: int | None = None) -> tuple[list[frozenset[int]], bool]:
         """The first `limit` perfect matchings (default `DEFAULT_PM_LIMIT`),
         canonical order, and whether the listing is truncated: there are
         more, or the stream stopped on an exhausted budget."""
         limit = DEFAULT_PM_LIMIT if limit is None else limit
-        self.drawn += islice(self._stream, max(0, limit + 1 - len(self.drawn)))
-        truncated = len(self.drawn) > limit or self._budget is not None and self._budget.exhausted
+        truncated = self.reach(limit) or self._budget is not None and self._budget.exhausted
         return self.drawn[:limit], truncated
-
-
-def _matching_list(g: MultiGraph, limit: int | None = None,
-                   budget: Budget | None = None) -> tuple[list[frozenset[int]], bool]:
-    """The perfect matchings of g as edge-id sets, a capped read of the stream
-    (see `_MatchingRecord.listing`)."""
-    return _MatchingRecord(g, budget).listing(limit)
 
 
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
@@ -486,10 +486,10 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
     The enumeration is truncated when there are more, or when `budget`
     stops the stream (see `_canonical_matchings`); an odd vertex count
     yields the empty, complete enumeration.  No budget nodes are spent.
-    It validates every matching of `_matching_list`, the listing that the
-    covering searches read as raw edge-id sets.
+    It validates every matching of a `_MatchingRecord`'s listing, which
+    the covering searches read as raw edge-id sets.
     """
-    found, truncated = _matching_list(g, limit, budget)
+    found, truncated = _MatchingRecord(g, budget).listing(limit)
     return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
 
 

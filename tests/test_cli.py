@@ -396,6 +396,75 @@ class TestPipeline:
         assert err.startswith("parse error:")
 
 
+class TestBadInputExitsTwo:
+    """Every malformed input file exits 2 with one `parse error: ...` line on
+    stderr, nothing on stdout and no traceback."""
+
+    @staticmethod
+    def assert_parse_error(capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("# nothing\n\n", "empty graph file"),
+        ("cubic two 3\n", "bad header numbers in 'cubic two 3'"),
+        ("cubic 2 3\n0 0 1\n1 0 1 7\n2 0 1\n", "bad edge line '1 0 1 7'"),
+        ("cubic 2 3\n0 0 1\n1 0 x\n2 0 1\n", "bad edge line '1 0 x'"),
+        ("cubic 2 3\n0 0 1\n0 0 1\n2 0 1\n", "edge id 0 missing, repeated or out of range"),
+        ("cubic 2 3\n0 0 1\n1 0 1\n3 0 1\n", "edge id 3 missing, repeated or out of range"),
+        ("cubic 2 3\n0 0 0\n1 0 1\n2 1 1\n",
+         "not a cubic graph: cubic graph may not contain loops"),
+    ], ids=["empty", "header-numbers", "edge-fields", "edge-number", "edge-repeated",
+            "edge-out-of-range", "loop"])
+    def test_graph_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        self.assert_parse_error(capsys, ["search", str(path), "covering"], message)
+
+    def test_unreadable_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.graph"
+        self.assert_parse_error(capsys, ["search", str(path), "covering"],
+                                f"cannot read {path}: [Errno 2] No such file or directory: "
+                                f"'{path}'")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty certificate file"),
+        ("certificate\n", "bad header 'certificate'"),
+        ("certificate pairing\n", "unknown certificate kind 'pairing'"),
+        ("certificate covering\nmember 0 1\n", "unexpected line 'member 0 1'"),
+        ("certificate ffamily\nm 0 1\nm 2 3\n", "duplicate m line"),
+        ("certificate ffamily\nn 0 1\nn 2 3\n", "duplicate n line"),
+        ("certificate fr-triple\nmatching 0 a 2\n", "bad edge ids in '0 a 2'"),
+        ("certificate ffamily\nm 0 2 5 6 14\nmember 0\nmember 2\nmember 5\nn 1 3\n",
+         "ffamily certificate needs m, four members and n"),
+    ], ids=["empty", "header", "kind", "unexpected-line", "duplicate-m", "duplicate-n",
+            "edge-ids", "ffamily-parts"])
+    def test_certificate(self, capsys, tmp_path, petersen_file, text, message):
+        path = tmp_path / "bad.cert"
+        path.write_text(text)
+        self.assert_parse_error(capsys, ["verify", petersen_file, str(path)], message)
+
+    @pytest.mark.parametrize("text,message", [
+        ("# only a comment\n", "empty recipe"),
+        ("base petersen\ndot type1 petersen e4=1\n", "unknown step option 'e4'"),
+        ("base petersen\ndot type1 petersen e1=x\n", "bad value in 'e1=x'"),
+        ("base petersen\nbase petersen\n", "duplicate base line"),
+        ("base petersen\ndot type3 petersen\n", "bad dot line 'dot type3 petersen'"),
+        ("base petersen\ndot type1 flower 4\n",
+         "bad dot factor in 'dot type1 flower 4': flower graph needs an odd k >= 3, got 4"),
+        ("dot type1 petersen\n", "recipe has no base line"),
+        ("base pentagon\n", "bad base line 'base pentagon': unknown family 'pentagon'"),
+        ("base petersen 3\n", "bad base line 'base petersen 3': petersen takes no parameter"),
+        ("base flower\n",
+         "bad base line 'base flower': flower takes exactly one integer parameter"),
+    ], ids=["empty", "step-option", "value", "duplicate-base", "dot-line", "dot-factor",
+            "no-base", "base-family", "base-parameter", "base-no-parameter"])
+    def test_recipe(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.recipe"
+        path.write_text(text)
+        self.assert_parse_error(capsys, ["pipeline", str(path)], message)
+
+
 class TestGoldenOutput:
     """Byte-exact certificates: the CLI's canonical order must not drift."""
 

@@ -1,4 +1,6 @@
+import re
 import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -153,6 +155,14 @@ class TestDeriveN:
         # positions 0 and 2 on a 4-cycle twice: no two adjacent pairs
         assert _pairing_candidates(cycles.cycles[0], [0, 0, 2, 2]) == []
 
+    def test_a_met_cycle_with_no_pairing_gives_none(self):
+        # m's 2-factor is a 13-cycle and a 7-cycle, and each member joins
+        # them; on the 7-cycle the member ends sit at positions 0, 1, 2 and
+        # 5, which no two disjoint cycle edges cover.
+        g = flower_snark(5)
+        m = [0, 2, 6, 8, 14, 17, 20, 23, 26, 27]
+        assert derive_n(g, m, [[8], [14], [17], [20]]) is None
+
 
 class TestCoveringFromFFamily:
     def test_ten_vertex_proper_covering(self):
@@ -294,6 +304,42 @@ class TestDotTransports:
         with pytest.raises(TransportError):
             dot_preserve_type1(g1, m1, g2, fam2, xy, bad_spec)
 
+    @staticmethod
+    def _unverified(fam):
+        """fam with an empty N, which fails verification."""
+        return replace(fam, n_edges=Matching(fam.m.graph, []))
+
+    @staticmethod
+    def _rejects(message, transport, *args, **kwargs):
+        with pytest.raises(TransportError, match=f"^{re.escape(message)}$"):
+            transport(*args, **kwargs)
+
+    def test_type1_rejects_an_unverified_family(self):
+        g1, m1, g2, fam2, xy, spec = self._petersen_type1_parts()
+        self._rejects("the second factor's family fails verification", dot_preserve_type1,
+                      g1, m1, g2, self._unverified(fam2), xy, spec)
+
+    def test_type1_rejects_xy_outside_the_matching(self):
+        g1, m1, g2, fam2, xy, spec = self._petersen_type1_parts()
+        bad = min(set(g2.edge_ids()) - fam2.m.members)
+        self._rejects("xy must belong to the second factor's perfect matching",
+                      dot_preserve_type1, g1, m1, g2, fam2, bad, replace(spec, e3=bad))
+
+    def test_type1_rejects_xy_on_one_cycle(self):
+        # J5's first family has a 13-cycle and a 7-cycle, and its m-edge 0,
+        # in no member, is a chord of the 13-cycle
+        g1, m1, _, _, _, spec = self._petersen_type1_parts()
+        g2 = flower_snark(5)
+        fam2 = find_ffamily(g2).value
+        assert 0 in fam2.m.members and not any(0 in mem.members for mem in fam2.members)
+        self._rejects("xy must join two distinct odd cycles of the 2-factor",
+                      dot_preserve_type1, g1, m1, g2, fam2, 0, replace(spec, e3=0))
+
+    def test_type1_rejects_a_spec_without_xy(self):
+        g1, m1, g2, fam2, xy, spec = self._petersen_type1_parts()
+        self._rejects("the spec must remove xy as its e3", dot_preserve_type1,
+                      g1, m1, g2, fam2, xy, replace(spec, e3=xy + 1))
+
     def _type2_parts(self):
         g1 = petersen()
         fam1 = find_ffamily(g1).value
@@ -334,6 +380,48 @@ class TestDotTransports:
         with pytest.raises(TransportError):
             dot_preserve_type2(g1, fam1, bad, other, g2, m2, e3,
                                DotProductSpec(e1=bad, e2=other, e3=e3))
+
+    def _type2_args(self):
+        """Keyword arguments of a type-2 transport that succeeds."""
+        g1, fam1, g2, m2, e3 = self._type2_parts()
+        forbidden = fam1.m.members | fam1.n_edges.members
+        xy, zt = [e for e in sorted(g1.edge_ids()) if e not in forbidden][:2]
+        return dict(g1=g1, fam1=fam1, xy=xy, zt=zt, g2=g2, m2=m2, e3=e3,
+                    spec=DotProductSpec(e1=xy, e2=zt, e3=e3))
+
+    def test_type2_rejects_an_unverified_family(self):
+        args = self._type2_args()
+        args["fam1"] = self._unverified(args["fam1"])
+        self._rejects("the first factor's family fails verification", dot_preserve_type2,
+                      **args)
+
+    def test_type2_rejects_xy_in_the_matching(self):
+        args = self._type2_args()
+        args["xy"] = min(args["fam1"].m.members)
+        args["spec"] = replace(args["spec"], e1=args["xy"])
+        self._rejects("xy must avoid the perfect matching", dot_preserve_type2, **args)
+
+    def test_type2_rejects_a_spec_without_xy_and_zt(self):
+        args = self._type2_args()
+        args["spec"] = replace(args["spec"], e2=args["xy"])
+        self._rejects("the spec must remove exactly xy and zt", dot_preserve_type2, **args)
+
+    def test_type2_rejects_e3_on_one_cycle(self):
+        # J5's first matching leaves a 13-cycle and a 7-cycle, and its edge 0
+        # is a chord of the 13-cycle
+        args = self._type2_args()
+        args["g2"] = flower_snark(5)
+        args["m2"] = enumerate_perfect_matchings(args["g2"])[0]
+        args["e3"] = 0
+        args["spec"] = replace(args["spec"], e3=0)
+        self._rejects("e3 must join the two odd cycles of g2's 2-factor", dot_preserve_type2,
+                      **args)
+
+    def test_type2_rejects_a_spec_without_e3(self):
+        args = self._type2_args()
+        args["spec"] = replace(args["spec"], e3=args["e3"] + 1)
+        self._rejects("the spec must remove e3 from the second factor", dot_preserve_type2,
+                      **args)
 
     def test_type2_rejects_e3_outside_m2(self):
         g1, fam1, g2, m2, e3 = self._type2_parts()
@@ -729,7 +817,7 @@ class TestSlotOrder:
 
     def _assert_same_sequence(self, g):
         for pm in enumerate_perfect_matchings(g):
-            assert (self._labels(_ffamilies(g, pm, Budget()))
+            assert (self._labels(_ffamilies(g, pm, Budget(), two_factor_cycles(g, pm)))
                     == self._labels(slot_ffamilies(g, pm, Budget())))
 
     @pytest.mark.parametrize("make", [
@@ -782,7 +870,6 @@ class TestFirstMatchStream:
         for module in (matchcolor, fulkerson, ffamily):
             if hasattr(module, "enumerate_perfect_matchings"):
                 monkeypatch.setattr(module, "enumerate_perfect_matchings", refuse)
-        monkeypatch.setattr(matchcolor, "_matching_list", refuse)
         monkeypatch.setattr(matchcolor._MatchingRecord, "listing", refuse)
         assert search()
 

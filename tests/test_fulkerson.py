@@ -277,20 +277,36 @@ class TestFindFRTriple:
         monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 2)
         assert find_fr_triple(flower_snark(5)) == want
 
-    @pytest.mark.parametrize("make", [petersen, lambda: flower_snark(5), lambda: goldberg(5)],
-                             ids=["petersen", "J5", "G5"])
-    def test_never_lists_every_matching(self, monkeypatch, make):
-        want = enumerated_fr_triple(make())
+    @staticmethod
+    def draws_of_find_fr_triple(monkeypatch, g):
+        """find_fr_triple(g) with every listing refused, and the number of
+        matchings drawn into each `_MatchingRecord` it starts."""
+        from fulkerson_lab import fulkerson, matchcolor
 
         def refuse(*args, **kwargs):
             raise AssertionError("find_fr_triple listed every perfect matching")
 
-        for target in ("fulkerson_lab.matchcolor.enumerate_perfect_matchings",
-                       "fulkerson_lab.matchcolor._matching_list",
-                       "fulkerson_lab.fulkerson._matching_list",
-                       "fulkerson_lab.matchcolor._MatchingRecord.listing"):
-            monkeypatch.setattr(target, refuse)
-        assert find_fr_triple(make()) == want
+        records = []
+
+        class Kept(matchcolor._MatchingRecord):
+            def __init__(self, *args):
+                super().__init__(*args)
+                records.append(self)
+
+        monkeypatch.setattr(matchcolor, "enumerate_perfect_matchings", refuse)
+        monkeypatch.setattr(matchcolor._MatchingRecord, "listing", refuse)
+        monkeypatch.setattr(fulkerson, "_MatchingRecord", Kept)
+        res = find_fr_triple(g)
+        return res, [len(r.drawn) for r in records]
+
+    # The first triple comes at pair (0, 1) on Petersen and J5 and at (0, 3)
+    # on G5, and the walk has drawn M_0 ... M_j.
+    @pytest.mark.parametrize("make,draws", [
+        (petersen, 2), (lambda: flower_snark(5), 2), (lambda: goldberg(5), 4),
+    ], ids=["petersen", "J5", "G5"])
+    def test_never_lists_every_matching(self, monkeypatch, make, draws):
+        want = enumerated_fr_triple(make())
+        assert self.draws_of_find_fr_triple(monkeypatch, make()) == (want, [draws])
 
     # The first triples of the enumerating search (now `enumerated_fr_triple`),
     # pinned from one run of it: J19 took 48 s, G9 6.6 s.
@@ -324,6 +340,12 @@ class TestFindFRTriple:
         assert [sorted(m.members) for m in res.value.matchings] == want
         assert budget.spent == pairs
 
+    @pytest.mark.parametrize("make,draws", [(lambda: flower_snark(19), 2),
+                                            (lambda: goldberg(9), 4)], ids=["J19", "G9"])
+    def test_pinned_first_triples_draw_few_matchings(self, monkeypatch, make, draws):
+        res, drawn = self.draws_of_find_fr_triple(monkeypatch, make())
+        assert res.found and drawn == [draws]
+
     @pytest.mark.parametrize("k,queries", [(4, 45), (5, 47)])
     def test_an_edge_in_every_matching_ends_the_walk(self, k, queries):
         # After the pairs (0, j), the queries on M_0's edges find the bridge,
@@ -353,6 +375,34 @@ class TestFindFRTriple:
         res = enumerate_fr_triples(petersen(), budget=Budget(limit=1))
         assert not res.complete
         assert res.value == []
+
+    @staticmethod
+    def cancelled(fire_on):
+        """A budget whose cancel fires at its `fire_on`-th call, and the calls."""
+        calls = []
+        return Budget(cancel=lambda: calls.append(None) or len(calls) >= fire_on), calls
+
+    @pytest.mark.parametrize("make", [petersen, lambda: flower_snark(5), lambda: goldberg(5)],
+                             ids=["petersen", "J5", "G5"])
+    def test_a_cancel_before_the_first_triple_gives_unknown(self, make):
+        # Wherever the cancel fires, inside a pair query or at a pair's node,
+        # the walk ends with no triple and asks cancel no more.
+        budget, calls = self.cancelled(float("inf"))
+        assert find_fr_triple(make(), budget).found
+        for fire_on in range(1, len(calls) + 1):
+            budget, calls = self.cancelled(fire_on)
+            assert find_fr_triple(make(), budget).unknown
+            assert len(calls) == fire_on
+
+    def test_a_cancelled_enumeration_is_a_prefix(self):
+        g = flower_snark(5)
+        budget, calls = self.cancelled(float("inf"))
+        full = enumerate_fr_triples(g, budget).value
+        for fire_on in range(1, len(calls) + 1, 50):
+            budget, calls = self.cancelled(fire_on)
+            res = enumerate_fr_triples(g, budget)
+            assert not res.complete and res.value == full[:len(res.value)]
+            assert len(calls) == fire_on
 
 
 class TestFRTripleOracle:

@@ -767,7 +767,6 @@ class TestColoringByMatchings:
             raise AssertionError("three_edge_coloring listed perfect matchings")
 
         monkeypatch.setattr(matchcolor, "enumerate_perfect_matchings", refuse)
-        monkeypatch.setattr(matchcolor, "_matching_list", refuse)
         monkeypatch.setattr(matchcolor._MatchingRecord, "listing", refuse)
         assert three_edge_coloring(flower_snark(9)) is None
         assert three_edge_coloring(pairing_model(300, seed=1)) is not None
