@@ -324,9 +324,11 @@ def _parse_recipe(text: str) -> tuple[CubicGraph, list[DotStep]]:
                 raise ParseError("duplicate base line")
             if fixed:
                 raise ParseError(f"bad base line {line!r}: step options belong on dot lines")
+            if len(words) < 2:
+                raise ParseError(f"bad base line {line!r}: names no family")
             try:
                 base = _generate(words[1], [int(w) for w in words[2:]])
-            except (GraphError, IndexError, ValueError) as exc:
+            except (GraphError, ValueError) as exc:
                 raise ParseError(f"bad base line {line!r}: {exc}") from exc
         elif words[0] == "dot":
             if len(words) < 3 or words[1] not in ("type1", "type2"):

@@ -535,7 +535,7 @@ def _joins_odd_cycles(g: CubicGraph, cycles: CycleSet, e: int) -> bool:
 
 
 def _map_matching(result_map: dict[int, int], mem: Matching | PerfectMatching,
-                  graph: CubicGraph, drop: frozenset[int] = frozenset()) -> set[int]:
+                  drop: frozenset[int] = frozenset()) -> set[int]:
     out = set()
     for e in mem:
         if e in drop:
@@ -554,11 +554,11 @@ def _transport(g1: CubicGraph, m1: PerfectMatching, g2: CubicGraph, m2: PerfectM
     """
     product = dot_product(g1, g2, spec)
     graph = product.graph
-    new_m = _map_matching(product.g1_edges, m1, graph)
-    new_m |= _map_matching(product.g2_edges, m2, graph, drop=frozenset((spec.e3,)))
+    new_m = _map_matching(product.g1_edges, m1)
+    new_m |= _map_matching(product.g2_edges, m2, drop=frozenset((spec.e3,)))
     edge_map = product.g1_edges if from_first else product.g2_edges
-    members = [Matching(graph, _map_matching(edge_map, mem, graph)) for mem in fam.members]
-    n = Matching(graph, _map_matching(edge_map, fam.n_edges, graph))
+    members = [Matching(graph, _map_matching(edge_map, mem)) for mem in fam.members]
+    n = Matching(graph, _map_matching(edge_map, fam.n_edges))
     moved = FFamily(PerfectMatching(graph, new_m), *members, n)
     out = verify_ffamily(graph, moved)
     if not out.ok:
@@ -568,15 +568,17 @@ def _transport(g1: CubicGraph, m1: PerfectMatching, g2: CubicGraph, m2: PerfectM
 
 
 def dot_preserve_type1(g1: CubicGraph, m1: PerfectMatching | Iterable[int],
-                       g2: CubicGraph, fam2: FFamily, xy: int,
+                       g2: CubicGraph, fam2: FFamily,
                        spec: DotProductSpec) -> TransportResult:
     """Dot product carrying the second factor's family onto the result.
 
-    g1\\m1 must be exactly two odd cycles holding e1 and e2; xy is an edge
-    of fam2.m outside the members whose ends lie on two distinct odd cycles
-    of g2's 2-factor, and it is the spec's removed edge e3.  The result's
-    matching is m1 plus fam2.m minus xy; the family maps across unchanged.
+    g1\\m1 must be exactly two odd cycles holding the spec's e1 and e2.
+    The spec's e3 is the paper's xy: an edge of fam2.m outside the members
+    whose ends lie on two distinct odd cycles of g2's 2-factor.  The
+    result's matching is m1 plus fam2.m minus xy; the family maps across
+    unchanged.
     """
+    xy = spec.e3
     m1 = _as_perfect(g1, m1)
     cycles1 = _two_odd_cycles(g1, m1)
     report = verify_ffamily(g2, fam2)
@@ -588,8 +590,6 @@ def dot_preserve_type1(g1: CubicGraph, m1: PerfectMatching | Iterable[int],
         raise TransportError("xy must avoid the family members")
     if not _joins_odd_cycles(g2, two_factor_cycles(g2, fam2.m), xy):
         raise TransportError("xy must join two distinct odd cycles of the 2-factor")
-    if spec.e3 != xy:
-        raise TransportError("the spec must remove xy as its e3")
     in_first = spec.e1 in cycles1.cycles[0].edges and spec.e2 in cycles1.cycles[1].edges
     in_second = spec.e2 in cycles1.cycles[0].edges and spec.e1 in cycles1.cycles[1].edges
     if not (in_first or in_second):
@@ -597,33 +597,29 @@ def dot_preserve_type1(g1: CubicGraph, m1: PerfectMatching | Iterable[int],
     return _transport(g1, m1, g2, fam2.m, spec, fam2, from_first=False)
 
 
-def dot_preserve_type2(g1: CubicGraph, fam1: FFamily, xy: int, zt: int,
-                       g2: CubicGraph, m2: PerfectMatching | Iterable[int], e3: int,
+def dot_preserve_type2(g1: CubicGraph, fam1: FFamily, g2: CubicGraph,
+                       m2: PerfectMatching | Iterable[int],
                        spec: DotProductSpec) -> TransportResult:
     """Dot product carrying the first factor's family onto the result.
 
-    xy and zt are 2-factor edges of g1 outside N (they are the removed e1
-    and e2); g2's 2-factor is exactly two odd cycles joined by its matching
-    edge e3.
+    The spec's e1 and e2 are the paper's xy and zt: 2-factor edges of g1
+    outside N.  Its e3 is a matching edge of g2 joining the two odd cycles
+    that g2's 2-factor must consist of.
     """
     report = verify_ffamily(g1, fam1)
     if not report.ok:
         raise TransportError("the first factor's family fails verification")
-    for name, e in (("xy", xy), ("zt", zt)):
+    for name, e in (("xy", spec.e1), ("zt", spec.e2)):
         if e in fam1.m.members:
             raise TransportError(f"{name} must avoid the perfect matching")
         if e in fam1.n_edges.members:
             raise TransportError(f"{name} must avoid N")
-    if {spec.e1, spec.e2} != {xy, zt}:
-        raise TransportError("the spec must remove exactly xy and zt")
     m2 = _as_perfect(g2, m2)
     cycles2 = _two_odd_cycles(g2, m2)
-    if e3 not in m2.members:
+    if spec.e3 not in m2.members:
         raise TransportError("e3 must belong to the second factor's perfect matching")
-    if not _joins_odd_cycles(g2, cycles2, e3):
+    if not _joins_odd_cycles(g2, cycles2, spec.e3):
         raise TransportError("e3 must join the two odd cycles of g2's 2-factor")
-    if spec.e3 != e3:
-        raise TransportError("the spec must remove e3 from the second factor")
     return _transport(g1, fam1.m, g2, m2, spec, fam1, from_first=True)
 
 
@@ -692,8 +688,7 @@ def _step_type1(g1: CubicGraph, step: DotStep) -> TransportResult:
         xy = _joining_edge(step.factor, fam2.m, cycles2, exclude=member_edges)
     e1 = step.e1 if step.e1 is not None else min(cycles1.cycles[0].edges)
     e2 = step.e2 if step.e2 is not None else min(cycles1.cycles[1].edges)
-    spec = DotProductSpec(e1=e1, e2=e2, e3=xy)
-    return dot_preserve_type1(g1, m1, step.factor, fam2, xy, spec)
+    return dot_preserve_type1(g1, m1, step.factor, fam2, DotProductSpec(e1=e1, e2=e2, e3=xy))
 
 
 def _step_type2(g1: CubicGraph, fam1: FFamily, step: DotStep) -> TransportResult:
@@ -709,8 +704,8 @@ def _step_type2(g1: CubicGraph, fam1: FFamily, step: DotStep) -> TransportResult
     for xy, zt in pairs:
         spec = DotProductSpec(e1=xy, e2=zt, e3=e3)
         try:
-            return dot_preserve_type2(g1, fam1, xy, zt, step.factor, m2, e3, spec)
-        except (TransportError, GraphError) as exc:
+            return dot_preserve_type2(g1, fam1, step.factor, m2, spec)
+        except GraphError as exc:
             last_error = TransportError(str(exc))
             continue
     raise last_error or TransportError("no valid edge pair for the dot product")

@@ -204,9 +204,9 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
     classes: list[set[int]] = [set(), set(), set()]
     for e, c in color_of.items():
         classes[c].add(e)
+    excluded = a1.members | a2.members
     for e in a1:
         u, v = g.endpoints(e)
-        excluded = a1.members | a2.members
         third_u = next(x for x in g.incident(u) if x not in excluded)
         third_v = next(x for x in g.incident(v) if x not in excluded)
         cu, cv = color_of[third_u], color_of[third_v]

@@ -207,12 +207,12 @@ class DotProductSpec:
 class DotProductResult:
     """A dot product together with edge and vertex provenance.
 
-    g1_edges / g2_edges map surviving source edge ids to output edge ids;
-    new_edges lists the four joining edges (u1y1, v1y2, u2z1, v2z2).
+    g2_vertices maps g2's surviving vertex ids to output ids (g1's keep
+    theirs); g1_edges / g2_edges map surviving source edge ids to output
+    edge ids; new_edges lists the four joining edges (u1y1, v1y2, u2z1, v2z2).
     """
 
     graph: CubicGraph
-    g1_vertices: dict[int, int]
     g2_vertices: dict[int, int]
     g1_edges: dict[int, int]
     g2_edges: dict[int, int]
@@ -276,7 +276,6 @@ def dot_product(g1: CubicGraph, g2: CubicGraph, spec: DotProductSpec) -> DotProd
             continue
         g2_vertices[v] = nxt
         nxt += 1
-    g1_vertices = {v: v for v in g1.vertices()}
 
     edge_list: list[tuple[int, int]] = []
     g1_edges = {}
@@ -296,5 +295,5 @@ def dot_product(g1: CubicGraph, g2: CubicGraph, spec: DotProductSpec) -> DotProd
         new_ids.append(len(edge_list))
         edge_list.append((a, g2_vertices[b]))
     graph = CubicGraph(nxt, edge_list)
-    return DotProductResult(graph, g1_vertices, g2_vertices, g1_edges, g2_edges,
+    return DotProductResult(graph, g2_vertices, g1_edges, g2_edges,
                             tuple(new_ids))

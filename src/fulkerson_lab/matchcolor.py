@@ -84,14 +84,8 @@ class EdgeColoring:
                     raise GraphError(f"incident edges at vertex {v} share color {c}")
                 seen.add(c)
 
-    def color_of(self, eid: int) -> int:
-        return self.assignment[eid]
-
     def color_class(self, c: int) -> frozenset[int]:
         return frozenset(e for e, col in enumerate(self.assignment) if col == c)
-
-    def classes(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.color_class(c) for c in range(self.palette_size))
 
 
 @dataclass(frozen=True)

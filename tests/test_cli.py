@@ -457,8 +457,9 @@ class TestBadInputExitsTwo:
         ("base petersen 3\n", "bad base line 'base petersen 3': petersen takes no parameter"),
         ("base flower\n",
          "bad base line 'base flower': flower takes exactly one integer parameter"),
+        ("base\n", "bad base line 'base': names no family"),
     ], ids=["empty", "step-option", "value", "duplicate-base", "dot-line", "dot-factor",
-            "no-base", "base-family", "base-parameter", "base-no-parameter"])
+            "no-base", "base-family", "base-parameter", "base-no-parameter", "base-no-family"])
     def test_recipe(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.recipe"
         path.write_text(text)

@@ -555,6 +555,20 @@ class TestFindCovering:
         assert not auto.definitely_absent
         assert auto == exact
 
+    @pytest.mark.parametrize("make,spent", [(petersen, 43), (lambda: flower_snark(5), 294)],
+                             ids=["petersen", "J5"])
+    def test_auto_falls_through_to_a1a2_past_the_matching_cap(self, monkeypatch, make, spent):
+        # with a cap of 3 the exact cover sees too few matchings to decide,
+        # so AUTO's last stage, A1A2, finds the covering
+        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 3)
+        g = make()
+        assert find_fulkerson_covering(g, "exact2cover").unknown
+        budget = Budget()
+        auto = find_fulkerson_covering(g, "auto", budget)
+        a1a2 = find_fulkerson_covering(g, "a1a2")
+        assert auto.found and auto == a1a2
+        assert budget.spent == spent
+
     def test_cancel_inside_the_colour_stream_gives_unknown(self, monkeypatch):
         import sys
 
