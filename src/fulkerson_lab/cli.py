@@ -206,6 +206,9 @@ def _generators() -> dict[str, tuple[Callable[..., CubicGraph], int]]:
 
 
 GEN_FAMILIES = tuple(_generators())
+# the largest generator parameter `gen` and recipes accept: G_100001 builds
+# in seconds, and with no bound a parameter of 10**26 never finishes
+MAX_GEN_PARAM = 100_000
 
 
 def _generate(family: str, params: Sequence[int]) -> CubicGraph:
@@ -215,6 +218,8 @@ def _generate(family: str, params: Sequence[int]) -> CubicGraph:
     if len(params) != arity:
         raise GraphError(f"{family} takes no parameter" if arity == 0
                          else f"{family} takes exactly one integer parameter")
+    if any(p > MAX_GEN_PARAM for p in params):
+        raise GraphError(f"{family} parameter exceeds {MAX_GEN_PARAM}")
     return make(*params)
 
 

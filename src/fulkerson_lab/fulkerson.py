@@ -438,7 +438,8 @@ def enumerate_fulkerson_coverings(g: CubicGraph,
 
 def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
                             budget: Budget | None = None) -> SearchResult[FulkersonCovering]:
-    """Search for a Fulkerson covering with the requested strategy.
+    """Search for a Fulkerson covering with the requested strategy, one of
+    `color`, `exact2cover`, `a1a2` and `auto` as written.
 
     COLOR doubles a 3-edge-coloring when one exists; EXACT2COVER solves the
     exact multiset cover over enumerated matchings; A1A2 searches disjoint
@@ -460,22 +461,21 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     matchings stay edge-id sets: only the six of a covering, and in A1A2
     those of each successful lift, become `PerfectMatching`s.
     """
-    strat = strategy.lower()
-    if strat not in _STRATEGIES:
+    if strategy not in _STRATEGIES:
         raise GraphError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
     budget = Budget() if budget is None else budget
-    if strat == A1A2:
+    if strategy == A1A2:
         return _covering_by_a1a2(g, budget)
     record = _MatchingRecord(g, budget)
-    if strat in (COLOR, AUTO):
+    if strategy in (COLOR, AUTO):
         # only AUTO lists after the colour stage, so only AUTO keeps its draws
-        result = _covering_by_color(g, budget, record if strat == AUTO else None)
-        if strat == COLOR or result.found:
+        result = _covering_by_color(g, budget, record if strategy == AUTO else None)
+        if strategy == COLOR or result.found:
             return result
         if budget.exhausted:
             return SearchResult(None, find_perfect_matching(g) is None)
     result = _covering_by_exact_cover(g, record, budget)
-    if strat == EXACT2COVER or result.found or result.definitely_absent:
+    if strategy == EXACT2COVER or result.found or result.definitely_absent:
         return result
     return _covering_by_a1a2(g, budget)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import CubicGraph, GraphError, MultiGraph
+from .graph_core import CubicGraph, GraphError
 
 
 @dataclass(frozen=True)
@@ -190,17 +190,13 @@ class DotProductSpec:
     e1 = u1 v1 and e2 = u2 v2 are the non-adjacent edges removed from G1,
     e3 = x1 x2 the edge of G2 whose endpoints are removed.  y1/y2 are the
     other neighbors of x1 (receiving u1/v1), z1/z2 those of x2 (receiving
-    u2/v2).  Optional fields default to the canonical lowest-id choice.
+    u2/v2).  Each pair is taken in ascending vertex id: u1 < v1, u2 < v2,
+    x1 < x2, y1 < y2 and z1 < z2.
     """
 
     e1: int
     e2: int
     e3: int
-    u1: int | None = None
-    u2: int | None = None
-    x1: int | None = None
-    y1: int | None = None
-    z1: int | None = None
 
 
 @dataclass(frozen=True)
@@ -219,17 +215,6 @@ class DotProductResult:
     new_edges: tuple[int, int, int, int]
 
 
-def _ordered_endpoints(g: MultiGraph, eid: int, first: int | None) -> tuple[int, int]:
-    a, b = g.endpoints(eid)
-    if first is None:
-        return min(a, b), max(a, b)
-    if first == a:
-        return a, b
-    if first == b:
-        return b, a
-    raise GraphError(f"vertex {first} is not an endpoint of edge {eid}")
-
-
 def dot_product(g1: CubicGraph, g2: CubicGraph, spec: DotProductSpec) -> DotProductResult:
     """The dot product of g1 and g2 under the given spec.
 
@@ -241,13 +226,13 @@ def dot_product(g1: CubicGraph, g2: CubicGraph, spec: DotProductSpec) -> DotProd
     """
     if spec.e1 == spec.e2:
         raise GraphError("e1 and e2 must be distinct")
-    u1, v1 = _ordered_endpoints(g1, spec.e1, spec.u1)
-    u2, v2 = _ordered_endpoints(g1, spec.e2, spec.u2)
+    u1, v1 = sorted(g1.endpoints(spec.e1))
+    u2, v2 = sorted(g1.endpoints(spec.e2))
     if {u1, v1} & {u2, v2}:
         raise GraphError("e1 and e2 must not share endpoints")
-    x1, x2 = _ordered_endpoints(g2, spec.e3, spec.x1)
+    x1, x2 = sorted(g2.endpoints(spec.e3))
 
-    def side_neighbors(x: int, pick: int | None) -> tuple[int, int]:
+    def side_neighbors(x: int) -> list[int]:
         ends = []
         for e in g2.incident(x):
             if e == spec.e3:
@@ -258,15 +243,10 @@ def dot_product(g1: CubicGraph, g2: CubicGraph, spec: DotProductSpec) -> DotProd
             ends.append(w)
         if len(ends) != 2 or ends[0] == ends[1]:
             raise GraphError(f"endpoint {x} of e3 needs two other distinct neighbors")
-        ends.sort()
-        if pick is None:
-            return ends[0], ends[1]
-        if pick not in ends:
-            raise GraphError(f"vertex {pick} is not an eligible neighbor of {x}")
-        return pick, ends[0] if pick == ends[1] else ends[1]
+        return sorted(ends)
 
-    y1, y2 = side_neighbors(x1, spec.y1)
-    z1, z2 = side_neighbors(x2, spec.z1)
+    y1, y2 = side_neighbors(x1)
+    z1, z2 = side_neighbors(x2)
 
     n1 = g1.num_vertices
     g2_vertices = {}

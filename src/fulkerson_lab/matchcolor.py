@@ -776,33 +776,20 @@ def phi_two_factor(c: EdgeColoring, x: int, y: int) -> CycleSet:
     return cycle_decomposition(c.graph, edges)
 
 
-def kempe_exchange(c: EdgeColoring, x: int, y: int,
-                   cycle: Cycle | Sequence[int]) -> EdgeColoring:
-    """Swap colors x and y along one cycle of the 2-factor of x and y."""
+def kempe_exchange(c: EdgeColoring, x: int, y: int, cycle: Cycle) -> EdgeColoring:
+    """Swap colors x and y along `cycle`, a `Cycle` of the 2-factor of x and y.
+
+    Raises `GraphError` when an edge of the cycle is colored neither x nor y.
+    """
     if x == y:
         raise GraphError("the two colors must differ")
-    g = c.graph
-    if isinstance(cycle, Cycle):
-        cycle_edges = list(cycle.edges)
-    else:
-        verts = list(cycle)
-        if len(verts) < 2:
-            raise GraphError("a cycle needs at least two vertices")
-        cycle_edges = []
-        for i, u in enumerate(verts):
-            v = verts[(i + 1) % len(verts)]
-            cands = [e for e in g.edges_between(u, v)
-                     if c.assignment[e] in (x, y) and e not in cycle_edges]
-            if not cands:
-                raise GraphError(f"no {x}/{y}-colored edge between {u} and {v}")
-            cycle_edges.append(cands[0])
-    for e in cycle_edges:
+    for e in cycle.edges:
         if c.assignment[e] not in (x, y):
             raise GraphError(f"edge {e} on the cycle is not colored {x} or {y}")
     new_assignment = list(c.assignment)
-    for e in cycle_edges:
+    for e in cycle.edges:
         new_assignment[e] = y if c.assignment[e] == x else x
-    return EdgeColoring(g, tuple(new_assignment), c.palette_size)
+    return EdgeColoring(c.graph, tuple(new_assignment), c.palette_size)
 
 
 def two_factor_cycles(g: CubicGraph, m: PerfectMatching | Iterable[int]) -> CycleSet:
@@ -907,13 +894,12 @@ def _first_two_factor(g: CubicGraph, keep: Callable[[list[int]], bool], count: i
 
     Raises `BudgetExhausted` when none passes before the matching cap.
     """
-    budget = Budget(limit=0)  # spent by nothing; flags a read past the cap
-    for m, cycles in _two_factors(g, _capped_matchings(g, budget), keep):
+    for i, (m, cycles) in enumerate(_two_factors(g, _canonical_matchings(g), keep)):
+        if i == DEFAULT_PM_LIMIT:
+            raise BudgetExhausted(f"none of the first {DEFAULT_PM_LIMIT} perfect matchings "
+                                  "has the 2-factor sought")
         if cycles is not None and (count is None or len(cycles) == count):
             return PerfectMatching(g, m), cycles
-    if budget.exhausted:
-        raise BudgetExhausted(f"none of the first {DEFAULT_PM_LIMIT} perfect matchings "
-                              "has the 2-factor sought")
     return None
 
 

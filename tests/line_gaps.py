@@ -2,8 +2,8 @@
 
 Runs the tier-1 suite in this process under `sys.settrace`, then prints,
 for each module, the executable lines that never ran (as ranges) and a
-table of executable and unexecuted lines per module.  Extra arguments go
-to pytest:
+table of physical, executable and unexecuted lines per module and in
+total.  Extra arguments go to pytest:
 
     python tests/line_gaps.py
     python tests/line_gaps.py -k cli
@@ -78,13 +78,14 @@ def main(argv: list[str]) -> int:
     for path in sorted(PACKAGE.glob("*.py")):
         executable = executable_lines(path)
         missed = sorted(n for n in executable if (str(path), n) not in ran)
-        rows.append((path.name, len(executable), len(missed)))
+        lines = len(path.read_text(encoding="utf-8").splitlines())
+        rows.append((path.name, lines, len(executable), len(missed)))
         if missed:
             print(f"{path.name}: {ranges(missed)}")
-    print(f"\n{'module':<16}{'executable':>12}{'unexecuted':>12}")
-    for name, total, missed in rows:
-        print(f"{name:<16}{total:>12}{missed:>12}")
-    print(f"{'total':<16}{sum(r[1] for r in rows):>12}{sum(r[2] for r in rows):>12}")
+    print(f"\n{'module':<16}{'lines':>8}{'executable':>12}{'unexecuted':>12}")
+    rows.append(("total", *(sum(r[i] for r in rows) for i in (1, 2, 3))))
+    for name, lines, executable, missed in rows:
+        print(f"{name:<16}{lines:>8}{executable:>12}{missed:>12}")
     return code
 
 

@@ -138,6 +138,17 @@ class TestGen:
         code, _, err = run(capsys, "gen", "petersen", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("flower", "99999999999999999999999999"), ("goldberg", "100001"),
+        ("doubled-cycle", "100002"),
+    ])
+    def test_parameter_above_the_bound_exits_two_at_once(self, capsys, args):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", *args)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {args[0]} parameter exceeds 100000\n"
+
 
 @pytest.fixture
 def petersen_file(tmp_path):
@@ -178,6 +189,15 @@ class TestSearchAndVerify:
         code, out, _ = run(capsys, "search", str(path), "ffamily")
         assert code == 1
         assert out == ""
+
+    def test_covering_without_a_perfect_matching_exits_one(self, capsys, tmp_path):
+        from test_matchcolor import three_bridges
+        from fulkerson_lab.generators import k4
+
+        path = tmp_path / "bridged.graph"
+        path.write_text(write_graph_file(three_bridges(k4())))
+        code, out, _ = run(capsys, "search", str(path), "covering")
+        assert (code, out) == (1, "")
 
     def test_goldberg5_ffamily_is_absent_within_500k_nodes(self, capsys, tmp_path):
         path = tmp_path / "g5.graph"
@@ -458,8 +478,14 @@ class TestBadInputExitsTwo:
         ("base flower\n",
          "bad base line 'base flower': flower takes exactly one integer parameter"),
         ("base\n", "bad base line 'base': names no family"),
+        ("base flower 99999999999999999999999999\n",
+         "bad base line 'base flower 99999999999999999999999999': "
+         "flower parameter exceeds 100000"),
+        ("base petersen\ndot type2 goldberg 100001\n",
+         "bad dot factor in 'dot type2 goldberg 100001': goldberg parameter exceeds 100000"),
     ], ids=["empty", "step-option", "value", "duplicate-base", "dot-line", "dot-factor",
-            "no-base", "base-family", "base-parameter", "base-no-parameter", "base-no-family"])
+            "no-base", "base-family", "base-parameter", "base-no-parameter", "base-no-family",
+            "base-huge-parameter", "dot-huge-parameter"])
     def test_recipe(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.recipe"
         path.write_text(text)

@@ -17,7 +17,7 @@ from fulkerson_lab.generators import (
     ten_vertex_c5_example,
     theta,
 )
-from fulkerson_lab.ffamily import DotStep, iterate_dot_sequence
+from fulkerson_lab.ffamily import DotStep, find_ffamily, iterate_dot_sequence
 from fulkerson_lab.graph_core import CubicGraph, GraphError, Matching
 from fulkerson_lab.matchcolor import (
     PerfectMatching,
@@ -467,6 +467,11 @@ class TestFindCovering:
         with pytest.raises(GraphError):
             find_fulkerson_covering(k4(), "dance")
 
+    @pytest.mark.parametrize("strategy", ["AUTO", "Color"])
+    def test_strategy_names_match_exactly(self, strategy):
+        with pytest.raises(GraphError, match="expected one of .*'exact2cover'"):
+            find_fulkerson_covering(k4(), strategy)
+
     @staticmethod
     def refuse_listings(monkeypatch):
         """Makes every capped listing of the perfect matchings fail."""
@@ -650,6 +655,39 @@ class TestFindCovering:
         assert res.complete
         assert len(res.value) == 1
         assert is_proper(res.value[0])
+
+
+class TestNoPerfectMatching:
+    """Three K4s, each with one edge subdivided, bridged to a centre: cubic,
+    16 vertices and no perfect matching.  Every search that needs one proves
+    absence, except COLOR, which proves nothing."""
+
+    @staticmethod
+    def graph():
+        from test_matchcolor import three_bridges
+
+        return three_bridges(k4())
+
+    def test_color_is_unknown(self):
+        assert find_fulkerson_covering(self.graph(), "color").unknown
+
+    @pytest.mark.parametrize("strategy", ["a1a2", "auto"])
+    def test_other_strategies_prove_absence(self, strategy):
+        assert find_fulkerson_covering(self.graph(), strategy).definitely_absent
+
+    def test_exact_cover_proves_absence_in_no_node(self):
+        budget = Budget()
+        assert find_fulkerson_covering(self.graph(), "exact2cover", budget).definitely_absent
+        assert budget.spent == 0
+
+    def test_fr_triple_and_ffamily_are_absent(self):
+        assert find_fr_triple(self.graph()).definitely_absent
+        assert find_ffamily(self.graph()).definitely_absent
+
+    def test_covering_listing_is_empty_and_complete(self):
+        # the empty matching listing itself is pinned in test_matchcolor
+        res = enumerate_fulkerson_coverings(self.graph())
+        assert res.complete and res.value == []
 
 
 class TestExactCoverEngine:

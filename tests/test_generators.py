@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,14 +201,15 @@ class TestDotProduct:
         res = dot_product(g1, g2, DotProductSpec(e1=e1, e2=e2, e3=e3))
         assert is_bridgeless(res.graph)
 
-    def test_orientation_fields_respected(self):
-        g = petersen()
-        base = DotProductSpec(e1=0, e2=2, e3=0)
-        u, v = g.endpoints(0)
-        flipped = DotProductSpec(e1=0, e2=2, e3=0, u1=v)
-        r1 = dot_product(g, g, base)
-        r2 = dot_product(g, g, flipped)
-        assert r1.graph != r2.graph
+    def test_spec_holds_only_the_three_edges(self):
+        assert [f.name for f in fields(DotProductSpec)] == ["e1", "e2", "e3"]
+
+    def test_joins_pair_each_side_in_ascending_vertex_id(self):
+        # e1 = 0 1 and e2 = 2 3 of Petersen; e3 = 0 1 of K4, whose ends
+        # have the neighbours 2 3 (x1 = 0) and 2 3 (x2 = 1), now 10 and 11
+        res = dot_product(petersen(), k4(), DotProductSpec(e1=0, e2=2, e3=0))
+        joins = [res.graph.endpoints(e) for e in res.new_edges]
+        assert joins == [(0, 10), (1, 11), (2, 10), (3, 11)]
 
 
 @pytest.mark.parametrize("make", [petersen, theta, k4, k33, cube_q3,

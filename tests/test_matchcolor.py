@@ -446,11 +446,13 @@ class TestKempe:
         assert sorted(len(out.color_class(i)) for i in range(3)) == \
             sorted(len(c.color_class(i)) for i in range(3))
 
-    def test_accepts_vertex_sequences(self):
+    def test_rejects_equal_colors(self):
         c = self._cube_coloring()
         cyc = phi_two_factor(c, 0, 1).cycles[0]
-        out = kempe_exchange(c, 0, 1, list(cyc.vertices))
-        assert out.assignment == kempe_exchange(c, 0, 1, cyc).assignment
+        with pytest.raises(GraphError, match="must differ"):
+            phi_two_factor(c, 1, 1)
+        with pytest.raises(GraphError, match="must differ"):
+            kempe_exchange(c, 1, 1, cyc)
 
     def test_rejects_non_bichromatic_cycle(self):
         c = self._cube_coloring()
