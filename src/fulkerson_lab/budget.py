@@ -50,7 +50,10 @@ class Budget:
     the node.  The nodes are the
     edge-colouring searches' nodes (lifts included), the perfect matchings
     that `three_edge_coloring` draws alongside its colouring search (one
-    node each), the exact cover's nodes, the pair queries of the FR-triple
+    node each), its frontier refuter's candidate vertex orders, vertex
+    steps and blocks of states expanded (one node each; a cancel or an
+    exhausted budget there leaves the colouring unknown, never absent),
+    the exact cover's nodes, the pair queries of the FR-triple
     walk that `find_fr_triple`, `enumerate_fr_triples` and A1A2 share, and
     the F-family search's candidate placements.
     The perfect-matching stream spends no nodes itself: it asks stopped()

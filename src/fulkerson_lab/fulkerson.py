@@ -320,30 +320,44 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _incidence_masks(g: CubicGraph, pms: Sequence[frozenset[int]]
+                     ) -> tuple[list[int], list[int]]:
+    """(holders, edges_of): bit i of holders[e] and bit e of edges_of[i] are
+    set iff edge e lies in matching i.
+
+    Each holder mask is set bit by bit in a byte array and made an int
+    once, so the work is linear in the listing; or-ing bits into a growing
+    int would copy it at every bit.
+    """
+    rows = [bytearray((len(pms) + 7) // 8) for _ in range(g.num_edges)]
+    edges_of = []
+    for idx, pm in enumerate(pms):
+        byte, bit = idx >> 3, 1 << (idx & 7)
+        mask = 0
+        for e in pm:
+            rows[e][byte] |= bit
+            mask |= 1 << e
+        edges_of.append(mask)
+    return [int.from_bytes(row, "little") for row in rows], edges_of
+
+
 def _two_covers(g: CubicGraph, pms: Sequence[frozenset[int]],
                 budget: Budget) -> Iterator[tuple[int, ...]]:
     """Index 6-tuples of matchings that cover every edge exactly twice.
 
     The exact-multiplicity cover (after Knuth's Algorithm M) shared by
     EXACT2COVER and the covering enumeration, over the raw edge-id sets of
-    a matching listing (no `PerfectMatching` is built), on int bitmasks:
-    ``holders[e]`` has bit i set iff edge e lies in matching i; an edge is
-    open twice, open once or closed; a matching is usable while none of
-    its edges is closed.  Each node spends one budget node and branches on
-    the first open edge with the fewest usable holders, trying them in
-    index order with repeats allowed, so one multiset may come out in
-    several orders.  The search unwinds as soon as the budget runs out.
+    a matching listing (no `PerfectMatching` is built), on the int bitmasks
+    of `_incidence_masks`: an edge is open twice, open once or closed; a
+    matching is usable while none of its edges is closed.  Each node spends
+    one budget node and branches on the first open edge with the fewest
+    usable holders, trying them in index order with repeats allowed, so
+    one multiset may come out in several orders.  The search unwinds as
+    soon as the budget runs out.
     """
     if not pms:
         return
-    holders = [0] * g.num_edges
-    edges_of = []
-    for idx, pm in enumerate(pms):
-        mask = 0
-        for e in pm:
-            holders[e] |= 1 << idx
-            mask |= 1 << e
-        edges_of.append(mask)
+    holders, edges_of = _incidence_masks(g, pms)
 
     def search(chosen: tuple[int, ...], usable: int, open_once: int,
                open_twice: int) -> Iterator[tuple[int, ...]]:
@@ -447,12 +461,15 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     the FR-triples of `_fr_triples`.  AUTO cascades the three and lists the
     perfect matchings at most once, for the exact cover.
 
-    The coloring is `three_edge_coloring`'s: a perfect matching m with an
-    even 2-factor gives m color 0 and alternates 1, 2 around each cycle of
-    G - m from its lowest edge id, unless the coloring search finishes
-    first.  COLOR without a coloring is unknown, never absent.  When the
-    colour stage spends the budget, AUTO stops there: absent if g has no
-    perfect matching (one search, no enumeration), else unknown.
+    The coloring is `three_edge_coloring`'s, from three searches: a perfect
+    matching m with an even 2-factor gives m color 0 and alternates 1, 2
+    around each cycle of G - m from its lowest edge id, unless the coloring
+    search finishes first; once 32 matchings are drawn with no coloring, a
+    frontier DP runs once and may prove that there is none, which ends the
+    colour stage with no further draws.  COLOR without a coloring is
+    unknown, never absent.  When the colour stage spends the budget, AUTO
+    stops there: absent if g has no perfect matching (one search, no
+    enumeration), else unknown.
 
     AUTO's colour stage draws from a `_MatchingRecord`, and the exact cover
     lists from the same record: first what the colour stage drew, then the

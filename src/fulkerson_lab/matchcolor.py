@@ -10,7 +10,7 @@ be pulled back to the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import count, islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
@@ -677,11 +677,151 @@ def _first_coloring(g: MultiGraph, colors: int, budget: Budget | None) -> EdgeCo
     return None if sol is None else EdgeColoring(g, sol, colors)
 
 
-# Coloring-search nodes run per perfect matching drawn, in `three_edge_coloring`.
-# The matching stream refutes the flower snarks J_k first and the node
-# search the Goldberg snarks G_k; a draw costs about as much as 15 nodes.
-# Of k = 4 ... 16, 8 gave about the lowest total on J9, J11, G5 and G7
+_ORDER_STARTS = 8  # start vertices of the order search, spread over the vertex ids
+_FRONTIER_CAP = 4096  # states at one step past which the frontier DP gives up
+_STATES_PER_NODE = 256  # states the frontier DP expands per budget node
+
+
+def _frontier_order(g: MultiGraph, budget: Budget | None) -> list[int] | None:
+    """A vertex order whose frontiers stay narrow, for `_frontier_colorable`;
+    None when the budget runs out.
+
+    Each candidate grows greedily from a start vertex: the next vertex is
+    one with the most edges to the vertices already taken, so the frontier
+    (the edges with one end taken) grows least, ties going to the vertex
+    that reached its count first or last; with none left next to the taken
+    vertices, the lowest untaken vertex starts a new component.  A
+    candidate costs the sum of 3^width over its frontiers, about the
+    states the DP expands, and is dropped once that reaches the best cost
+    so far.  `_ORDER_STARTS` start vertices spread over the ids, each with
+    both tie rules, keep the search linear in the number of vertices; each
+    candidate spends one budget node.
+    """
+    n = g.num_vertices
+    near = [[g.other_end(e, v) for e in g.incident(v)] for v in g.vertices()]
+    best: list[int] = []
+    bound = float("inf")
+    for start in range(0, n, max(1, -(-n // _ORDER_STARTS))):
+        for last in (False, True):
+            if budget is not None and not budget.spend():
+                return None
+            taken = [0] * n  # edges to taken vertices; -1 once taken
+            # by[c] holds the untaken vertices with c edges to taken ones
+            by: list[dict[int, None]] = [{}, {}, {}, {}]
+            order: list[int] = []
+            width = cost = low = 0
+            v = start
+            while True:
+                order.append(v)
+                width += 3 - 2 * taken[v]
+                cost += 3 ** width
+                if cost >= bound:
+                    break
+                taken[v] = -1
+                for w in near[v]:
+                    c = taken[w]
+                    if c >= 0:
+                        by[c].pop(w, None)
+                        taken[w] = c + 1
+                        by[c + 1][w] = None
+                for ready in by[:0:-1]:
+                    if ready:
+                        v = next(reversed(ready)) if last else next(iter(ready))
+                        del ready[v]
+                        break
+                else:
+                    while low < n and taken[low] < 0:
+                        low += 1
+                    if low == n:
+                        best, bound = order, cost
+                        break
+                    v = low
+    return best
+
+
+# Frontier states are bytes, one colour 0-2 per frontier edge.  _FILLS[used]
+# lists the orders in which a vertex's new edges can take the colours that
+# the bit mask `used` leaves free; _RELABEL[a][b] maps a to 0, b to 1 and
+# the third colour to 2 (_RELABEL[a][a] maps a to 0 alone).
+_FILLS = [[bytes(p) for p in permutations([c for c in range(3) if not used >> c & 1])]
+          for used in range(8)]
+_RELABEL = [[bytes.maketrans(bytes([a, b, 3 - a - b]) if a != b
+                             else bytes([a, (a + 1) % 3, (a + 2) % 3]), b"\0\1\2")
+             for b in range(3)] for a in range(3)]
+
+
+def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
+    """Whether the loopless 3-regular g has a 3-edge-coloring, by a frontier DP;
+    None when it gives up.
+
+    The vertices are taken in the order of `_frontier_order`.  A state is a
+    coloring of the frontier edges, those with exactly one end taken, that
+    extends to a proper coloring of every edge with a taken end; it is kept
+    up to permutation of the three colors, relabelled by first appearance.
+    Taking a vertex keeps each state whose colors on the edges it closes
+    differ, and gives its new edges the free colors in every order; g is
+    colorable iff a state survives the last vertex.  This is edge coloring
+    over a path decomposition (Zhou, Nakano and Nishizeki, J. Algorithms
+    21, 1996) as a frontier-based search (Kawahara et al., IEICE Trans.
+    Fundamentals E100-A, 2017).
+
+    Besides the order search's nodes it spends one budget node per vertex
+    and one more per `_STATES_PER_NODE` states it expands.  It gives up
+    when the budget runs out, by nodes or a cancel (`budget.exhausted`
+    then says so), or when one step leaves more than `_FRONTIER_CAP` states.
+    """
+    order = _frontier_order(g, budget)
+    if order is None:
+        return None
+    place = [0] * g.num_vertices
+    for i, v in enumerate(order):
+        place[v] = i
+    frontier: list[int] = []
+    states = {b""}
+    for v in order:
+        if budget is not None:
+            for _ in range(1 + len(states) // _STATES_PER_NODE):
+                if not budget.spend():
+                    return None
+        closing = [e for e in g.incident(v) if place[g.other_end(e, v)] < place[v]]
+        close = [frontier.index(e) for e in closing]
+        keep = [i for i in range(len(frontier)) if i not in close]
+        frontier = [frontier[i] for i in keep]
+        frontier += (e for e in g.incident(v) if e not in closing)
+        after: set[bytes] = set()
+        for s in states:
+            used = 0
+            for i in close:
+                bit = 1 << s[i]
+                if used & bit:
+                    break
+                used |= bit
+            else:
+                kept = bytes(map(s.__getitem__, keep))
+                for fill in _FILLS[used]:
+                    t = kept + fill
+                    a = t[0] if t else 0
+                    rest = t.lstrip(t[:1])
+                    after.add(t.translate(_RELABEL[a][rest[0] if rest else a]))
+        if not after:
+            return False
+        if len(after) > _FRONTIER_CAP:
+            return None
+        states = after
+    return True
+
+
+# `three_edge_coloring` asks `_frontier_colorable` once, after this many
+# perfect matchings drawn with no coloring.  Colourable graphs almost never
+# draw that many: 99.9 % of seeded random bridgeless cubic graphs of 12-32
+# vertices need at most 23, while the snarks J_k and G_k draw hundreds
 # (CHANGES.md).
+_REFUTE_AFTER = 32
+
+# Coloring-search nodes run per perfect matching drawn, in `three_edge_coloring`.
+# A draw costs about as much as 15 nodes.  Of k = 4 ... 16, 8 gave about the
+# lowest total on J9, J11, G5 and G7 (CHANGES.md); a different k can change
+# which search finds a coloring, and so the certificates.
 NODES_PER_MATCHING = 8
 
 
@@ -696,8 +836,13 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
     gives a coloring: m takes color 0, and on each cycle the lowest edge id
     takes color 1, the colors alternating 1, 2 after it.  The first search
     to finish decides, and one that runs out with budget to spare proves
-    absence.  Other input runs the coloring search alone; a loop refutes at
-    once.
+    absence.  A third search only refutes: once `_REFUTE_AFTER` matchings
+    are drawn with no coloring, `_frontier_colorable` runs once, and when
+    it proves g not colorable the call returns None.  When it finds g
+    colorable or gives up, the two searches go on where they stopped, so
+    the coloring returned is always theirs; a budget it spends or a cancel
+    it meets leaves None with `budget.exhausted`, unknown.  Other input
+    runs the coloring search alone; a loop refutes at once.
 
     `matchings` is the stream drawn from, by default a fresh
     `_canonical_matchings(g, budget=budget)`.  AUTO passes a
@@ -710,7 +855,7 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
     if matchings is None:
         matchings = _canonical_matchings(g, budget=budget)
     factors = _two_factors(g, matchings, lambda verts: len(verts) % 2 == 0)
-    while True:
+    for drawn in count(1):
         if budget is not None and not budget.spend():
             return None
         m, factor = next(factors, (None, None))
@@ -730,6 +875,8 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
             steps += 1
         if steps < NODES_PER_MATCHING:
             return None  # the coloring search ended
+        if drawn == _REFUTE_AFTER and _frontier_colorable(g, budget) is False:
+            return None
 
 
 def three_edge_colorable(s: SuppressedGraph,

@@ -524,9 +524,9 @@ class TestFindCovering:
     ], ids=["J5", "J7", "J9", "petersen", "G5", "G7"])
     def test_auto_lists_once_unless_the_colour_stream_ended(self, monkeypatch, make, calls):
         # The exact cover lists what the colour stage drew, then the rest of
-        # the same stream: the stream refutes the flower snarks' colourings
-        # by running to its end, the colouring search refutes the others
-        # first.  Either way one stream starts, as for EXACT2COVER.
+        # the same stream: the frontier refuter refutes the snarks'
+        # colourings after 32 draws, Petersen's colouring search ends at its
+        # fifth.  Either way one stream starts, as for EXACT2COVER.
         counts = SearchCounts(monkeypatch)
         assert find_fulkerson_covering(make()).found
         assert len(counts.starts) == calls
@@ -560,7 +560,7 @@ class TestFindCovering:
         assert not auto.definitely_absent
         assert auto == exact
 
-    @pytest.mark.parametrize("make,spent", [(petersen, 43), (lambda: flower_snark(5), 294)],
+    @pytest.mark.parametrize("make,spent", [(petersen, 43), (lambda: flower_snark(5), 326)],
                              ids=["petersen", "J5"])
     def test_auto_falls_through_to_a1a2_past_the_matching_cap(self, monkeypatch, make, spent):
         # with a cap of 3 the exact cover sees too few matchings to decide,
@@ -618,10 +618,14 @@ class TestFindCovering:
         import time
 
         self.refuse_listings(monkeypatch)
-        start = time.perf_counter()
-        res = find_fulkerson_covering(flower_snark(17), budget=Budget(limit=1000))
-        assert time.perf_counter() - start < 2
-        assert res.unknown
+        # 32 draws spend 288 nodes: 200 runs out among the draws, 300 inside
+        # the frontier refuter
+        for limit in (200, 300):
+            start = time.perf_counter()
+            budget = Budget(limit=limit)
+            res = find_fulkerson_covering(flower_snark(17), budget=budget)
+            assert time.perf_counter() - start < 2
+            assert res.unknown and budget.exhausted
 
     def test_auto_out_of_budget_still_proves_absence_without_a_perfect_matching(self):
         from test_matchcolor import three_bridges
@@ -712,6 +716,22 @@ class TestExactCoverEngine:
         budget = Budget(limit=5_000_000)
         assert find_fulkerson_covering(make(), "exact2cover", budget).found
         assert budget.spent == spent
+
+    @pytest.mark.parametrize("make", [
+        lambda: flower_snark(9), lambda: goldberg(5), lambda: goldberg(7),
+    ], ids=["J9", "G5", "G7"])
+    def test_incidence_masks_are_the_straightforward_ones(self, make):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        g = make()
+        pms = [m.members for m in enumerate_perfect_matchings(g)]
+        holders = [0] * g.num_edges
+        edges_of = [0] * len(pms)
+        for idx, pm in enumerate(pms):
+            for e in pm:
+                holders[e] |= 1 << idx
+                edges_of[idx] |= 1 << e
+        assert fulkerson._incidence_masks(g, pms) == (holders, edges_of)
 
     def test_goldberg_five_certificate(self):
         res = find_fulkerson_covering(goldberg(5), "exact2cover", Budget(limit=5_000_000))

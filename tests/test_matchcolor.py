@@ -629,14 +629,17 @@ class TestDepthAndNodeCounts:
         assert not budget.exhausted
 
     # The coloring search run alongside the matching stream: nodes plus
-    # matchings drawn.  The flower snarks are refuted by the stream, J13 in
-    # 8,193 matchings where the coloring search alone spends 344,485 nodes;
-    # Q3 and the pairing-model graph are colored by a matching.
+    # matchings drawn, plus the frontier refuter's nodes once 32 matchings
+    # are drawn.  Petersen's coloring search ends at the fifth draw; the other
+    # snarks draw 32 matchings (288 nodes) and are refuted by the frontier
+    # DP, J13 in 355 nodes where the stream alone spent 73,729 and the
+    # coloring search alone 344,485.  Q3 and the pairing-model graph are
+    # colored by a matching.
     @pytest.mark.parametrize("make,spent,found", [
-        (petersen, 38, False), (lambda: flower_snark(5), 289, False),
-        (lambda: goldberg(5), 1013, False), (cube_q3, 1, True),
-        (lambda: flower_snark(7), 1153, False), (lambda: flower_snark(9), 4609, False),
-        (lambda: flower_snark(13), 73729, False), (lambda: pairing_model(300, seed=1), 253, True),
+        (petersen, 38, False), (lambda: flower_snark(5), 321, False),
+        (lambda: goldberg(5), 340, False), (cube_q3, 1, True),
+        (lambda: flower_snark(7), 329, False), (lambda: flower_snark(9), 339, False),
+        (lambda: flower_snark(13), 355, False), (lambda: pairing_model(300, seed=1), 253, True),
     ], ids=["petersen", "J5", "G5", "Q3", "J7", "J9", "J13", "pairing300"])
     def test_three_edge_coloring_node_counts(self, make, spent, found):
         g = make()
@@ -705,9 +708,11 @@ class TestColoringByMatchings:
         assert budget.exhausted
 
     # The search spends one node for the first matching, then the stream
-    # asks cancel before its first blossom search.
+    # asks cancel before its first blossom search.  The frontier refuter is
+    # held off, so the stream runs on J9 until the cancel fires.
     @pytest.mark.parametrize("fire_on", [2, 500, 3000])
-    def test_cancel_inside_the_stream_is_unknown(self, fire_on):
+    def test_cancel_inside_the_stream_is_unknown(self, monkeypatch, fire_on):
+        monkeypatch.setattr(matchcolor, "_REFUTE_AFTER", 10**9)
         calls = []
 
         def cancel():
@@ -721,6 +726,8 @@ class TestColoringByMatchings:
             assert budget.spent == 1
 
     def test_a_record_that_ran_out_is_the_listing(self, monkeypatch):
+        # with the frontier refuter held off, the stream refutes J9 by running out
+        monkeypatch.setattr(matchcolor, "_REFUTE_AFTER", 10**9)
         g = flower_snark(9)
         counts = SearchCounts(monkeypatch)
         record = matchcolor._MatchingRecord(g, Budget())
@@ -731,8 +738,11 @@ class TestColoringByMatchings:
         assert len(counts.starts) == 2  # the record's stream, then the enumeration's
 
     @pytest.mark.parametrize("fire_on", [2, 500])
-    def test_a_record_cut_by_a_cancel_is_no_listing(self, fire_on):
-        # what the colour stage drew is a truncated listing, the canonical prefix
+    def test_a_record_cut_by_a_cancel_is_no_listing(self, monkeypatch, fire_on):
+        # what the colour stage drew is a truncated listing, the canonical
+        # prefix; the frontier refuter is held off so that the cancel fires
+        # inside the stream
+        monkeypatch.setattr(matchcolor, "_REFUTE_AFTER", 10**9)
         calls = []
 
         def cancel():
@@ -748,6 +758,19 @@ class TestColoringByMatchings:
         listing, truncated = record.listing()
         assert truncated and listing == record.drawn
         assert listing == [m.members for m in enumerate_perfect_matchings(g)][:len(listing)]
+
+    def test_a_refuted_record_keeps_what_it_drew_and_lists_the_rest(self, monkeypatch):
+        # the frontier DP refutes J9 after 32 draws; the listing is what was
+        # drawn, then the rest of the same stream
+        g = flower_snark(9)
+        counts = SearchCounts(monkeypatch)
+        record = matchcolor._MatchingRecord(g, Budget())
+        assert three_edge_coloring(g, matchings=record) is None
+        full = [m.members for m in enumerate_perfect_matchings(g)]
+        assert len(full) == 512
+        assert record.drawn == full[:matchcolor._REFUTE_AFTER]
+        assert record.listing() == (full, False)
+        assert len(counts.starts) == 2  # the record's stream, then the enumeration's
 
     def test_a_record_past_the_cap_is_no_listing(self, monkeypatch):
         # a listing past the cap keeps the first matchings and is truncated
@@ -773,6 +796,120 @@ class TestColoringByMatchings:
         assert three_edge_coloring(flower_snark(9)) is None
         assert three_edge_coloring(pairing_model(300, seed=1)) is not None
         assert three_edge_coloring(cube_q3()) is not None
+
+
+def disjoint_union(g: MultiGraph, h: MultiGraph) -> CubicGraph:
+    n = g.num_vertices
+    return CubicGraph(n + h.num_vertices,
+                      [(u, w) for _, u, w in g.edges] + [(n + u, n + w) for _, u, w in h.edges])
+
+
+class TestFrontierRefuter:
+    """`_frontier_colorable`, the frontier DP that `three_edge_coloring` asks
+    once it has drawn `_REFUTE_AFTER` matchings with no coloring."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_matching_partition_oracle(self, data):
+        g = random_cubic_multigraph(data, max_order=12)
+        colorable = colorable_via_matching_partition(g)
+        budget = Budget()
+        assert matchcolor._frontier_colorable(g, budget) is colorable
+        assert not budget.exhausted
+        assert matchcolor._frontier_colorable(g, None) is colorable
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_a_disjoint_union_is_colorable_iff_both_parts_are(self, data):
+        # the vertex order starts the second component once the first is taken
+        g = random_cubic_multigraph(data, max_order=10)
+        h = random_cubic_multigraph(data, max_order=10)
+        want = colorable_via_matching_partition(g) and colorable_via_matching_partition(h)
+        assert matchcolor._frontier_colorable(disjoint_union(g, h), None) is want
+        assert matchcolor._frontier_colorable(disjoint_union(h, petersen()), None) is False
+
+    def test_the_empty_graph_is_colorable(self):
+        assert matchcolor._frontier_colorable(CubicGraph(0, []), Budget()) is True
+
+    # Nodes: two candidate orders per start vertex (at most 8 starts), then
+    # one per vertex and one more per 256 states expanded.
+    @pytest.mark.parametrize("k,flower_spent,goldberg_spent", [
+        (3, 21, 37), (5, 33, 52), (7, 41, 81), (9, 51, 108), (11, 59, 134),
+        (13, 67, 168), (15, 75, 209), (17, 83, 244), (19, 91, 269), (21, 99, 378),
+    ])
+    def test_refutes_the_flower_and_goldberg_snarks(self, k, flower_spent, goldberg_spent):
+        for g, spent in ((flower_snark(k), flower_spent), (goldberg(k), goldberg_spent)):
+            budget = Budget()
+            assert matchcolor._frontier_colorable(g, budget) is False
+            assert budget.spent == spent and not budget.exhausted
+
+    def test_gives_up_past_the_state_cap(self, monkeypatch):
+        monkeypatch.setattr(matchcolor, "_FRONTIER_CAP", 2)
+        budget = Budget()
+        assert matchcolor._frontier_colorable(goldberg(5), budget) is None
+        assert not budget.exhausted
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_the_coloring_is_the_interleaves_whatever_the_refuter_says(self, data):
+        # refuting after the first draw, with and without a cap that makes
+        # the DP give up, returns what the interleave alone returns
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        results = []
+        for after, cap in ((10**9, 4096), (1, 4096), (1, 2)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matchcolor, "_REFUTE_AFTER", after)
+                mp.setattr(matchcolor, "_FRONTIER_CAP", cap)
+                col = three_edge_coloring(g)
+            results.append(None if col is None else col.assignment)
+        assert results[0] == results[1] == results[2]
+
+    def test_a_snark_past_the_cap_is_refuted_by_the_stream(self, monkeypatch):
+        monkeypatch.setattr(matchcolor, "_FRONTIER_CAP", 2)
+        refuted = []
+        refute = matchcolor._frontier_colorable
+        monkeypatch.setattr(matchcolor, "_frontier_colorable",
+                            lambda *args: refuted.append(refute(*args)) or refuted[-1])
+        budget = Budget()
+        assert three_edge_coloring(flower_snark(9), budget) is None
+        assert refuted == [None] and not budget.exhausted
+        # the stream runs out after its 512 draws as it does alone (4,609
+        # nodes); the refuter spent 19 before it gave up
+        assert budget.spent == 4609 + 19
+
+    def test_every_budget_short_of_the_refutation_is_unknown(self):
+        g = flower_snark(9)
+        for limit in range(51):
+            budget = Budget(limit=limit)
+            assert matchcolor._frontier_colorable(g, budget) is None
+            assert budget.exhausted
+        assert matchcolor._frontier_colorable(g, Budget(limit=51)) is False
+
+    def test_every_cancel_inside_the_refuter_is_unknown(self):
+        g = goldberg(5)
+        for fire_on in range(1, 53):
+            calls = []
+
+            def cancel():
+                calls.append(None)
+                return len(calls) >= fire_on
+
+            budget = Budget(cancel=cancel)
+            assert matchcolor._frontier_colorable(g, budget) is None
+            assert budget.exhausted and len(calls) == fire_on
+
+    def test_a_cancel_inside_the_refuter_leaves_the_coloring_unknown(self, monkeypatch):
+        inside = []
+        refute = matchcolor._frontier_colorable
+        monkeypatch.setattr(matchcolor, "_frontier_colorable",
+                            lambda *args: inside.append(True) or refute(*args))
+        budget = Budget(cancel=lambda: bool(inside))
+        assert three_edge_coloring(flower_snark(9), budget) is None
+        assert budget.exhausted and inside == [True]
+        # 32 draws spend 288 nodes; a budget that ends inside the refuter
+        budget = Budget(limit=300)
+        assert three_edge_coloring(flower_snark(9), budget) is None
+        assert budget.exhausted
 
 
 class TestOracleDifferential:
