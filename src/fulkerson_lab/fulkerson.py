@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import dropwhile
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
@@ -28,7 +27,6 @@ from .matchcolor import (
     three_edge_colorable,
     three_edge_coloring,
     _as_matching,
-    _canonical_matchings,
     _MatchingRecord,
 )
 
@@ -230,14 +228,14 @@ def _fr_triples(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
     `_MatchingRecord` and drawn one by one by its `reach`.  The pairs
     (i, j), i <= j, are walked in order; each spends one budget node and
     asks one query, the matchings from M_j on that avoid M_i & M_j, so the
-    triples come in index order.  Row 0 asks a stream that excludes
-    M_0 & M_j, dropping what sorts before M_j, and holds only M_0 ... M_j,
-    so no matching cap applies; it draws every matching, so the later rows
-    scan the drawn list.  No matching at all avoids M_i & M_j for a pair
-    before the first triple's: an M_l, l < j, would have answered pair
-    (i, l) with M_j, or (l, i) when l < i.  When row 0 yields nothing, one query per edge of
-    M_0 looks for an edge that every matching holds (every bridge is one):
-    it would lie in every triple, so the walk stops there.  It also stops
+    triples come in index order.  Row 0 asks the record's `avoiding`, which
+    holds only M_0 ... M_j, so no matching cap applies; it draws every
+    matching, so the later rows scan the drawn list.  No matching at all
+    avoids M_i & M_j for a pair before the first triple's: an M_l, l < j,
+    would have answered pair (i, l) with M_j, or (l, i) when l < i.  When
+    row 0 yields nothing, one `avoiding` query per edge of M_0 looks for an
+    edge that every matching holds (every bridge is one): it would lie in
+    every triple, so the walk stops there.  It also stops
     when the budget runs out, which callers tell by ``budget.exhausted``:
     the next pair's `spend` refuses, and an exhausted stream draws nothing.
     """
@@ -250,19 +248,14 @@ def _fr_triples(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
             if not budget.spend():
                 return
             s = drawn[i] & drawn[j]
-            if i == 0:
-                answers = dropwhile(lambda m, start=sorted(drawn[j]): sorted(m) < start,
-                                    _canonical_matchings(g, s, budget=budget))
-            else:
-                answers = (m for m in drawn[j:] if not m & s)
+            answers = record.avoiding(s, j) if i == 0 else (m for m in drawn[j:] if not m & s)
             for k in answers:
                 met = True
                 yield drawn[i], drawn[j], k
             j += 1
         if i == 0 and not met:
             for e in sorted(drawn[0]):  # an edge in every matching lies in every triple
-                if not budget.spend() or next(_canonical_matchings(g, frozenset([e]),
-                                                                   budget=budget), None) is None:
+                if not budget.spend() or next(record.avoiding(frozenset([e]), 0), None) is None:
                     return
         i += 1
 

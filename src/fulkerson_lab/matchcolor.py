@@ -10,7 +10,7 @@ be pulled back to the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, permutations
+from itertools import count, dropwhile, islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
@@ -253,18 +253,15 @@ def _repair(near: Sequence[Sequence[int]], saturated: list[bool], mate: list[int
 
 
 def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
-                         include: frozenset[int] = frozenset(),
                          budget: Budget | None = None) -> Iterator[frozenset[int]]:
-    """Perfect matchings holding the matching `include` and avoiding `exclude`,
-    lazily, lexicographic by sorted edge-id tuple: the one perfect-matching generator.
+    """Perfect matchings avoiding `exclude`, lazily, lexicographic by sorted
+    edge-id tuple: the one perfect-matching generator.
 
     A binary partition over the edges in ascending id, each edge with two
     unmatched ends first included, then excluded (the flashlight method;
     Read and Tarjan, Networks 5, 1975).  Matchings that hold an edge and
     agree below it with matchings that avoid it come first, so the order
     is canonical with no sort, and the first few come without the rest.
-    The edges of `include` are matched up front; the order among matchings
-    that all hold them is the same.
 
     `mate` is always one perfect matching of the allowed graph that holds
     every included edge, found up front by one `_augment` search per
@@ -308,17 +305,13 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
             near[u][w] = near[w][u] = near[u].get(w, 0) + 1
     saturated = [False] * n
     mate = [-1] * n
-    for e in include:
-        u, w = ends[e]
-        saturated[u] = saturated[w] = True
-        mate[u], mate[w] = w, u
     for v in range(n):
         if mate[v] == -1:
             if cancel is not None and budget.stopped():
                 return
             if not _augment(near, saturated, mate, v):
                 return
-    chosen = list(include)
+    chosen: list[int] = []
     EXCLUDED, INCLUDED, FORCED = range(3)
     stack: list[tuple[int, int]] = []  # (edge decided, how)
     forcing = False
@@ -352,7 +345,7 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
                 todo += near[w]
         return matched
 
-    e, bare = 0, n - 2 * len(include)
+    e, bare = 0, n
     while True:
         # Decide the edges in ascending id until every vertex is matched;
         # `mate` guarantees that happens before the edges run out.
@@ -445,6 +438,7 @@ class _MatchingRecord:
 
     def __init__(self, g: MultiGraph, budget: Budget | None):
         self.drawn: list[frozenset[int]] = []
+        self._g = g
         self._budget = budget
         self._stream = _canonical_matchings(g, budget=budget)
 
@@ -463,11 +457,20 @@ class _MatchingRecord:
             self.drawn += islice(self._stream, i + 1 - len(self.drawn))
         return i < len(self.drawn)
 
+    def avoiding(self, s: frozenset[int], j: int) -> Iterator[frozenset[int]]:
+        """The matchings from M_j on that avoid s, lazily: a stream of its own
+        that excludes s, less what sorts before the drawn M_j; it keeps none."""
+        start = sorted(self.drawn[j])
+        return dropwhile(lambda m: sorted(m) < start,
+                         _canonical_matchings(self._g, s, budget=self._budget))
+
     def listing(self, limit: int | None = None) -> tuple[list[frozenset[int]], bool]:
         """The first `limit` perfect matchings (default `DEFAULT_PM_LIMIT`),
         canonical order, and whether the listing is truncated: there are
         more, or the stream stopped on an exhausted budget."""
         limit = DEFAULT_PM_LIMIT if limit is None else limit
+        if limit < 0:
+            raise GraphError(f"negative matching limit {limit}")
         truncated = self.reach(limit) or self._budget is not None and self._budget.exhausted
         return self.drawn[:limit], truncated
 
@@ -479,9 +482,10 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
 
     The enumeration is truncated when there are more, or when `budget`
     stops the stream (see `_canonical_matchings`); an odd vertex count
-    yields the empty, complete enumeration.  No budget nodes are spent.
-    It validates every matching of a `_MatchingRecord`'s listing, which
-    the covering searches read as raw edge-id sets.
+    yields the empty, complete enumeration, and a negative `limit` raises
+    `GraphError`.  No budget nodes are spent.  It validates every matching
+    of a `_MatchingRecord`'s listing, which the covering searches read as
+    raw edge-id sets.
     """
     found, truncated = _MatchingRecord(g, budget).listing(limit)
     return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
@@ -494,16 +498,18 @@ def find_perfect_matching(
 ) -> PerfectMatching | None:
     """The first perfect matching, in canonical order, holding `include` and avoiding `exclude`.
 
-    The first answer of `_canonical_matchings`, so with no `include` and no
-    `exclude` it is `enumerate_perfect_matchings(g)[0]`: one Edmonds
+    The first answer of `_canonical_matchings` that also excludes every
+    other edge at an end of `include` (leaving the matchings that hold it),
+    so with neither set it is `enumerate_perfect_matchings(g)[0]`: one Edmonds
     matching up front, then at most one repair per edge; None comes
     without branching.
     """
-    inc = _as_matching(g, include)
+    inc = _as_matching(g, include).members
     excl = _as_edges(g, exclude, EdgeSet).members
-    if inc.members & excl:
+    if inc & excl:
         raise GraphError("include and exclude overlap")
-    found = next(_canonical_matchings(g, excl, inc.members), None)
+    excl |= {f for e in inc for v in g.endpoints(e) for f in g.incident(v)} - inc
+    found = next(_canonical_matchings(g, excl), None)
     return None if found is None else PerfectMatching(g, found)
 
 
@@ -818,10 +824,10 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
 # (CHANGES.md).
 _REFUTE_AFTER = 32
 
-# Coloring-search nodes run per perfect matching drawn, in `three_edge_coloring`.
-# A draw costs about as much as 15 nodes.  Of k = 4 ... 16, 8 gave about the
-# lowest total on J9, J11, G5 and G7 (CHANGES.md); a different k can change
-# which search finds a coloring, and so the certificates.
+# Coloring-search nodes run per matching drawn in `three_edge_coloring`.  In the 1,540 colour
+# stages of random-batch's graphs (seeds 1-5) the stream decides 1,489, the search 50 and the
+# refuter 1, which settles the snarks after `_REFUTE_AFTER` draws whatever k is (CHANGES.md).
+# A different k can change which search finds a coloring, and so the certificates.
 NODES_PER_MATCHING = 8
 
 

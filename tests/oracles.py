@@ -109,11 +109,11 @@ class SearchCounts:
     `augment` and `repair` count the outcomes (True or False) of every
     `_augment` and `_repair` call, the `_augment` inside `_repair`
     included; `starts` lists the graph of every `_canonical_matchings`
-    stream, once it is first read, in every module that imports it.
+    stream, once it is first read (only matchcolor calls the stream).
     """
 
     def __init__(self, monkeypatch):
-        from fulkerson_lab import fulkerson, matchcolor
+        from fulkerson_lab import matchcolor
 
         self.augment: Counter = Counter()
         self.repair: Counter = Counter()
@@ -134,8 +134,7 @@ class SearchCounts:
 
         monkeypatch.setattr(matchcolor, "_augment", counted(matchcolor._augment, self.augment))
         monkeypatch.setattr(matchcolor, "_repair", counted(matchcolor._repair, self.repair))
-        for module in (matchcolor, fulkerson):  # the modules that import the stream
-            monkeypatch.setattr(module, "_canonical_matchings", started)
+        monkeypatch.setattr(matchcolor, "_canonical_matchings", started)
 
 
 def random_cubic_multigraph(data, max_order: int, bridgeless: bool = False,
@@ -361,25 +360,26 @@ def balanced_subsets(g: MultiGraph, m) -> set[frozenset[int]]:
     return {m & other for other in brute_force_perfect_matchings(g)}
 
 
-def ffamily_exists(g: MultiGraph, m) -> bool:
-    """True iff the perfect matching m (edge ids) carries an F-family.
+def ffamily_holds(g: MultiGraph, m, members, balanced: set[frozenset[int]] | None = None) -> bool:
+    """True iff the four members (edge-id sets) form an F-family for the
+    perfect matching m (edge ids).
 
-    Straight from the definition: four pairwise disjoint nonempty members,
-    each equal to m & m' for some perfect matching m'; every odd cycle of
+    Straight from the definition: the members are nonempty and pairwise
+    disjoint, and each equals m & m' for some perfect matching m' (it is in
+    `balanced`, by default `balanced_subsets(g, m)`); every odd cycle of
     the complementary 2-factor meets each member in exactly one endpoint;
     every even cycle meets them in no endpoint, 2+2 or 4 endpoints of one
     member; and on every cycle the determined vertices are the ends of two
     disjoint edges of that cycle.
     """
     m = frozenset(m)
-    balanced = sorted(balanced_subsets(g, m) - {frozenset()}, key=lambda s: tuple(sorted(s)))
-    cycles = []
+    members = [frozenset(mem) for mem in members]
+    balanced = balanced_subsets(g, m) if balanced is None else balanced
+    if (len(members) != 4 or not all(mem and mem in balanced for mem in members)
+            or sum(map(len, members)) != len(frozenset().union(*members))):
+        return False
     for comp in _components(g, m):
         vs = set(comp)
-        cycle_edges = [eid for eid, u, v in g.edges if eid not in m and u in vs]
-        cycles.append((vs, cycle_edges))
-
-    def cycle_ok(vs, cycle_edges, members) -> bool:
         ends = [[v for e in mem for v in g.endpoints(e) if v in vs] for mem in members]
         counts = sorted(len(x) for x in ends)
         if len(vs) % 2:
@@ -388,18 +388,20 @@ def ffamily_exists(g: MultiGraph, m) -> bool:
         elif counts not in ([0, 0, 0, 0], [0, 0, 2, 2], [0, 0, 0, 4]):
             return False
         determined = {v for x in ends for v in x}
-        if not determined:
-            return True
-        return any(set(g.endpoints(e)) | set(g.endpoints(f)) == determined
-                   for e, f in combinations(cycle_edges, 2)
-                   if not set(g.endpoints(e)) & set(g.endpoints(f)))
+        cycle_edges = [eid for eid, u, v in g.edges if eid not in m and u in vs]
+        if determined and not any(set(g.endpoints(e)) | set(g.endpoints(f)) == determined
+                                  for e, f in combinations(cycle_edges, 2)
+                                  if not set(g.endpoints(e)) & set(g.endpoints(f))):
+            return False
+    return True
 
-    for members in combinations(balanced, 4):
-        if sum(len(mem) for mem in members) != len(frozenset().union(*members)):
-            continue
-        if all(cycle_ok(vs, edges, members) for vs, edges in cycles):
-            return True
-    return False
+
+def ffamily_exists(g: MultiGraph, m) -> bool:
+    """True iff the perfect matching m (edge ids) carries an F-family: some
+    four nonempty m-balanced sets pass `ffamily_holds`."""
+    balanced = balanced_subsets(g, m)
+    return any(ffamily_holds(g, m, members, balanced)
+               for members in combinations(balanced - {frozenset()}, 4))
 
 
 def slot_ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterator[FFamily]:

@@ -326,6 +326,25 @@ class TestPipeline:
         assert code == 1
         assert "step 1" in err
 
+    def test_explicit_xy_equal_to_the_default_prints_the_same(self, capsys, tmp_path):
+        # the factor's joining edge xy is edge 0 when no e3 is given
+        outs = []
+        for line in ("dot type1 petersen", "dot type1 petersen e3=0"):
+            recipe = tmp_path / "recipe.txt"
+            recipe.write_text(f"base petersen\n{line}\n")
+            code, out, _ = run(capsys, "pipeline", str(recipe))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_type2_factor_without_two_odd_cycles_exits_one(self, capsys, tmp_path):
+        recipe = tmp_path / "recipe.txt"
+        recipe.write_text("base petersen\ndot type2 k4\n")
+        code, out, err = run(capsys, "pipeline", str(recipe))
+        assert (code, out) == (1, "")
+        assert err == ("pipeline failed: step 1 failed: no perfect matching with a "
+                       "two-odd-cycle 2-factor\n")
+
     def test_type2_pair_inside_n_exits_one(self, capsys, tmp_path):
         from fulkerson_lab.ffamily import find_ffamily
 

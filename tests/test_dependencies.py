@@ -1,7 +1,8 @@
-"""The package declares no dependencies, and networkx stays out of tier-1.
+"""The package declares no dependencies, networkx stays out of tier-1, and
+only matchcolor names the perfect-matching stream `_canonical_matchings`.
 
-Both rules are read from the source with `ast`, so a forbidden import
-fails here even when the module that holds it is never imported.
+The rules are read from the source with `ast`, so a forbidden import or
+name fails here even when the module that holds it is never imported.
 """
 
 import ast
@@ -26,6 +27,21 @@ def absolute_imports(path: Path) -> list[str]:
     return names
 
 
+def identifiers(path: Path) -> set[str]:
+    """The names, attributes, imported names and whole-string constants of the module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
 def test_package_imports_only_the_standard_library(path):
     outside = [name for name in absolute_imports(path) if name not in sys.stdlib_module_names]
@@ -37,6 +53,14 @@ def test_tests_never_import_networkx(path):
     assert "networkx" not in absolute_imports(path)
 
 
+@pytest.mark.parametrize("path", [p for p in PACKAGE_MODULES if p.name != "matchcolor.py"],
+                         ids=lambda p: p.name)
+def test_only_matchcolor_names_the_matching_stream(path):
+    # the FR-triple walk and every other reader go through matchcolor's functions
+    assert "_canonical_matchings" not in identifiers(path)
+
+
 def test_the_rules_find_the_modules():
     assert ROOT / "src" / "fulkerson_lab" / "cli.py" in PACKAGE_MODULES
+    assert "_canonical_matchings" in identifiers(ROOT / "src" / "fulkerson_lab" / "matchcolor.py")
     assert Path(__file__).resolve() in TEST_MODULES

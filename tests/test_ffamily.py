@@ -60,8 +60,10 @@ from fulkerson_lab.ffamily import (
 )
 
 from oracles import (
+    balanced_subsets,
     brute_force_perfect_matchings,
     ffamily_exists,
+    ffamily_holds,
     random_cubic_multigraph,
     slot_ffamilies,
 )
@@ -546,6 +548,19 @@ def pentagons_and_hexagon(chords=True):
     return CubicGraph(16, edges)
 
 
+def crossed_hexagon_and_square():
+    """A hexagon (0-5) and a square (6-9) left by the perfect matching
+    m = {0-2, 1-3, 4-5, 6-8, 7-9}, returned with m.
+
+    With the members {0-2}, {1-3}, {6-8} and {7-9} every cycle passes the
+    incidence counts and its determined vertices end two disjoint cycle
+    edges, but no member is balanced: each cuts its cycle into even arcs.
+    """
+    g = CubicGraph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 2), (1, 3), (4, 5),
+                        (6, 7), (7, 8), (8, 9), (9, 6), (6, 8), (7, 9)])
+    return g, frozenset([6, 7, 8, 13, 14])
+
+
 class TestEvenCyclePatterns:
     """Families that meet an even cycle: untouched, 2+2 and 4+0 shapes."""
 
@@ -826,6 +841,44 @@ class TestOracleDifferential:
         g = random_cubic_multigraph(data, max_order=10, bridgeless=True)
         for m in brute_force_perfect_matchings(g):
             assert find_ffamily(g, m=m).found == ffamily_exists(g, m)
+
+    @staticmethod
+    def _verify_agrees_with_the_definition(g, m, labels, balanced=None) -> bool:
+        """Checks m's edges, sorted and labelled by member (-1 is none), with
+        `verify_ffamily` against `ffamily_holds`; returns whether they hold."""
+        members = [frozenset(e for e, k in zip(sorted(m), labels) if k == mi) for mi in range(4)]
+        holds = ffamily_holds(g, m, members, balanced)
+        try:
+            n = derive_n(g, m, members)
+        except GraphError:
+            n = None
+        if n is None:
+            assert not holds
+        else:
+            fam = FFamily(PerfectMatching(g, m), *(Matching(g, mem) for mem in members), n)
+            assert verify_ffamily(g, fam).ok == holds
+        return holds
+
+    @pytest.mark.parametrize("make,families", [
+        (lambda: (petersen(), brute_force_perfect_matchings(petersen())[0]), 120),
+        (lambda: (ten_vertex_c5_example(),
+                  brute_force_perfect_matchings(ten_vertex_c5_example())[0]), 0),
+        (crossed_hexagon_and_square, 0),
+    ], ids=["petersen", "ten", "crossed"])
+    def test_verify_agrees_with_the_definition_on_every_labelling(self, make, families):
+        g, m = make()
+        balanced = balanced_subsets(g, m)
+        held = [self._verify_agrees_with_the_definition(g, m, labels, balanced)
+                for labels in product(range(-1, 4), repeat=len(m))]
+        assert sum(held) == families
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_verify_agrees_with_the_definition(self, data):
+        g = random_cubic_multigraph(data, max_order=10, bridgeless=True)
+        m = data.draw(st.sampled_from(brute_force_perfect_matchings(g)))
+        labels = data.draw(st.lists(st.integers(-1, 3), min_size=len(m), max_size=len(m)))
+        self._verify_agrees_with_the_definition(g, m, labels)
 
 
 class TestFirstMatchStream:

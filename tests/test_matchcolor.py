@@ -118,6 +118,14 @@ class TestEnumeratePerfectMatchings:
             assert [m.members for m in enum] == full[:k]
             assert enum.truncated == (k < len(full))
 
+    def test_a_negative_limit_is_refused(self):
+        with pytest.raises(GraphError):
+            enumerate_perfect_matchings(petersen(), limit=-1)
+        record = matchcolor._MatchingRecord(petersen(), None)
+        assert record.reach(4)  # five drawn
+        with pytest.raises(GraphError):
+            record.listing(-2)
+
     def test_limit_at_least_count_finds_the_same_set(self):
         full = {m.members for m in enumerate_perfect_matchings(petersen())}
         capped = {m.members for m in enumerate_perfect_matchings(petersen(), limit=6)}
@@ -981,7 +989,20 @@ class TestCanonicalOrder:
         g = random_cubic_multigraph(data, max_order=12, loops=True)
         include, exclude = draw_include_exclude(data, g)
         want = sorted(naive_perfect_matchings(g, include, exclude), key=lambda m: tuple(sorted(m)))
-        assert list(_canonical_matchings(g, exclude, include)) == want
+        # holding include is avoiding every other edge at an end of it
+        at_ends = {f for e in include for v in g.endpoints(e) for f in g.incident(v)}
+        assert list(_canonical_matchings(g, exclude | (at_ends - include))) == want
+
+    @pytest.mark.parametrize("make", [petersen, lambda: flower_snark(5), lambda: goldberg(3)],
+                             ids=["petersen", "J5", "G3"])
+    def test_a_record_answers_exclusion_queries_from_m_j_on(self, make):
+        g = make()
+        full = [m.members for m in enumerate_perfect_matchings(g)]
+        record = matchcolor._MatchingRecord(g, None)
+        assert record.reach(len(full) - 1)
+        for j, mj in enumerate(full):
+            for s in (frozenset(), full[0] & mj, frozenset([min(mj)])):
+                assert list(record.avoiding(s, j)) == [m for m in full[j:] if not m & s]
 
     # Outcomes of the blossom searches and of the repairs of a full listing,
     # from one measured run.  Before forced edges and 4-cycle repairs the
