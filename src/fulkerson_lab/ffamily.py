@@ -111,14 +111,20 @@ def _count_violation(cycle: Cycle, per_member: Sequence[Sequence[int]]) -> str |
     return None
 
 
-def _cycle_condition(cycle: Cycle, per_member: Sequence[Sequence[int]]
+def _cycle_condition(cycle: Cycle, per_member: Sequence[Sequence[int]],
+                     odd: Sequence[bool] | None = None
                      ) -> tuple[str | None, list[frozenset[int]]]:
-    """First violated incidence condition on one cycle, or None, and its candidates for N."""
+    """First violated incidence condition on one cycle, or None, and its candidates for N.
+
+    `odd`, when given, holds `_odd_arcs` of each member's positions.
+    """
     problem = _count_violation(cycle, per_member)
     if problem is not None or not any(per_member):
         return problem, []
-    for mi, posns in enumerate(per_member):
-        if not _odd_arcs(len(cycle), posns):
+    if odd is None:
+        odd = [_odd_arcs(len(cycle), posns) for posns in per_member]
+    for mi, ok in enumerate(odd):
+        if not ok:
             return f"member {mi} splits the cycle into an even arc (not balanced)", []
     cands = _pairing_candidates(cycle, sorted(p for posns in per_member for p in posns))
     if not cands:
@@ -135,12 +141,15 @@ def verify_ffamily(g: CubicGraph, fam: FFamily) -> FFamilyReport:
         raise GraphError("family belongs to a different graph")
     cycles = two_factor_cycles(g, fam.m)
     positions = _member_positions(g, cycles, fam.members)
+    # one odd-arc pass per cycle and member feeds both the balance list and
+    # the cycle conditions
+    odd = [[_odd_arcs(len(cyc), posns) for posns in positions[ci]]
+           for ci, cyc in enumerate(cycles)]
     diagnostics = [f"member {mi} is not balanced for the perfect matching" for mi in range(4)
-                   if not all(_odd_arcs(len(cyc), positions[ci][mi])
-                              for ci, cyc in enumerate(cycles))]
+                   if not all(row[mi] for row in odd)]
     expected_n: set[int] = set()
     for ci, cyc in enumerate(cycles):
-        problem, cands = _cycle_condition(cyc, positions[ci])
+        problem, cands = _cycle_condition(cyc, positions[ci], odd[ci])
         if problem is not None:
             diagnostics.append(f"cycle {ci} (at vertex {cyc.vertices[0]}): {problem}")
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
 from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition
@@ -27,6 +27,9 @@ from .matchcolor import (
     three_edge_colorable,
     three_edge_coloring,
     _as_matching,
+    _frontier_order,
+    _frontier_steps,
+    _holder_counts,
     _MatchingRecord,
 )
 
@@ -293,10 +296,8 @@ AUTO = "auto"
 _STRATEGIES = (COLOR, EXACT2COVER, A1A2, AUTO)
 
 
-def _covering_by_color(g: CubicGraph, budget: Budget,
-                       matchings: _MatchingRecord | None = None
-                       ) -> SearchResult[FulkersonCovering]:
-    coloring = three_edge_coloring(g, budget=budget, matchings=matchings)
+def _covering_by_color(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
+    coloring = three_edge_coloring(g, budget=budget)
     if coloring is None:
         # Failure to 3-color never proves a covering absent.
         return SearchResult(None, False)
@@ -334,26 +335,75 @@ def _incidence_masks(g: CubicGraph, pms: Sequence[frozenset[int]]
     return [int.from_bytes(row, "little") for row in rows], edges_of
 
 
-def _two_covers(g: CubicGraph, pms: Sequence[frozenset[int]],
-                budget: Budget) -> Iterator[tuple[int, ...]]:
-    """Index 6-tuples of matchings that cover every edge exactly twice.
+def _listed_holders(g: CubicGraph, pms: Sequence[frozenset[int]]
+                    ) -> tuple[Callable[[int], list[int]], Callable[..., Iterator]]:
+    """`_two_covers`' count and holders over a listing, on the int bit masks
+    of `_incidence_masks`."""
+    holder_masks, edges_of = _incidence_masks(g, pms)
 
-    The exact-multiplicity cover (after Knuth's Algorithm M) shared by
-    EXACT2COVER and the covering enumeration, over the raw edge-id sets of
-    a matching listing (no `PerfectMatching` is built), on the int bitmasks
-    of `_incidence_masks`: an edge is open twice, open once or closed; a
-    matching is usable while none of its edges is closed.  Each node spends
-    one budget node and branches on the first open edge with the fewest
-    usable holders, trying them in index order with repeats allowed, so
-    one multiset may come out in several orders.  The search unwinds as
-    soon as the budget runs out.
+    def usable(closed: int) -> int:
+        rest = (1 << len(pms)) - 1
+        for e in _bits(closed):
+            rest &= ~holder_masks[e]
+        return rest
+
+    def count(closed: int) -> list[int]:
+        rest = usable(closed)
+        return [(mask & rest).bit_count() for mask in holder_masks]
+
+    def holders(e: int | None, closed: int) -> Iterator[tuple[frozenset[int], int]]:
+        rest = usable(closed)
+        return ((pms[i], edges_of[i]) for i in _bits(rest if e is None else holder_masks[e] & rest))
+
+    return count, holders
+
+
+def _two_covers(g: CubicGraph, budget: Budget
+                ) -> tuple[Iterator[tuple[frozenset[int], ...]], bool]:
+    """The 6-tuples of perfect matchings that cover every edge exactly twice,
+    lazily, and whether the matchings they come from are truncated.
+
+    The exact-multiplicity cover (after Knuth's Algorithm M) that EXACT2COVER,
+    AUTO and the covering enumeration share: an edge is open twice, open
+    once or closed, and a matching is usable while it holds no closed edge.
+    Each node spends one budget node and branches on the first open edge
+    in id order with the fewest usable holders, trying them in canonical
+    order with repeats allowed, so one multiset may come out in several
+    orders.  The search unwinds as soon as the budget runs out.
+
+    No perfect matching is listed: `count(closed)` gives every edge's
+    usable holders by the frontier DP `_holder_counts`, which spends budget
+    nodes of its own, and `holders(e, closed)` draws e's usable holders
+    (every usable matching when e is None) from one `record.holding` stream
+    with their edge bit masks.  A graph with no perfect matching spends no
+    node.  When the DP's first pass, with nothing closed and so its widest,
+    passes `_FRONTIER_CAP` states, the same search runs on `_listed_holders`
+    over the listing of the record, capped as in
+    `enumerate_perfect_matchings`; only then can the matchings be
+    truncated.  Either way the search visits the same nodes while the
+    listing is complete.
     """
-    if not pms:
-        return
-    holders, edges_of = _incidence_masks(g, pms)
+    record = _MatchingRecord(g, budget)
+    order = _frontier_order(g, budget) if record.reach(0) else None
+    if order is None:  # no perfect matching, or no budget left
+        return iter(()), False
+    count = partial(_holder_counts, g, _frontier_steps(g, order), budget=budget)
 
-    def search(chosen: tuple[int, ...], usable: int, open_once: int,
-               open_twice: int) -> Iterator[tuple[int, ...]]:
+    def holders(e: int | None, closed: int) -> Iterator[tuple[frozenset[int], int]]:
+        return ((m, sum(1 << f for f in m)) for m in record.holding(e, frozenset(_bits(closed))))
+
+    root, truncated = count(0), False
+    if root is None:
+        if budget.exhausted:
+            return iter(()), truncated
+        pms, truncated = record.listing()
+        count, holders = _listed_holders(g, pms)
+        root = count(0)
+
+    def search(chosen: tuple[frozenset[int], ...], open_once: int, open_twice: int,
+               counts: Sequence[int] | None) -> Iterator[tuple[frozenset[int], ...]]:
+        # counts: the usable holders per edge at this node, when its parent
+        # closed no edge
         if not budget.spend():
             return
         if len(chosen) == 6:
@@ -361,37 +411,38 @@ def _two_covers(g: CubicGraph, pms: Sequence[frozenset[int]],
             # ever covered more than twice, so every edge is covered twice.
             yield chosen
             return
-        if open_once:
-            branch = min(_bits(open_once), key=lambda e: (holders[e] & usable).bit_count())
-            children = holders[branch] & usable
-        else:  # only on the graph with no edges: six empty matchings
-            children = usable
-        for idx in _bits(children):
-            closed = edges_of[idx] & ~open_twice
-            rest = usable
-            for e in _bits(closed):
-                rest &= ~holders[e]
-            yield from search(chosen + (idx,), rest, open_once & ~closed,
-                              open_twice & ~edges_of[idx])
+        closed = everything & ~open_once
+        if counts is None:
+            counts = count(closed)
+            if counts is None:
+                return
+        # with no open edge (only on the graph with no edges) every usable
+        # matching is a child: six empty matchings
+        branch = min(_bits(open_once), key=counts.__getitem__, default=None)
+        if branch is not None and not counts[branch]:
+            return
+        for m, mask in holders(branch, closed):
+            now_closed = mask & ~open_twice
+            yield from search(chosen + (m,), open_once & ~now_closed, open_twice & ~mask,
+                              None if now_closed else counts)
             if budget.exhausted:
                 return
 
     everything = (1 << g.num_edges) - 1
-    yield from search((), (1 << len(pms)) - 1, everything, everything)
+    return search((), everything, everything, root), truncated
 
 
-def _covering_by_exact_cover(g: CubicGraph, matchings: _MatchingRecord,
-                             budget: Budget) -> SearchResult[FulkersonCovering]:
-    """EXACT2COVER: the first cover `_two_covers` finds over the matchings.
+def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
+    """EXACT2COVER: the first cover `_two_covers` finds.
 
-    They are the `listing` of `matchings`; only the six chosen become
-    `PerfectMatching`s.  Finding none proves absence only when the list was
-    not truncated and the budget held out.
+    Only the six chosen become `PerfectMatching`s.  Finding none proves
+    absence only when the matchings were not truncated and the budget held
+    out.
     """
-    pms, truncated = matchings.listing()
-    chosen = next(_two_covers(g, pms, budget), None)
+    covers, truncated = _two_covers(g, budget)
+    chosen = next(covers, None)
     if chosen is not None:
-        return SearchResult(_checked_covering(g, (PerfectMatching(g, pms[i]) for i in chosen),
+        return SearchResult(_checked_covering(g, (PerfectMatching(g, m) for m in chosen),
                                               "exact cover result does not cover"), True)
     return SearchResult(None, not truncated and not budget.exhausted)
 
@@ -400,11 +451,12 @@ def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCo
     """Search matching pairs (T2, T0) of FR-triples per the splitting criterion.
 
     Every FR-triple that `_fr_triples` yields supplies a candidate pair
-    (a1, a2) = (T2, T0), each pair tried once; when the split of a2 is
-    also 3-edge-colorable the double lift yields two compatible triples,
-    hence a covering.  Only the lifts build `PerfectMatching`s.  The lifts'
-    colorings spend the budget too, and one that runs out of it ends the
-    search as unknown.
+    (a1, a2) = (T2, T0), each pair tried once.  The partner (a2, a1) is
+    lifted first, since its split is the one that is rarely
+    3-edge-colorable; only when it succeeds is (a1, a2) lifted, and the two
+    compatible triples make a covering.  Only the lifts build
+    `PerfectMatching`s.  The lifts' colorings spend the budget too, and one
+    that runs out of it ends the search as unknown.
     """
     seen_pairs: set[tuple[frozenset[int], frozenset[int]]] = set()
     edges = frozenset(g.edge_ids())
@@ -414,8 +466,8 @@ def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCo
             continue
         seen_pairs.add((t2, t0))
         try:
-            lifted = fr_triple_from_matchings(g, t2, t0, budget)
             partner = fr_triple_from_matchings(g, t0, t2, budget)
+            lifted = fr_triple_from_matchings(g, t2, t0, budget)
         except LiftError:
             continue
         except BudgetExhausted:
@@ -427,19 +479,17 @@ def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCo
 def enumerate_fulkerson_coverings(g: CubicGraph,
                                   budget: Budget | None = None
                                   ) -> SearchResult[list[FulkersonCovering]]:
-    """All coverings (as multisets of enumerated matchings), canonical order.
+    """All coverings (as multisets of perfect matchings), canonical order.
 
     Runs `_two_covers`, the search EXACT2COVER stops at its first cover, to
-    the end; each multiset is kept once, members in index order, and the
-    list is sorted by the members' edge sets.  The matchings are listed in
-    canonical order, so index order is edge-set order, and only the members
-    of the coverings kept become `PerfectMatching`s.
+    the end; each multiset is kept once, members in canonical order, and
+    the list is sorted by the members' edge sets.  Only the members of the
+    coverings kept become `PerfectMatching`s.
     """
     budget = Budget() if budget is None else budget
-    pms, truncated = _MatchingRecord(g, budget).listing()
-    kept = sorted({tuple(sorted(chosen)) for chosen in _two_covers(g, pms, budget)})
-    out = [FulkersonCovering(tuple(PerfectMatching(g, pms[i]) for i in chosen))
-           for chosen in kept]
+    covers, truncated = _two_covers(g, budget)
+    kept = sorted({tuple(sorted(tuple(sorted(m)) for m in chosen)) for chosen in covers})
+    out = [FulkersonCovering(tuple(PerfectMatching(g, m) for m in chosen)) for chosen in kept]
     return SearchResult(out, not truncated and not budget.exhausted)
 
 
@@ -449,10 +499,10 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     `color`, `exact2cover`, `a1a2` and `auto` as written.
 
     COLOR doubles a 3-edge-coloring when one exists; EXACT2COVER solves the
-    exact multiset cover over enumerated matchings; A1A2 searches disjoint
-    matching pairs whose splits are both 3-edge-colorable, drawing them from
-    the FR-triples of `_fr_triples`.  AUTO cascades the three and lists the
-    perfect matchings at most once, for the exact cover.
+    exact multiset cover of `_two_covers`, which counts the perfect
+    matchings by a frontier DP instead of listing them; A1A2 searches
+    disjoint matching pairs whose splits are both 3-edge-colorable, drawing
+    them from the FR-triples of `_fr_triples`.  AUTO cascades the three.
 
     The coloring is `three_edge_coloring`'s, from three searches: a perfect
     matching m with an even 2-factor gives m color 0 and alternates 1, 2
@@ -464,27 +514,21 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     stops there: absent if g has no perfect matching (one search, no
     enumeration), else unknown.
 
-    AUTO's colour stage draws from a `_MatchingRecord`, and the exact cover
-    lists from the same record: first what the colour stage drew, then the
-    rest of that canonical stream, capped as in
-    `enumerate_perfect_matchings`, so one stream serves both.  The
-    matchings stay edge-id sets: only the six of a covering, and in A1A2
-    those of each successful lift, become `PerfectMatching`s.
+    The matchings stay edge-id sets: only the six of a covering, and in
+    A1A2 those of each successful lift, become `PerfectMatching`s.
     """
     if strategy not in _STRATEGIES:
         raise GraphError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
     budget = Budget() if budget is None else budget
     if strategy == A1A2:
         return _covering_by_a1a2(g, budget)
-    record = _MatchingRecord(g, budget)
     if strategy in (COLOR, AUTO):
-        # only AUTO lists after the colour stage, so only AUTO keeps its draws
-        result = _covering_by_color(g, budget, record if strategy == AUTO else None)
+        result = _covering_by_color(g, budget)
         if strategy == COLOR or result.found:
             return result
         if budget.exhausted:
             return SearchResult(None, find_perfect_matching(g) is None)
-    result = _covering_by_exact_cover(g, record, budget)
+    result = _covering_by_exact_cover(g, budget)
     if strategy == EXACT2COVER or result.found or result.definitely_absent:
         return result
     return _covering_by_a1a2(g, budget)

@@ -10,8 +10,8 @@ be pulled back to the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, dropwhile, islice, permutations
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import count, dropwhile, islice, permutations, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
 from .graph_core import (
@@ -428,12 +428,10 @@ def _capped_matchings(g: CubicGraph, budget: Budget) -> Iterator[frozenset[int]]
 class _MatchingRecord:
     """The canonical stream of g, kept as it is drawn: M_0, M_1, ... in `drawn`.
 
-    It is the one reader of the stream that keeps what it draws.  A colour
-    stage iterates it, keeping at most `DEFAULT_PM_LIMIT` + 1 draws, all
-    that the default `listing` reads; `listing` then gives what was drawn
-    and the rest of the same stream, so no second generator starts.  The
-    FR-triple walk and the enumerations draw only by `reach`, which keeps
-    every draw, so `drawn` stays a canonical prefix.
+    It is the one reader of the stream that keeps what it draws, all by
+    `reach`, so `drawn` stays a canonical prefix.  `listing` reads it to the
+    cap; `avoiding` and `holding` answer exclusion queries from streams of
+    their own, which keep nothing.
     """
 
     def __init__(self, g: MultiGraph, budget: Budget | None):
@@ -441,15 +439,6 @@ class _MatchingRecord:
         self._g = g
         self._budget = budget
         self._stream = _canonical_matchings(g, budget=budget)
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return self
-
-    def __next__(self) -> frozenset[int]:
-        m = next(self._stream)
-        if len(self.drawn) <= DEFAULT_PM_LIMIT:
-            self.drawn.append(m)
-        return m
 
     def reach(self, i: int) -> bool:
         """Whether M_i exists, drawing up to it when it is not drawn yet."""
@@ -463,6 +452,15 @@ class _MatchingRecord:
         start = sorted(self.drawn[j])
         return dropwhile(lambda m: sorted(m) < start,
                          _canonical_matchings(self._g, s, budget=self._budget))
+
+    def holding(self, e: int | None, s: frozenset[int]) -> Iterator[frozenset[int]]:
+        """The matchings that hold e and avoid s, lazily, in canonical order: a
+        stream of its own that excludes s and every other edge at an end of e
+        (with e None, every matching that avoids s); it keeps none."""
+        if e is not None:
+            g = self._g
+            s |= {f for v in g.endpoints(e) for f in g.incident(v) if f != e}
+        return _canonical_matchings(self._g, s, budget=self._budget)
 
     def listing(self, limit: int | None = None) -> tuple[list[frozenset[int]], bool]:
         """The first `limit` perfect matchings (default `DEFAULT_PM_LIMIT`),
@@ -484,8 +482,8 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
     stops the stream (see `_canonical_matchings`); an odd vertex count
     yields the empty, complete enumeration, and a negative `limit` raises
     `GraphError`.  No budget nodes are spent.  It validates every matching
-    of a `_MatchingRecord`'s listing, which the covering searches read as
-    raw edge-id sets.
+    of a `_MatchingRecord`'s listing, which the exact cover's fallback
+    reads as raw edge-id sets.
     """
     found, truncated = _MatchingRecord(g, budget).listing(limit)
     return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
@@ -684,12 +682,12 @@ def _first_coloring(g: MultiGraph, colors: int, budget: Budget | None) -> EdgeCo
 
 
 _ORDER_STARTS = 8  # start vertices of the order search, spread over the vertex ids
-_FRONTIER_CAP = 4096  # states at one step past which the frontier DP gives up
-_STATES_PER_NODE = 256  # states the frontier DP expands per budget node
+_FRONTIER_CAP = 4096  # states at one step past which a frontier DP gives up
+_STATES_PER_NODE = 256  # states a frontier DP expands per budget node
 
 
 def _frontier_order(g: MultiGraph, budget: Budget | None) -> list[int] | None:
-    """A vertex order whose frontiers stay narrow, for `_frontier_colorable`;
+    """A vertex order whose frontiers stay narrow, for the frontier DPs;
     None when the budget runs out.
 
     Each candidate grows greedily from a start vertex: the next vertex is
@@ -745,10 +743,81 @@ def _frontier_order(g: MultiGraph, budget: Budget | None) -> list[int] | None:
     return best
 
 
-# Frontier states are bytes, one colour 0-2 per frontier edge.  _FILLS[used]
-# lists the orders in which a vertex's new edges can take the colours that
-# the bit mask `used` leaves free; _RELABEL[a][b] maps a to 0, b to 1 and
-# the third colour to 2 (_RELABEL[a][a] maps a to 0 alone).
+class _Step(NamedTuple):
+    """One vertex of a frontier walk: the edges it closes, their positions
+    on the frontier, the frontier positions it keeps, and its new edges."""
+
+    closing: list[int]
+    close: list[int]
+    keep: list[int]
+    new: list[int]
+
+
+def _frontier_steps(g: MultiGraph, order: Sequence[int]) -> list[_Step]:
+    """The walk that both frontier DPs take over `order`, one step per vertex.
+
+    The frontier is the list of edges with exactly one end taken; loops
+    never join it.  Taking v closes its edges to vertices taken before it,
+    and appends its other edges after the frontier edges it keeps, so a
+    state can move on by edge ids or by frontier positions.
+    """
+    place = [0] * g.num_vertices
+    for i, v in enumerate(order):
+        place[v] = i
+    frontier: list[int] = []
+    steps = []
+    for v in order:
+        closing = [e for e in g.incident(v) if place[g.other_end(e, v)] < place[v]]
+        close = [frontier.index(e) for e in closing]
+        keep = [i for i in range(len(frontier)) if i not in close]
+        new = [e for e in g.incident(v) if e not in closing and not g.is_loop(e)]
+        frontier = [frontier[i] for i in keep] + new
+        steps.append(_Step(closing, close, keep, new))
+    return steps
+
+
+def _spend_on(budget: Budget | None, states: int) -> bool:
+    """Spends one node for a vertex step and one per `_STATES_PER_NODE` of
+    the `states` it expands; False once the budget refuses."""
+    if budget is not None:
+        for _ in range(1 + states // _STATES_PER_NODE):
+            if not budget.spend():
+                return False
+    return True
+
+
+L = TypeVar("L", set[bytes], dict[int, int])
+
+
+def _frontier_layers(steps: list[_Step], advance: Callable[[_Step, L], L], start: L,
+                     budget: Budget | None) -> list[L] | None:
+    """The forward pass of a frontier DP: its states after each of `steps`;
+    None when it gives up.
+
+    `start` holds the state of the empty frontier, and `advance(step,
+    states)` is the DP's own state step: the states that follow `states`
+    at that vertex.  The pass ends early at a step that leaves no state.
+    It spends as `_spend_on` says before each step, and gives up when the
+    budget runs out, by nodes or a cancel (`budget.exhausted` then says
+    so), or when a step leaves more than `_FRONTIER_CAP` states.
+    """
+    layers = [start]
+    for step in steps:
+        if not _spend_on(budget, len(layers[-1])):
+            return None
+        after = advance(step, layers[-1])
+        if len(after) > _FRONTIER_CAP:
+            return None
+        layers.append(after)
+        if not after:
+            break
+    return layers
+
+
+# The colouring DP's states are bytes, one colour 0-2 per frontier edge.
+# _FILLS[used] lists the orders in which a vertex's new edges can take the
+# colours that the bit mask `used` leaves free; _RELABEL[a][b] maps a to 0,
+# b to 1 and the third colour to 2 (_RELABEL[a][a] maps a to 0 alone).
 _FILLS = [[bytes(p) for p in permutations([c for c in range(3) if not used >> c & 1])]
           for used in range(8)]
 _RELABEL = [[bytes.maketrans(bytes([a, b, 3 - a - b]) if a != b
@@ -756,12 +825,34 @@ _RELABEL = [[bytes.maketrans(bytes([a, b, 3 - a - b]) if a != b
              for b in range(3)] for a in range(3)]
 
 
+def _coloring_step(step: _Step, states: set[bytes]) -> set[bytes]:
+    """`_frontier_colorable`'s state step, by frontier positions: each state
+    whose colours on the closed edges differ gives the new edges the free
+    colours in every order."""
+    after = set()
+    for s in states:
+        used = 0
+        for i in step.close:
+            bit = 1 << s[i]
+            if used & bit:
+                break
+            used |= bit
+        else:
+            kept = bytes(map(s.__getitem__, step.keep))
+            for fill in _FILLS[used]:
+                t = kept + fill
+                a = t[0] if t else 0
+                rest = t.lstrip(t[:1])
+                after.add(t.translate(_RELABEL[a][rest[0] if rest else a]))
+    return after
+
+
 def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
     """Whether the loopless 3-regular g has a 3-edge-coloring, by a frontier DP;
     None when it gives up.
 
     The vertices are taken in the order of `_frontier_order`.  A state is a
-    coloring of the frontier edges, those with exactly one end taken, that
+    coloring of the frontier edges, one byte per frontier position, that
     extends to a proper coloring of every edge with a taken end; it is kept
     up to permutation of the three colors, relabelled by first appearance.
     Taking a vertex keeps each state whose colors on the edges it closes
@@ -771,50 +862,71 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
     21, 1996) as a frontier-based search (Kawahara et al., IEICE Trans.
     Fundamentals E100-A, 2017).
 
-    Besides the order search's nodes it spends one budget node per vertex
-    and one more per `_STATES_PER_NODE` states it expands.  It gives up
-    when the budget runs out, by nodes or a cancel (`budget.exhausted`
-    then says so), or when one step leaves more than `_FRONTIER_CAP` states.
+    Besides the order search's nodes it spends and gives up as
+    `_frontier_layers` does.
     """
     order = _frontier_order(g, budget)
     if order is None:
         return None
-    place = [0] * g.num_vertices
-    for i, v in enumerate(order):
-        place[v] = i
-    frontier: list[int] = []
-    states = {b""}
-    for v in order:
-        if budget is not None:
-            for _ in range(1 + len(states) // _STATES_PER_NODE):
-                if not budget.spend():
-                    return None
-        closing = [e for e in g.incident(v) if place[g.other_end(e, v)] < place[v]]
-        close = [frontier.index(e) for e in closing]
-        keep = [i for i in range(len(frontier)) if i not in close]
-        frontier = [frontier[i] for i in keep]
-        frontier += (e for e in g.incident(v) if e not in closing)
-        after: set[bytes] = set()
-        for s in states:
-            used = 0
-            for i in close:
-                bit = 1 << s[i]
-                if used & bit:
-                    break
-                used |= bit
-            else:
-                kept = bytes(map(s.__getitem__, keep))
-                for fill in _FILLS[used]:
-                    t = kept + fill
-                    a = t[0] if t else 0
-                    rest = t.lstrip(t[:1])
-                    after.add(t.translate(_RELABEL[a][rest[0] if rest else a]))
-        if not after:
-            return False
-        if len(after) > _FRONTIER_CAP:
+    layers = _frontier_layers(_frontier_steps(g, order), _coloring_step, {b""}, budget)
+    return None if layers is None else bool(layers[-1])
+
+
+def _holder_counts(g: MultiGraph, steps: list[_Step], closed: int,
+                   budget: Budget | None) -> list[int] | None:
+    """For every edge of g, the number of perfect matchings that hold it and
+    avoid the edges in the bit mask `closed`; None when it gives up.
+
+    The counting form of the frontier DP over `steps` (Kawahara et al.,
+    above): a state is the bit mask, by edge id, of the frontier edges in
+    the matching, and a closed edge is never in it.  A vertex with one
+    matched closing edge matches none of its new edges, and one with none
+    matches exactly one new edge that is not closed.  The forward pass
+    counts the ways to reach each state; a backward pass over the same
+    steps counts each state's ways to finish.  An edge's count is the sum
+    of forward times backward over the states that hold it, at the step
+    where it joins the frontier.  Both passes spend and give up as
+    `_frontier_layers` does; closed edges only remove states, so with
+    nothing closed the pass is at its widest.
+    """
+    def expand(step: _Step) -> Callable[[int], tuple[int, ...] | list[int]]:
+        closing = sum(1 << e for e in step.closing)
+        fills = [1 << e for e in step.new if not closed >> e & 1]
+
+        def nexts(s: int) -> tuple[int, ...] | list[int]:
+            held = s & closing
+            if held & (held - 1):
+                return ()
+            s ^= held
+            return (s,) if held else [s | fill for fill in fills]
+        return nexts
+
+    def advance(step: _Step, states: dict[int, int]) -> dict[int, int]:
+        nexts = expand(step)
+        after: dict[int, int] = {}
+        for s, ways in states.items():
+            for t in nexts(s):
+                after[t] = after.get(t, 0) + ways
+        return after
+
+    layers = _frontier_layers(steps, advance, {0: 1}, budget)
+    if layers is None:
+        return None
+    counts = [0] * g.num_edges
+    if not layers[-1]:
+        return counts  # no perfect matching avoids `closed`
+    finish = {0: 1}
+    for i in range(len(steps), 0, -1):
+        if not _spend_on(budget, len(finish)):
             return None
-        states = after
-    return True
+        step = steps[i - 1]
+        new = sum(1 << e for e in step.new)
+        for t, ways in layers[i].items():
+            if t & new:
+                counts[(t & new).bit_length() - 1] += ways * finish[t]
+        nexts = expand(step)
+        finish = {s: sum(map(finish.get, nexts(s), repeat(0))) for s in layers[i - 1]}
+    return counts
 
 
 # `three_edge_coloring` asks `_frontier_colorable` once, after this many
@@ -831,8 +943,7 @@ _REFUTE_AFTER = 32
 NODES_PER_MATCHING = 8
 
 
-def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
-                        matchings: Iterator[frozenset[int]] | None = None) -> EdgeColoring | None:
+def three_edge_coloring(g: MultiGraph, budget: Budget | None = None) -> EdgeColoring | None:
     """A proper 3-edge-coloring, or None: absent, or unknown when `budget` is exhausted.
 
     On loopless 3-regular input two searches alternate, counted in work:
@@ -848,19 +959,15 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None, *,
     colorable or gives up, the two searches go on where they stopped, so
     the coloring returned is always theirs; a budget it spends or a cancel
     it meets leaves None with `budget.exhausted`, unknown.  Other input
-    runs the coloring search alone; a loop refutes at once.
-
-    `matchings` is the stream drawn from, by default a fresh
-    `_canonical_matchings(g, budget=budget)`.  AUTO passes a
-    `_MatchingRecord`, so that what the colour stage drew starts its
-    listing of the perfect matchings.
+    runs the coloring search alone; a loop refutes at once.  The matchings
+    come from a `_canonical_matchings(g, budget=budget)` stream of the
+    call's own, which keeps nothing.
     """
     if not _loopless_cubic(g):
         return _first_coloring(g, 3, budget)
     colorings = _edge_colorings(g, 3, budget)
-    if matchings is None:
-        matchings = _canonical_matchings(g, budget=budget)
-    factors = _two_factors(g, matchings, lambda verts: len(verts) % 2 == 0)
+    factors = _two_factors(g, _canonical_matchings(g, budget=budget),
+                           lambda verts: len(verts) % 2 == 0)
     for drawn in count(1):
         if budget is not None and not budget.spend():
             return None

@@ -569,6 +569,23 @@ n 3 8 9 12
         assert code == 0
         assert out == want
 
+    # AUTO's stdout, pinned from the exact cover that listed every perfect
+    # matching (J17 has 131,072 and G9 107,140)
+    AUTO_COVERING_SHA256 = {
+        "J17": "fc8cd375aaa044008817661c71d63e8bdd4eddb6cb64d209d405ca205c439d80",
+        "G9": "3832ecc6a0d6021f7ccae84e57b23f859e775b79f444f319d87050ea5852b125",
+    }
+
+    @pytest.mark.parametrize("name,make", [
+        ("J17", lambda: flower_snark(17)), ("G9", lambda: goldberg(9)),
+    ], ids=["J17", "G9"])
+    def test_search_covering_past_the_listing(self, capsys, tmp_path, name, make):
+        path = tmp_path / "g.graph"
+        path.write_text(write_graph_file(make()))
+        code, out, _ = run(capsys, "search", str(path), "covering")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.AUTO_COVERING_SHA256[name]
+
     def test_search_all_petersen_triples(self, capsys, petersen_file):
         code, out, _ = run(capsys, "search", petersen_file, "fr-triple", "--all")
         assert code == 0

@@ -514,24 +514,28 @@ class TestFindCovering:
                             lambda *args: lifted.append(lift(*args)) or lifted[-1])
         res = find_fulkerson_covering(goldberg(5), "a1a2")
         assert res.found
-        # the covering is the last two lifts' six matchings
+        # the covering is the last two lifts' six matchings: the triple's
+        # own lift, then its partner's, which was lifted first
         assert made == [m for t in lifted for m in t.matchings]
-        assert list(res.value.matchings) == made[-6:]
+        assert list(res.value.matchings) == made[-3:] + made[-6:-3]
 
     @pytest.mark.parametrize("make,calls", [
         (lambda: flower_snark(5), 1), (lambda: flower_snark(7), 1), (lambda: flower_snark(9), 1),
         (petersen, 1), (lambda: goldberg(5), 1), (lambda: goldberg(7), 1),
     ], ids=["J5", "J7", "J9", "petersen", "G5", "G7"])
     def test_auto_lists_once_unless_the_colour_stream_ended(self, monkeypatch, make, calls):
-        # The exact cover lists what the colour stage drew, then the rest of
-        # the same stream: the frontier refuter refutes the snarks'
+        # AUTO lists no matching at all now.  The colour stage starts its
+        # own stream (`calls`): the frontier refuter refutes the snarks'
         # colourings after 32 draws, Petersen's colouring search ends at its
-        # fifth.  Either way one stream starts, as for EXACT2COVER.
+        # fifth.  The exact cover then starts one stream for M_0 and one per
+        # branching node, six on the way to each of these covers, exactly
+        # as EXACT2COVER does.
+        self.refuse_listings(monkeypatch)
         counts = SearchCounts(monkeypatch)
         assert find_fulkerson_covering(make()).found
-        assert len(counts.starts) == calls
+        assert len(counts.starts) == calls + 7
         assert find_fulkerson_covering(make(), "exact2cover").found
-        assert len(counts.starts) == 2 * calls
+        assert len(counts.starts) == calls + 14
 
     @pytest.mark.parametrize("k", [5, 7, 9])
     def test_auto_covering_from_the_reused_stream_is_exact2covers(self, k):
@@ -542,10 +546,13 @@ class TestFindCovering:
             [m.members for m in exact.value.matchings]
 
     def test_auto_past_the_matching_cap_lists_as_enumerate_does(self, monkeypatch):
+        # Past the frontier DP's state cap the exact cover lists, and the
+        # listing keeps the matching cap.
         from fulkerson_lab import matchcolor
 
         g = flower_snark(7)
         assert len(enumerate_perfect_matchings(g)) == 128
+        monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 2)
         monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 100)
         listings = []
         listing = matchcolor._MatchingRecord.listing
@@ -560,11 +567,13 @@ class TestFindCovering:
         assert not auto.definitely_absent
         assert auto == exact
 
-    @pytest.mark.parametrize("make,spent", [(petersen, 43), (lambda: flower_snark(5), 326)],
+    @pytest.mark.parametrize("make,spent", [(petersen, 54), (lambda: flower_snark(5), 326)],
                              ids=["petersen", "J5"])
     def test_auto_falls_through_to_a1a2_past_the_matching_cap(self, monkeypatch, make, spent):
-        # with a cap of 3 the exact cover sees too few matchings to decide,
-        # so AUTO's last stage, A1A2, finds the covering
+        # past a state cap of 2 the exact cover lists, and with a matching
+        # cap of 3 it sees too few matchings to decide, so AUTO's last
+        # stage, A1A2, finds the covering
+        monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 2)
         monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 3)
         g = make()
         assert find_fulkerson_covering(g, "exact2cover").unknown
@@ -707,10 +716,12 @@ class TestExactCoverEngine:
         [0, 5, 9, 11, 16, 18, 21, 26, 29, 31, 34, 35, 38, 39, 42, 45, 48, 49, 51, 57],
     ]
 
+    # 8, 8 and 24 cover nodes; the rest are the frontier DP's order search,
+    # vertex steps and state blocks
     @pytest.mark.parametrize("make,spent", [
-        (lambda: flower_snark(5), 8),
-        (lambda: flower_snark(9), 8),
-        (lambda: goldberg(5), 24),
+        (lambda: flower_snark(5), 237),
+        (lambda: flower_snark(9), 419),
+        (lambda: goldberg(5), 1645),
     ], ids=["J5", "J9", "G5"])
     def test_node_counts(self, make, spent):
         budget = Budget(limit=5_000_000)
@@ -745,9 +756,10 @@ class TestExactCoverEngine:
         assert res_all.value == [] and not res_all.complete
 
     def test_node_budget_does_not_cap_the_matchings(self):
-        # The enumeration keeps its own cap: over all of G5's matchings the
-        # search spends its three nodes and runs out, rather than running out
-        # of branches among the first three matchings with budget to spare.
+        # The node budget caps no matchings: on G5 the search spends its
+        # three nodes, in the frontier DP's order search, and runs out,
+        # rather than running out of branches among the first three
+        # matchings with budget to spare.
         budget = Budget(limit=3)
         res = find_fulkerson_covering(goldberg(5), "exact2cover", budget)
         assert res.unknown
@@ -763,6 +775,117 @@ class TestExactCoverEngine:
         res_all = enumerate_fulkerson_coverings(g)
         assert res_all.complete
         assert [[m.members for m in c.matchings] for c in res_all.value] == [[frozenset()] * 6]
+
+
+class TestListingFreeCover:
+    """The exact cover counts the perfect matchings by a frontier DP and
+    lists none, unless the DP passes its state cap."""
+
+    @staticmethod
+    def first_cover(g, budget):
+        """The first cover `_two_covers` yields, whether it read a truncated
+        listing, and the nodes the cover search itself spent."""
+        import sys
+
+        import fulkerson_lab.fulkerson as fulkerson
+
+        nodes = []
+        budget.cancel = lambda: sys._getframe(2).f_code.co_name == "search" and nodes.append(1)
+        covers, truncated = fulkerson._two_covers(g, budget)
+        return next(covers, None), truncated, len(nodes)
+
+    @staticmethod
+    def count_listings(monkeypatch):
+        from fulkerson_lab import matchcolor
+
+        listings = []
+        listing = matchcolor._MatchingRecord.listing
+        monkeypatch.setattr(matchcolor._MatchingRecord, "listing",
+                            lambda *args: listings.append(args) or listing(*args))
+        return listings
+
+    @pytest.mark.parametrize("make,nodes", [
+        (petersen, 8), (lambda: flower_snark(5), 8), (lambda: flower_snark(7), 8),
+        (lambda: flower_snark(9), 8), (lambda: flower_snark(11), 8),
+        (lambda: flower_snark(13), 8), (lambda: goldberg(5), 24), (lambda: goldberg(7), 24),
+    ], ids=["petersen", "J5", "J7", "J9", "J11", "J13", "G5", "G7"])
+    def test_the_counts_and_the_listing_choose_the_same_six(self, monkeypatch, make, nodes):
+        g = make()
+        listings = self.count_listings(monkeypatch)
+        counted = self.first_cover(g, Budget())
+        assert listings == []
+        monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 0)
+        listed = self.first_cover(g, Budget())
+        assert len(listings) == 1  # past the state cap the search lists
+        assert counted == listed
+        cover, truncated, spent = counted
+        assert verify_covering(g, FulkersonCovering(tuple(PerfectMatching(g, m)
+                                                          for m in cover))).ok
+        assert not truncated and spent == nodes
+
+    def test_past_the_state_cap_the_listing_decides(self, monkeypatch):
+        # the same certificates from the fallback, and its matching cap
+        # still makes a cover that it cannot find unknown, not absent
+        g = goldberg(5)
+        want = find_fulkerson_covering(g, "exact2cover")
+        want_all = enumerate_fulkerson_coverings(k33())
+        assert len(want_all.value) == 3
+        listings = self.count_listings(monkeypatch)
+        monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 2)
+        assert find_fulkerson_covering(g, "exact2cover") == want
+        assert find_fulkerson_covering(g, "auto") == want
+        assert enumerate_fulkerson_coverings(k33()) == want_all
+        assert len(listings) == 3
+        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 10)
+        capped = find_fulkerson_covering(g, "exact2cover")
+        assert capped.unknown and not capped.definitely_absent
+
+    @staticmethod
+    def spend_sites(g):
+        """For each node that EXACT2COVER spends on g, in order, the search
+        that spends it: the cover itself, the order search, or the forward
+        or backward pass of the DP."""
+        import sys
+
+        sites = []
+
+        def cancel():
+            # asked by Budget.spend, or by Budget.stopped for the stream
+            if sys._getframe(1).f_code.co_name == "spend":
+                name = sys._getframe(2).f_code.co_name
+                sites.append(sys._getframe(3).f_code.co_name if name == "_spend_on" else name)
+            return False
+
+        budget = Budget(cancel=cancel)
+        assert find_fulkerson_covering(g, "exact2cover", budget).found
+        return sites
+
+    @pytest.mark.parametrize("site", ["search", "_frontier_order", "_frontier_layers",
+                                      "_holder_counts"])
+    def test_running_out_of_budget_anywhere_is_unknown(self, site):
+        # at the cover's own nodes, as well as inside the DP
+        g = goldberg(5)
+        sites = self.spend_sites(g)
+        assert len(sites) == 1645 and sites.count("search") == 24
+        at = [k for k, s in enumerate(sites) if s == site]
+        for k in (at[0], at[len(at) // 2], at[-1]):
+            budget = Budget(limit=k)
+            res = find_fulkerson_covering(g, "exact2cover", budget)
+            assert res.unknown and budget.exhausted and budget.spent == k + 1
+            budget = Budget(cancel=lambda: budget.spent > k)
+            res = find_fulkerson_covering(g, "exact2cover", budget)
+            assert res.unknown and budget.exhausted and budget.spent == k + 1
+
+    @pytest.mark.parametrize("make", [lambda: flower_snark(21), lambda: flower_snark(101)],
+                             ids=["J21", "J101"])
+    def test_auto_past_the_old_listing_cap(self, monkeypatch, make):
+        # J21 has 2,097,152 perfect matchings, J101 2^101: more than the
+        # matching cap, which only a listing would meet
+        g = make()
+        listings = self.count_listings(monkeypatch)
+        res = find_fulkerson_covering(g)
+        assert res.found and verify_covering(g, res.value).ok
+        assert listings == []
 
 
 class TestCoveringOracle:
@@ -990,7 +1113,7 @@ class TestGoldbergCoverings:
         assert is_proper(res.value)
 
     @pytest.mark.parametrize("make,spent", [
-        (lambda: flower_snark(21), 4), (lambda: goldberg(9), 1743), (chain8, 4),
+        (lambda: flower_snark(21), 4), (lambda: goldberg(9), 83), (chain8, 4),
     ], ids=["J21", "G9", "chain8"])
     def test_a1a2_node_counts(self, make, spent):
         # J21 has 2^21 perfect matchings, more than the matching cap, which

@@ -733,53 +733,6 @@ class TestColoringByMatchings:
         if fire_on == 2:
             assert budget.spent == 1
 
-    def test_a_record_that_ran_out_is_the_listing(self, monkeypatch):
-        # with the frontier refuter held off, the stream refutes J9 by running out
-        monkeypatch.setattr(matchcolor, "_REFUTE_AFTER", 10**9)
-        g = flower_snark(9)
-        counts = SearchCounts(monkeypatch)
-        record = matchcolor._MatchingRecord(g, Budget())
-        assert three_edge_coloring(g, matchings=record) is None
-        full = [m.members for m in enumerate_perfect_matchings(g)]
-        assert record.drawn == full
-        assert record.listing() == (full, False)
-        assert len(counts.starts) == 2  # the record's stream, then the enumeration's
-
-    @pytest.mark.parametrize("fire_on", [2, 500])
-    def test_a_record_cut_by_a_cancel_is_no_listing(self, monkeypatch, fire_on):
-        # what the colour stage drew is a truncated listing, the canonical
-        # prefix; the frontier refuter is held off so that the cancel fires
-        # inside the stream
-        monkeypatch.setattr(matchcolor, "_REFUTE_AFTER", 10**9)
-        calls = []
-
-        def cancel():
-            calls.append(None)
-            return len(calls) >= fire_on
-
-        g = flower_snark(9)
-        budget = Budget(cancel=cancel)
-        record = matchcolor._MatchingRecord(g, budget)
-        assert three_edge_coloring(g, budget, matchings=record) is None
-        assert list(record) == []  # the stream has run out
-        assert budget.exhausted
-        listing, truncated = record.listing()
-        assert truncated and listing == record.drawn
-        assert listing == [m.members for m in enumerate_perfect_matchings(g)][:len(listing)]
-
-    def test_a_refuted_record_keeps_what_it_drew_and_lists_the_rest(self, monkeypatch):
-        # the frontier DP refutes J9 after 32 draws; the listing is what was
-        # drawn, then the rest of the same stream
-        g = flower_snark(9)
-        counts = SearchCounts(monkeypatch)
-        record = matchcolor._MatchingRecord(g, Budget())
-        assert three_edge_coloring(g, matchings=record) is None
-        full = [m.members for m in enumerate_perfect_matchings(g)]
-        assert len(full) == 512
-        assert record.drawn == full[:matchcolor._REFUTE_AFTER]
-        assert record.listing() == (full, False)
-        assert len(counts.starts) == 2  # the record's stream, then the enumeration's
-
     def test_a_record_past_the_cap_is_no_listing(self, monkeypatch):
         # a listing past the cap keeps the first matchings and is truncated
         g = flower_snark(5)
@@ -787,12 +740,11 @@ class TestColoringByMatchings:
         assert len(full) == 32
         monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 30)
         record = matchcolor._MatchingRecord(g, Budget())
-        assert len(list(record)) == 32
-        assert record.drawn == full[:31]  # the cap and one more
         assert record.listing() == (full[:30], True)
+        assert record.drawn == full[:31]  # the cap and one more
         monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 32)
         record = matchcolor._MatchingRecord(g, Budget())
-        assert next(record) == full[0]
+        assert record.reach(0)
         assert record.listing() == (full, False)  # what was drawn, then the rest
 
     def test_lists_no_matchings(self, monkeypatch):
@@ -918,6 +870,87 @@ class TestFrontierRefuter:
         budget = Budget(limit=300)
         assert three_edge_coloring(flower_snark(9), budget) is None
         assert budget.exhausted
+
+
+class TestHolderCounts:
+    """`_holder_counts`, the counting frontier DP behind the exact cover, and
+    `_MatchingRecord.holding`, which draws the holders it counts."""
+
+    @staticmethod
+    def steps(g, order=None):
+        if order is None:
+            order = matchcolor._frontier_order(g, None)
+        return matchcolor._frontier_steps(g, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_counts_are_the_filtered_naive_listing(self, data):
+        # loops and parallel edges included; any vertex order gives the counts
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        closed = data.draw(st.sets(st.sampled_from(range(g.num_edges)), max_size=4))
+        order = data.draw(st.permutations(range(g.num_vertices)))
+        pms = list(naive_perfect_matchings(g, exclude=frozenset(closed)))
+        want = [sum(e in m for m in pms) for e in range(g.num_edges)]
+        mask = sum(1 << e for e in closed)
+        budget = Budget()
+        assert matchcolor._holder_counts(g, self.steps(g), mask, budget) == want
+        assert not budget.exhausted
+        assert matchcolor._holder_counts(g, self.steps(g, order), mask, None) == want
+
+    def test_the_empty_graph_has_no_edge_to_count(self):
+        assert matchcolor._holder_counts(CubicGraph(0, []), [], 0, Budget()) == []
+
+    # A forward and a backward step per vertex, and one node more per 256
+    # states: on G5 two layers hold 256 or more (296 at most), and each is
+    # expanded forward and read backward.
+    @pytest.mark.parametrize("make,count,spent", [
+        (petersen, 6, 20), (lambda: flower_snark(5), 32, 40), (lambda: goldberg(5), 619, 84),
+    ], ids=["petersen", "J5", "G5"])
+    def test_one_node_per_vertex_step_and_state_block(self, make, count, spent):
+        g = make()
+        steps = self.steps(g)
+        budget = Budget()
+        counts = matchcolor._holder_counts(g, steps, 0, budget)
+        # each matching holds n/2 edges
+        assert sum(counts) == count * g.num_vertices // 2
+        assert budget.spent == spent
+        for limit in range(spent):
+            budget = Budget(limit=limit)
+            assert matchcolor._holder_counts(g, steps, 0, budget) is None
+            assert budget.exhausted
+        for fire_on in range(1, spent + 1):
+            budget = Budget(cancel=lambda: budget.spent >= fire_on)
+            assert matchcolor._holder_counts(g, steps, 0, budget) is None
+            assert budget.exhausted and budget.spent == fire_on
+
+    def test_the_state_cap_applies_to_the_counts(self, monkeypatch):
+        g = goldberg(5)
+        monkeypatch.setattr(matchcolor, "_FRONTIER_CAP", 2)
+        budget = Budget()
+        assert matchcolor._holder_counts(g, self.steps(g), 0, budget) is None
+        assert not budget.exhausted
+
+    def test_a_closed_set_with_no_perfect_matching_counts_nothing(self):
+        g = petersen()
+        m = find_perfect_matching(g).members
+        # every perfect matching of the Petersen graph meets every other in one edge
+        closed = sum(1 << e for e in range(g.num_edges) if e not in m)
+        counts = matchcolor._holder_counts(g, self.steps(g), closed, None)
+        assert counts == [int(e in m) for e in range(g.num_edges)]
+        closed |= 1 << min(m)
+        assert matchcolor._holder_counts(g, self.steps(g), closed, None) == [0] * g.num_edges
+
+    @pytest.mark.parametrize("make", [petersen, lambda: flower_snark(5), lambda: goldberg(3)],
+                             ids=["petersen", "J5", "G3"])
+    def test_holding_is_the_filtered_listing(self, make):
+        g = make()
+        full = [m.members for m in enumerate_perfect_matchings(g)]
+        record = matchcolor._MatchingRecord(g, None)
+        for e in range(g.num_edges):
+            for s in (frozenset(), full[0] - {e}, frozenset([e])):
+                assert list(record.holding(e, s)) == [m for m in full if e in m and not m & s]
+        assert list(record.holding(None, full[0])) == [m for m in full if not m & full[0]]
+        assert record.drawn == []
 
 
 class TestOracleDifferential:
