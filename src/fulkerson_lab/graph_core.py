@@ -385,6 +385,15 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
       vertices.  If f = c, the bond is a minimum cut, so the largest sink
       side contains T; if f < c, that side holds at least c - 2 >= f - 1
       vertices.  Either way neither side is a tree.
+    - Covered passes: a pass c below min(3, k - 1) is skipped, because a
+      later pass finds what it would.  Pass 1 pairs the same seeds as pass
+      2, and a flow that stops at value f <= 1 makes the same check in
+      both.  Pass 3 finds every cyclic bond of c <= 2 edges: in a loopless
+      cubic graph a side that holds a cycle has at least 2 vertices, so
+      some X = {0, w} of pass 3 fits in S and some Y in T.  The minimum
+      X-Y cut has f <= c <= 2 edges and its source side holds 2 >= f
+      vertices.  A side with f boundary edges has |side| = f (mod 2), so
+      the sink side, never empty, holds at least f vertices too.
 
     For each c there are O(1) seeds X and O(n) seeds Y, and each flow
     stops after c + 1 breadth-first searches, so the test is quadratic in
@@ -402,7 +411,7 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     arcs = [tuple((e, v, g.other_end(e, v), 1 if g.endpoints(e)[0] == v else -1)
                   for e in g.incident(v)) for v in g.vertices()]
     nbrs = [g.neighbors(v) for v in g.vertices()]
-    for c in range(1, k):
+    for c in range(min(3, max(1, k - 1)), k):
         sinks = [y for root in range(1, n) for y in _connected_sets(nbrs, root, max(1, c - 2))]
         for x in _connected_sets(nbrs, 0, max(1, c - 1)):
             for y in sinks:

@@ -10,7 +10,7 @@ be pulled back to the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, dropwhile, islice, permutations, repeat
+from itertools import count, dropwhile, islice, permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
@@ -745,12 +745,16 @@ def _frontier_order(g: MultiGraph, budget: Budget | None) -> list[int] | None:
 
 class _Step(NamedTuple):
     """One vertex of a frontier walk: the edges it closes, their positions
-    on the frontier, the frontier positions it keeps, and its new edges."""
+    on the frontier, the frontier positions it keeps, its new edges, and
+    the frontier slots (`_frontier_steps`) of the closing and of the new
+    edges."""
 
     closing: list[int]
     close: list[int]
     keep: list[int]
     new: list[int]
+    closing_slots: list[int]
+    new_slots: list[int]
 
 
 def _frontier_steps(g: MultiGraph, order: Sequence[int]) -> list[_Step]:
@@ -759,12 +763,18 @@ def _frontier_steps(g: MultiGraph, order: Sequence[int]) -> list[_Step]:
     The frontier is the list of edges with exactly one end taken; loops
     never join it.  Taking v closes its edges to vertices taken before it,
     and appends its other edges after the frontier edges it keeps, so a
-    state can move on by edge ids or by frontier positions.
+    state can move on by frontier positions.  Each frontier edge also
+    holds a slot, fixed while it stays on the frontier: the closing edges
+    free theirs first, then each new edge takes the lowest free slot.  No
+    two frontier edges share a slot, and the slots number exactly the
+    widest frontier w, so a state kept as a bit mask by slot stays below
+    2 ** w.
     """
     place = [0] * g.num_vertices
     for i, v in enumerate(order):
         place[v] = i
     frontier: list[int] = []
+    held: list[int | None] = []  # the edge in each slot, None while it is free
     steps = []
     for v in order:
         closing = [e for e in g.incident(v) if place[g.other_end(e, v)] < place[v]]
@@ -772,7 +782,17 @@ def _frontier_steps(g: MultiGraph, order: Sequence[int]) -> list[_Step]:
         keep = [i for i in range(len(frontier)) if i not in close]
         new = [e for e in g.incident(v) if e not in closing and not g.is_loop(e)]
         frontier = [frontier[i] for i in keep] + new
-        steps.append(_Step(closing, close, keep, new))
+        closing_slots = [held.index(e) for e in closing]
+        for i in closing_slots:
+            held[i] = None
+        new_slots = []
+        for e in new:
+            if None not in held:
+                held.append(None)
+            slot = held.index(None)
+            held[slot] = e
+            new_slots.append(slot)
+        steps.append(_Step(closing, close, keep, new, closing_slots, new_slots))
     return steps
 
 
@@ -786,15 +806,17 @@ def _spend_on(budget: Budget | None, states: int) -> bool:
     return True
 
 
+S = TypeVar("S")
 L = TypeVar("L", set[bytes], dict[int, int])
 
 
-def _frontier_layers(steps: list[_Step], advance: Callable[[_Step, L], L], start: L,
+def _frontier_layers(steps: Sequence[S], advance: Callable[[S, L], L], start: L,
                      budget: Budget | None) -> list[L] | None:
     """The forward pass of a frontier DP: its states after each of `steps`;
     None when it gives up.
 
-    `start` holds the state of the empty frontier, and `advance(step,
+    A step is one vertex of the walk, a `_Step` or the DP's own plan of
+    it.  `start` holds the state of the empty frontier, and `advance(step,
     states)` is the DP's own state step: the states that follow `states`
     at that vertex.  The pass ends early at a step that leaves no state.
     It spends as `_spend_on` says before each step, and gives up when the
@@ -872,60 +894,75 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
     return None if layers is None else bool(layers[-1])
 
 
+def _matching_step(move: tuple[int, dict[int, int]], states: dict[int, int]) -> dict[int, int]:
+    """`_holder_counts`' forward state step, by slot bits.  `move` is the
+    step's closing mask and its fills, the slot bit of each new edge that
+    is not closed.  A state that holds one closing edge drops it and takes
+    no fill; one that holds none takes each fill in turn; one that holds
+    two or more dies."""
+    shut, fills = move
+    after: dict[int, int] = {}
+    get = after.get
+    for s, ways in states.items():
+        held = s & shut
+        if not held:
+            for fill in fills:
+                t = s | fill
+                after[t] = get(t, 0) + ways
+        elif not held & (held - 1):
+            s ^= held
+            after[s] = get(s, 0) + ways
+    return after
+
+
 def _holder_counts(g: MultiGraph, steps: list[_Step], closed: int,
                    budget: Budget | None) -> list[int] | None:
     """For every edge of g, the number of perfect matchings that hold it and
     avoid the edges in the bit mask `closed`; None when it gives up.
 
     The counting form of the frontier DP over `steps` (Kawahara et al.,
-    above): a state is the bit mask, by edge id, of the frontier edges in
-    the matching, and a closed edge is never in it.  A vertex with one
-    matched closing edge matches none of its new edges, and one with none
-    matches exactly one new edge that is not closed.  The forward pass
-    counts the ways to reach each state; a backward pass over the same
-    steps counts each state's ways to finish.  An edge's count is the sum
-    of forward times backward over the states that hold it, at the step
-    where it joins the frontier.  Both passes spend and give up as
-    `_frontier_layers` does; closed edges only remove states, so with
-    nothing closed the pass is at its widest.
+    above): a state is the bit mask, by frontier slot, of the frontier
+    edges in the matching, and a closed edge is never in it.  A vertex
+    with one matched closing edge matches none of its new edges, and one
+    with none matches exactly one new edge that is not closed.  One plan,
+    per step the closing mask and the fills (`_matching_step`), serves
+    both passes.  The forward pass counts the ways to reach each state; a
+    backward pass over the same steps counts each state's ways to finish.
+    An edge's count is the sum of forward times backward over the states
+    that hold it, at the step where it joins the frontier.  Both passes
+    spend and give up as `_frontier_layers` does; closed edges only remove
+    states, so with nothing closed the pass is at its widest.
     """
-    def expand(step: _Step) -> Callable[[int], tuple[int, ...] | list[int]]:
-        closing = sum(1 << e for e in step.closing)
-        fills = [1 << e for e in step.new if not closed >> e & 1]
-
-        def nexts(s: int) -> tuple[int, ...] | list[int]:
-            held = s & closing
-            if held & (held - 1):
-                return ()
-            s ^= held
-            return (s,) if held else [s | fill for fill in fills]
-        return nexts
-
-    def advance(step: _Step, states: dict[int, int]) -> dict[int, int]:
-        nexts = expand(step)
-        after: dict[int, int] = {}
-        for s, ways in states.items():
-            for t in nexts(s):
-                after[t] = after.get(t, 0) + ways
-        return after
-
-    layers = _frontier_layers(steps, advance, {0: 1}, budget)
+    plan = [(sum(1 << i for i in step.closing_slots),
+             {1 << i: e for e, i in zip(step.new, step.new_slots) if not closed >> e & 1})
+            for step in steps]
+    layers = _frontier_layers(plan, _matching_step, {0: 1}, budget)
     if layers is None:
         return None
     counts = [0] * g.num_edges
     if not layers[-1]:
         return counts  # no perfect matching avoids `closed`
     finish = {0: 1}
-    for i in range(len(steps), 0, -1):
+    for i in range(len(plan), 0, -1):
         if not _spend_on(budget, len(finish)):
             return None
-        step = steps[i - 1]
-        new = sum(1 << e for e in step.new)
-        for t, ways in layers[i].items():
-            if t & new:
-                counts[(t & new).bit_length() - 1] += ways * finish[t]
-        nexts = expand(step)
-        finish = {s: sum(map(finish.get, nexts(s), repeat(0))) for s in layers[i - 1]}
+        shut, fills = plan[i - 1]
+        pairs = tuple(fills.items())
+        before: dict[int, int] = {}
+        # a state's ways to finish, and the count of each fill it takes:
+        # its forward ways times the ways to finish after the fill
+        for s, ways in layers[i - 1].items():
+            held = s & shut
+            if not held:
+                total = 0
+                for fill, e in pairs:
+                    rest = finish[s | fill]
+                    total += rest
+                    counts[e] += ways * rest
+                before[s] = total
+            else:
+                before[s] = 0 if held & (held - 1) else finish[s ^ held]
+        finish = before
     return counts
 
 

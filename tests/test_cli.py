@@ -586,6 +586,25 @@ n 3 8 9 12
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.AUTO_COVERING_SHA256[name]
 
+    # AUTO's stdout on the snark-search benchmark's J9, J11 and G7, as in
+    # bench/golden.json (G5's is spelled out above)
+    BENCH_COVERING_SHA256 = {
+        "J9": "22d9071d0a27e0e7b520ca817145bb53bc49901fe2f4693765b2afbc6287b37a",
+        "J11": "b9487f8a2efaa5f8540ce3ec7f36c4665d67ddaffce264d5d78eaab39eb39eed",
+        "G7": "e10945d9c13a8d375c0fb4afd216d7194c6996deb30f4994ff23743c765258bd",
+    }
+
+    @pytest.mark.parametrize("name,make", [
+        ("J9", lambda: flower_snark(9)), ("J11", lambda: flower_snark(11)),
+        ("G7", lambda: goldberg(7)),
+    ], ids=["J9", "J11", "G7"])
+    def test_search_covering_on_the_benchmark_graphs(self, capsys, tmp_path, name, make):
+        path = tmp_path / "g.graph"
+        path.write_text(write_graph_file(make()))
+        code, out, _ = run(capsys, "search", str(path), "covering")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BENCH_COVERING_SHA256[name]
+
     def test_search_all_petersen_triples(self, capsys, petersen_file):
         code, out, _ = run(capsys, "search", petersen_file, "fr-triple", "--all")
         assert code == 0

@@ -644,6 +644,18 @@ class TestFindCovering:
         assert budget.exhausted
         assert res.definitely_absent
 
+    # AUTO on the snark-search benchmark's graphs: the colour stage's draws
+    # and refuter, then the exact cover and its counting DP.  A DP that
+    # spends or branches differently moves these.
+    @pytest.mark.parametrize("make,spent", [
+        (lambda: flower_snark(9), 758), (lambda: flower_snark(11), 851),
+        (lambda: goldberg(5), 1985), (lambda: goldberg(7), 2668),
+    ], ids=["J9", "J11", "G5", "G7"])
+    def test_auto_node_counts(self, make, spent):
+        budget = Budget()
+        assert find_fulkerson_covering(make(), "auto", budget).found
+        assert budget.spent == spent
+
     def test_cancel_inside_the_first_a1a2_lift_gives_unknown(self, monkeypatch):
         import fulkerson_lab.fulkerson as fulkerson
 

@@ -197,6 +197,17 @@ class TestCyclicEdgeConnectivity:
         with pytest.raises(GraphError):
             cyclic_edge_connectivity_at_least(CubicGraph(4, [(0, 1)] * 3 + [(2, 3)] * 3), 2)
 
+    def test_covered_passes_are_skipped(self, monkeypatch):
+        # at k = 4 pass 3 covers passes 1 and 2, so only its flows run
+        import fulkerson_lab.graph_core as graph_core
+
+        flows = []
+        splits = graph_core._splits_cyclically
+        monkeypatch.setattr(graph_core, "_splits_cyclically",
+                            lambda *args: flows.append(args[4]) or splits(*args))
+        assert cyclic_edge_connectivity_at_least(flower_snark(51), 4)
+        assert len(flows) == 606 and set(flows) == {3}
+
     def test_edgeless_graph_has_no_cyclic_cut(self):
         assert cyclic_edge_connectivity_at_least(CubicGraph(0, []), 6)
 

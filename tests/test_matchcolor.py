@@ -897,6 +897,26 @@ class TestHolderCounts:
         assert not budget.exhausted
         assert matchcolor._holder_counts(g, self.steps(g, order), mask, None) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_frontier_slots_are_distinct_and_as_many_as_the_widest_frontier(self, data):
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        order = data.draw(st.permutations(range(g.num_vertices)))
+        slot_of: dict[int, int] = {}  # the frontier edges and their slots
+        widest = 0
+        used = set()
+        for step in matchcolor._frontier_steps(g, order):
+            assert [slot_of.pop(e) for e in step.closing] == step.closing_slots
+            assert len(step.new_slots) == len(step.new)
+            for e, slot in zip(step.new, step.new_slots):
+                assert not g.is_loop(e)  # a loop never gets a slot
+                slot_of[e] = slot
+            assert len(set(slot_of.values())) == len(slot_of)
+            widest = max(widest, len(slot_of))
+            used.update(step.new_slots)
+        assert slot_of == {}
+        assert used == set(range(widest))
+
     def test_the_empty_graph_has_no_edge_to_count(self):
         assert matchcolor._holder_counts(CubicGraph(0, []), [], 0, Budget()) == []
 
