@@ -10,8 +10,9 @@ be pulled back to the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import count, dropwhile, islice, permutations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .budget import Budget, BudgetExhausted
 from .graph_core import (
@@ -743,57 +744,37 @@ def _frontier_order(g: MultiGraph, budget: Budget | None) -> list[int] | None:
     return best
 
 
-class _Step(NamedTuple):
-    """One vertex of a frontier walk: the edges it closes, their positions
-    on the frontier, the frontier positions it keeps, its new edges, and
-    the frontier slots (`_frontier_steps`) of the closing and of the new
-    edges."""
-
-    closing: list[int]
-    close: list[int]
-    keep: list[int]
-    new: list[int]
-    closing_slots: list[int]
-    new_slots: list[int]
+Move = tuple[int, dict[int, int]]  # one vertex of a frontier walk (`_frontier_steps`)
 
 
-def _frontier_steps(g: MultiGraph, order: Sequence[int]) -> list[_Step]:
-    """The walk that both frontier DPs take over `order`, one step per vertex.
+def _frontier_steps(g: MultiGraph, order: Sequence[int]) -> list[Move]:
+    """The walk that both frontier DPs take over `order`, one move per vertex.
 
-    The frontier is the list of edges with exactly one end taken; loops
-    never join it.  Taking v closes its edges to vertices taken before it,
-    and appends its other edges after the frontier edges it keeps, so a
-    state can move on by frontier positions.  Each frontier edge also
-    holds a slot, fixed while it stays on the frontier: the closing edges
-    free theirs first, then each new edge takes the lowest free slot.  No
-    two frontier edges share a slot, and the slots number exactly the
-    widest frontier w, so a state kept as a bit mask by slot stays below
-    2 ** w.
+    The frontier is the set of edges with exactly one end taken; loops
+    never join it.  Taking v closes its edges to vertices taken before it
+    and opens its other edges.  Each frontier edge holds a slot, fixed while
+    it stays on the frontier: the closing edges free theirs first, then each
+    new edge takes the lowest free slot.  No two frontier edges share a
+    slot, and the slots number exactly the widest frontier w, so a DP keeps
+    a state as bit masks by slot, each below 2 ** w.  v's move is the slot
+    mask of its closing edges and the slot bit of each new edge, mapped to
+    the edge.
     """
-    place = [0] * g.num_vertices
-    for i, v in enumerate(order):
-        place[v] = i
-    frontier: list[int] = []
-    held: list[int | None] = []  # the edge in each slot, None while it is free
-    steps = []
+    place = {v: i for i, v in enumerate(order)}
+    bit_of: dict[int, int] = {}  # the slot bit of each frontier edge
+    held = 0  # the slots that frontier edges hold
+    moves = []
     for v in order:
-        closing = [e for e in g.incident(v) if place[g.other_end(e, v)] < place[v]]
-        close = [frontier.index(e) for e in closing]
-        keep = [i for i in range(len(frontier)) if i not in close]
-        new = [e for e in g.incident(v) if e not in closing and not g.is_loop(e)]
-        frontier = [frontier[i] for i in keep] + new
-        closing_slots = [held.index(e) for e in closing]
-        for i in closing_slots:
-            held[i] = None
-        new_slots = []
-        for e in new:
-            if None not in held:
-                held.append(None)
-            slot = held.index(None)
-            held[slot] = e
-            new_slots.append(slot)
-        steps.append(_Step(closing, close, keep, new, closing_slots, new_slots))
-    return steps
+        shut = sum(bit_of.pop(e) for e in g.incident(v) if place[g.other_end(e, v)] < place[v])
+        held ^= shut
+        opened = {}
+        for e in g.incident(v):
+            if place[g.other_end(e, v)] > place[v]:  # a new edge; a loop is neither
+                bit_of[e] = bit = held + 1 & ~held  # the lowest free slot
+                held |= bit
+                opened[bit] = e
+        moves.append((shut, opened))
+    return moves
 
 
 def _spend_on(budget: Budget | None, states: int) -> bool:
@@ -806,28 +787,28 @@ def _spend_on(budget: Budget | None, states: int) -> bool:
     return True
 
 
-S = TypeVar("S")
-L = TypeVar("L", set[bytes], dict[int, int])
+L = TypeVar("L", set[int], dict[int, int])
 
 
-def _frontier_layers(steps: Sequence[S], advance: Callable[[S, L], L], start: L,
+def _frontier_layers(moves: Sequence[Move], advance: Callable[[Move, L], L], start: L,
                      budget: Budget | None) -> list[L] | None:
-    """The forward pass of a frontier DP: its states after each of `steps`;
+    """The forward pass of a frontier DP: its states after each of `moves`;
     None when it gives up.
 
-    A step is one vertex of the walk, a `_Step` or the DP's own plan of
-    it.  `start` holds the state of the empty frontier, and `advance(step,
-    states)` is the DP's own state step: the states that follow `states`
-    at that vertex.  The pass ends early at a step that leaves no state.
-    It spends as `_spend_on` says before each step, and gives up when the
-    budget runs out, by nodes or a cancel (`budget.exhausted` then says
-    so), or when a step leaves more than `_FRONTIER_CAP` states.
+    `moves` is the walk of `_frontier_steps`, or the DP's own filtered copy
+    of it.  `start` holds the state of the empty frontier, and
+    `advance(move, states)` is the DP's own state step: the states that
+    follow `states` at that vertex.  The pass ends early at a move that
+    leaves no state.  It spends as `_spend_on` says before each move, and
+    gives up when the budget runs out, by nodes or a cancel
+    (`budget.exhausted` then says so), or when a move leaves more than
+    `_FRONTIER_CAP` states.
     """
     layers = [start]
-    for step in steps:
+    for move in moves:
         if not _spend_on(budget, len(layers[-1])):
             return None
-        after = advance(step, layers[-1])
+        after = advance(move, layers[-1])
         if len(after) > _FRONTIER_CAP:
             return None
         layers.append(after)
@@ -836,36 +817,41 @@ def _frontier_layers(steps: Sequence[S], advance: Callable[[S, L], L], start: L,
     return layers
 
 
-# The colouring DP's states are bytes, one colour 0-2 per frontier edge.
-# _FILLS[used] lists the orders in which a vertex's new edges can take the
-# colours that the bit mask `used` leaves free; _RELABEL[a][b] maps a to 0,
-# b to 1 and the third colour to 2 (_RELABEL[a][a] maps a to 0 alone).
-_FILLS = [[bytes(p) for p in permutations([c for c in range(3) if not used >> c & 1])]
-          for used in range(8)]
-_RELABEL = [[bytes.maketrans(bytes([a, b, 3 - a - b]) if a != b
-                             else bytes([a, (a + 1) % 3, (a + 2) % 3]), b"\0\1\2")
-             for b in range(3)] for a in range(3)]
+@cache
+def _class_fills(new: int) -> list[list[tuple[int, ...]]]:
+    """The fill table of a vertex whose new edges hold the slot bits of
+    `new`: for each bit mask `used` of the colour classes 0-2 that its
+    closing edges take, every way to put the new bits one to a class in
+    the classes left free, as the three masks that the classes gain."""
+    bits = [1 << i for i in range(new.bit_length()) if new >> i & 1]
+    table = []
+    for used in range(8):
+        free = [c for c in range(3) if not used >> c & 1]
+        table.append([tuple(sum(bit for bit, k in zip(bits, classes) if k == c) for c in range(3))
+                      for classes in permutations(free, len(bits))])
+    return table
 
 
-def _coloring_step(step: _Step, states: set[bytes]) -> set[bytes]:
-    """`_frontier_colorable`'s state step, by frontier positions: each state
-    whose colours on the closed edges differ gives the new edges the free
-    colours in every order."""
-    after = set()
+def _coloring_step(width: int, move: Move, states: set[int]) -> set[int]:
+    """`_frontier_colorable`'s state step, by slot masks.  A state is the
+    three colour-class masks of a walk `width` slots wide, sorted and
+    packed as `a << 2 * width | b << width | c` with a >= b >= c.  Each
+    state whose classes hold at most one closing edge each drops the
+    closing edges and takes every fill of `_class_fills`."""
+    shut, opened = move
+    table = _class_fills(sum(opened))
+    low = (1 << width) - 1
+    after: set[int] = set()
+    add = after.add
     for s in states:
-        used = 0
-        for i in step.close:
-            bit = 1 << s[i]
-            if used & bit:
-                break
-            used |= bit
-        else:
-            kept = bytes(map(s.__getitem__, step.keep))
-            for fill in _FILLS[used]:
-                t = kept + fill
-                a = t[0] if t else 0
-                rest = t.lstrip(t[:1])
-                after.add(t.translate(_RELABEL[a][rest[0] if rest else a]))
+        a, b, c = s >> 2 * width, s >> width & low, s & low
+        x, y, z = a & shut, b & shut, c & shut
+        if x & (x - 1) or y & (y - 1) or z & (z - 1):
+            continue
+        a, b, c = a ^ x, b ^ y, c ^ z
+        for fa, fb, fc in table[(x != 0) | (y != 0) << 1 | (z != 0) << 2]:
+            p, q, r = sorted((a | fa, b | fb, c | fc))
+            add(r << 2 * width | q << width | p)
     return after
 
 
@@ -874,11 +860,12 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
     None when it gives up.
 
     The vertices are taken in the order of `_frontier_order`.  A state is a
-    coloring of the frontier edges, one byte per frontier position, that
-    extends to a proper coloring of every edge with a taken end; it is kept
-    up to permutation of the three colors, relabelled by first appearance.
-    Taking a vertex keeps each state whose colors on the edges it closes
-    differ, and gives its new edges the free colors in every order; g is
+    coloring of the frontier edges that extends to a proper coloring of
+    every edge with a taken end, kept as its three colour classes, bit
+    masks by frontier slot (`_frontier_steps`).  Sorting the classes keeps
+    one state per permutation of the three colors.  Taking a vertex keeps
+    each state whose colors on the edges it closes differ, and gives its
+    new edges the free colors in every order (`_coloring_step`); g is
     colorable iff a state survives the last vertex.  This is edge coloring
     over a path decomposition (Zhou, Nakano and Nishizeki, J. Algorithms
     21, 1996) as a frontier-based search (Kawahara et al., IEICE Trans.
@@ -890,16 +877,18 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
     order = _frontier_order(g, budget)
     if order is None:
         return None
-    layers = _frontier_layers(_frontier_steps(g, order), _coloring_step, {b""}, budget)
+    moves = _frontier_steps(g, order)
+    width = max((bit for _, opened in moves for bit in opened), default=0).bit_length()
+    layers = _frontier_layers(moves, partial(_coloring_step, width), {0}, budget)
     return None if layers is None else bool(layers[-1])
 
 
-def _matching_step(move: tuple[int, dict[int, int]], states: dict[int, int]) -> dict[int, int]:
-    """`_holder_counts`' forward state step, by slot bits.  `move` is the
-    step's closing mask and its fills, the slot bit of each new edge that
-    is not closed.  A state that holds one closing edge drops it and takes
-    no fill; one that holds none takes each fill in turn; one that holds
-    two or more dies."""
+def _matching_step(move: Move, states: dict[int, int]) -> dict[int, int]:
+    """`_holder_counts`' forward state step, by slot bits.  `move` is a
+    walk move whose new edges that are closed are dropped, so its fills
+    are the slot bits of the new edges that a state may match.  A state
+    that holds one closing edge drops it and takes no fill; one that holds
+    none takes each fill in turn; one that holds two or more dies."""
     shut, fills = move
     after: dict[int, int] = {}
     get = after.get
@@ -915,27 +904,26 @@ def _matching_step(move: tuple[int, dict[int, int]], states: dict[int, int]) -> 
     return after
 
 
-def _holder_counts(g: MultiGraph, steps: list[_Step], closed: int,
+def _holder_counts(g: MultiGraph, moves: list[Move], closed: int,
                    budget: Budget | None) -> list[int] | None:
     """For every edge of g, the number of perfect matchings that hold it and
     avoid the edges in the bit mask `closed`; None when it gives up.
 
-    The counting form of the frontier DP over `steps` (Kawahara et al.,
-    above): a state is the bit mask, by frontier slot, of the frontier
+    The counting form of the frontier DP over the walk `moves` (Kawahara et
+    al., above): a state is the bit mask, by frontier slot, of the frontier
     edges in the matching, and a closed edge is never in it.  A vertex
     with one matched closing edge matches none of its new edges, and one
     with none matches exactly one new edge that is not closed.  One plan,
-    per step the closing mask and the fills (`_matching_step`), serves
+    the moves with the closed new edges dropped (`_matching_step`), serves
     both passes.  The forward pass counts the ways to reach each state; a
-    backward pass over the same steps counts each state's ways to finish.
+    backward pass over the same plan counts each state's ways to finish.
     An edge's count is the sum of forward times backward over the states
-    that hold it, at the step where it joins the frontier.  Both passes
+    that hold it, at the move where it joins the frontier.  Both passes
     spend and give up as `_frontier_layers` does; closed edges only remove
     states, so with nothing closed the pass is at its widest.
     """
-    plan = [(sum(1 << i for i in step.closing_slots),
-             {1 << i: e for e, i in zip(step.new, step.new_slots) if not closed >> e & 1})
-            for step in steps]
+    plan = [(shut, {bit: e for bit, e in opened.items() if not closed >> e & 1})
+            for shut, opened in moves]
     layers = _frontier_layers(plan, _matching_step, {0: 1}, budget)
     if layers is None:
         return None

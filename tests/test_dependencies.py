@@ -1,5 +1,6 @@
 """The package declares no dependencies, networkx stays out of tier-1, and
-only matchcolor names the perfect-matching stream `_canonical_matchings`.
+only matchcolor names the perfect-matching stream `_canonical_matchings`
+and the insides of its frontier DPs.
 
 The rules are read from the source with `ast`, so a forbidden import or
 name fails here even when the module that holds it is never imported.
@@ -14,6 +15,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_MODULES = sorted((ROOT / "src" / "fulkerson_lab").rglob("*.py"))
 TEST_MODULES = sorted((ROOT / "tests").rglob("*.py"))
+# the forward pass, the two state steps and the colour fill table; other
+# modules reach the frontier DPs through `_frontier_order`,
+# `_frontier_steps` and `_holder_counts`
+FRONTIER_INSIDES = {"_frontier_layers", "_coloring_step", "_matching_step", "_class_fills"}
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -60,7 +65,14 @@ def test_only_matchcolor_names_the_matching_stream(path):
     assert "_canonical_matchings" not in identifiers(path)
 
 
+@pytest.mark.parametrize("path", [p for p in PACKAGE_MODULES if p.name != "matchcolor.py"],
+                         ids=lambda p: p.name)
+def test_only_matchcolor_names_the_frontier_dp_insides(path):
+    assert FRONTIER_INSIDES.isdisjoint(identifiers(path))
+
+
 def test_the_rules_find_the_modules():
     assert ROOT / "src" / "fulkerson_lab" / "cli.py" in PACKAGE_MODULES
-    assert "_canonical_matchings" in identifiers(ROOT / "src" / "fulkerson_lab" / "matchcolor.py")
+    names = identifiers(ROOT / "src" / "fulkerson_lab" / "matchcolor.py")
+    assert "_canonical_matchings" in names and FRONTIER_INSIDES <= names
     assert Path(__file__).resolve() in TEST_MODULES

@@ -31,6 +31,7 @@ from fulkerson_lab.fulkerson import (
     FRTriple,
     FulkersonCovering,
     LiftError,
+    ProperCoveringWitness,
     are_compatible,
     covering_from_compatible,
     enumerate_fr_triples,
@@ -177,6 +178,39 @@ class TestCompatibility:
         g, triples = petersen_triples()
         with pytest.raises(GraphError):
             covering_from_compatible(triples[0], triples[0])
+
+
+class TestWrongGraphRefusals:
+    """The checks that refuse parts of another graph, each with its message."""
+
+    def test_a_triple_lives_on_one_graph(self):
+        m = enumerate_perfect_matchings(k4())[0]
+        with pytest.raises(GraphError, match="triple members live on different graphs"):
+            FRTriple(m, m, enumerate_perfect_matchings(k33())[0])
+
+    def test_a_covering_lives_on_one_graph(self):
+        m = enumerate_perfect_matchings(k4())[0]
+        with pytest.raises(GraphError, match="covering members live on different graphs"):
+            FulkersonCovering((m,) * 5 + (enumerate_perfect_matchings(k33())[0],))
+
+    def test_t_partition_refuses_a_triple_of_another_graph(self):
+        with pytest.raises(GraphError, match="triple belongs to a different graph"):
+            t_partition(petersen(), color_triple(k4()))
+
+    def test_verify_covering_refuses_a_covering_of_another_graph(self):
+        classes = tuple(color_classes_as_matchings(three_edge_coloring(k4())))
+        with pytest.raises(GraphError, match="covering belongs to a different graph"):
+            verify_covering(petersen(), FulkersonCovering(classes + classes))
+
+    def test_are_compatible_refuses_triples_of_two_graphs(self):
+        _, triples = petersen_triples()
+        with pytest.raises(GraphError, match="triples live on different graphs"):
+            are_compatible(color_triple(k4()), triples[0])
+
+    def test_a_witness_coloring_of_another_graph_is_refused(self):
+        witness = ProperCoveringWitness(three_edge_coloring(k4()), ((0, 1), (1, 2)))
+        with pytest.raises(GraphError, match="witness coloring belongs to a different graph"):
+            proper_covering_from_witness(cube_q3(), witness)
 
 
 class TestLift:

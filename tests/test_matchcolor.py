@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +207,24 @@ class TestFindPerfectMatching:
         assert find_perfect_matching(g) is None
         enum = enumerate_perfect_matchings(g)
         assert len(enum) == 0 and not enum.truncated
+
+
+class TestInputChecks:
+    def test_a_perfect_matching_must_saturate_every_vertex(self):
+        with pytest.raises(GraphError, match="matching does not saturate every vertex"):
+            PerfectMatching(petersen(), [0])
+
+    def test_a_coloring_must_assign_every_edge(self):
+        with pytest.raises(GraphError, match="coloring must assign every edge"):
+            EdgeColoring(k4(), (0, 1, 2), 3)
+
+    def test_a_coloring_stays_inside_its_palette(self):
+        with pytest.raises(GraphError, match="color 3 outside palette"):
+            EdgeColoring(k4(), (0, 1, 2, 0, 1, 3), 3)
+
+    def test_incident_edges_of_a_coloring_differ(self):
+        with pytest.raises(GraphError, match="incident edges at vertex 0 share color 0"):
+            EdgeColoring(k4(), (0,) * 6, 3)
 
 
 class TestBalanced:
@@ -803,6 +821,36 @@ class TestFrontierRefuter:
             assert matchcolor._frontier_colorable(g, budget) is False
             assert budget.spent == spent and not budget.exhausted
 
+    # (layers, most states in one, states in all), the start layer included;
+    # the pass stops at the first empty layer
+    @pytest.mark.parametrize("make,layers,widest,total", [
+        (lambda: flower_snark(9), 36, 96, 1058), (lambda: flower_snark(11), 44, 96, 1400),
+        (lambda: goldberg(5), 31, 592, 3813), (lambda: goldberg(7), 43, 1536, 8910),
+    ], ids=["J9", "J11", "G5", "G7"])
+    def test_layer_sizes(self, monkeypatch, make, layers, widest, total):
+        runs = []
+        forward = matchcolor._frontier_layers
+        monkeypatch.setattr(matchcolor, "_frontier_layers",
+                            lambda *args: runs.append(forward(*args)) or runs[-1])
+        assert matchcolor._frontier_colorable(make(), None) is False
+        [sizes] = [[len(layer) for layer in run] for run in runs]
+        assert (len(sizes), max(sizes), sum(sizes)) == (layers, widest, total)
+
+    def test_the_fill_table_is_every_one_to_one_assignment_to_the_free_classes(self):
+        for new in range(64):
+            bits = [1 << i for i in range(6) if new >> i & 1]
+            if len(bits) > 3:
+                continue
+            table = matchcolor._class_fills(new)
+            assert len(table) == 8
+            for used in range(8):
+                want = set()
+                for classes in product(range(3), repeat=len(bits)):
+                    if len(set(classes)) == len(bits) and not any(used >> c & 1 for c in classes):
+                        want.add(tuple(sum(b for b, c in zip(bits, classes) if c == k)
+                                       for k in range(3)))
+                assert sorted(table[used]) == sorted(want)
+
     def test_gives_up_past_the_state_cap(self, monkeypatch):
         monkeypatch.setattr(matchcolor, "_FRONTIER_CAP", 2)
         budget = Budget()
@@ -902,20 +950,22 @@ class TestHolderCounts:
     def test_frontier_slots_are_distinct_and_as_many_as_the_widest_frontier(self, data):
         g = random_cubic_multigraph(data, max_order=12, loops=True)
         order = data.draw(st.permutations(range(g.num_vertices)))
-        slot_of: dict[int, int] = {}  # the frontier edges and their slots
-        widest = 0
-        used = set()
-        for step in matchcolor._frontier_steps(g, order):
-            assert [slot_of.pop(e) for e in step.closing] == step.closing_slots
-            assert len(step.new_slots) == len(step.new)
-            for e, slot in zip(step.new, step.new_slots):
-                assert not g.is_loop(e)  # a loop never gets a slot
-                slot_of[e] = slot
+        place = {v: i for i, v in enumerate(order)}
+        slot_of: dict[int, int] = {}  # the frontier edges and their slot bits
+        widest = used = 0
+        for v, (shut, opened) in zip(order, matchcolor._frontier_steps(g, order)):
+            closing = [e for e in g.incident(v) if place[g.other_end(e, v)] < place[v]]
+            assert sum(slot_of.pop(e) for e in closing) == shut
+            assert sorted(opened.values()) == [e for e in g.incident(v)
+                                               if e not in closing and not g.is_loop(e)]
+            for bit, e in opened.items():
+                assert bit > 0 and not bit & (bit - 1)  # one slot
+                slot_of[e] = bit
             assert len(set(slot_of.values())) == len(slot_of)
             widest = max(widest, len(slot_of))
-            used.update(step.new_slots)
+            used |= sum(opened)
         assert slot_of == {}
-        assert used == set(range(widest))
+        assert used == (1 << widest) - 1
 
     def test_the_empty_graph_has_no_edge_to_count(self):
         assert matchcolor._holder_counts(CubicGraph(0, []), [], 0, Budget()) == []
