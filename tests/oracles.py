@@ -147,7 +147,14 @@ def random_cubic_multigraph(data, max_order: int, bridgeless: bool = False,
     redrawn from that seed until a graph qualifies, so no example is ever
     rejected."""
     n = data.draw(st.sampled_from(range(2, max_order + 1, 2)))
-    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    return seeded_cubic_multigraph(n, seed, bridgeless, loops)
+
+
+def seeded_cubic_multigraph(n: int, seed: int, bridgeless: bool = False,
+                            loops: bool = False) -> MultiGraph:
+    """The graph `random_cubic_multigraph` draws for order n and this seed."""
+    rng = random.Random(seed)
     points = list(range(3 * n))
     while True:
         rng.shuffle(points)

@@ -7,6 +7,7 @@ from fulkerson_lab.graph_core import (
     GraphError,
     Matching,
     MultiGraph,
+    _feedback_vertices,
     cycle_decomposition,
     cyclic_edge_connectivity_at_least,
     degree,
@@ -28,10 +29,13 @@ from fulkerson_lab.generators import (
 from fulkerson_lab.matchcolor import enumerate_perfect_matchings, shrink_to_gstar, two_factor_cycles
 
 from oracles import (
+    _components,
+    _has_cycle_component,
     brute_force_perfect_matchings,
     naive_cyclic_edge_connectivity_at_least,
     naive_is_bridgeless,
     random_cubic_multigraph,
+    seeded_cubic_multigraph,
 )
 
 
@@ -206,7 +210,7 @@ class TestCyclicEdgeConnectivity:
         monkeypatch.setattr(graph_core, "_splits_cyclically",
                             lambda *args: flows.append(args[4]) or splits(*args))
         assert cyclic_edge_connectivity_at_least(flower_snark(51), 4)
-        assert len(flows) == 606 and set(flows) == {3}
+        assert len(flows) == 154 and set(flows) == {3}
 
     def test_edgeless_graph_has_no_cyclic_cut(self):
         assert cyclic_edge_connectivity_at_least(CubicGraph(0, []), 6)
@@ -254,6 +258,41 @@ class TestCyclicEdgeConnectivityOracle:
         g = random_cubic_multigraph(data, max_order=12)
         values = [cyclic_edge_connectivity_at_least(g, k) for k in range(1, 7)]
         assert values == oracle_by_k(g)
+
+
+class TestFeedbackSinks:
+    """A pass pairs the source seeds only with the sink seeds that meet the
+    greedy feedback vertex set; D = V gives back every sink seed."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_removing_the_feedback_vertices_leaves_a_forest(self, data):
+        # parallel edges stay in the pairing model, so digons are drawn often
+        g = random_cubic_multigraph(data, max_order=16)
+        cut = frozenset(e for e, u, v in g.edges if {u, v} & _feedback_vertices(g))
+        assert not any(_has_cycle_component(g, comp, cut) for comp in _components(g, cut))
+
+    def test_a_digon_is_a_cycle(self):
+        assert _feedback_vertices(doubled_matching_cycle(4)) != frozenset()
+        assert _feedback_vertices(theta()) == frozenset({1})
+
+    @pytest.mark.parametrize("k,size", [(9, 10), (51, 52)])
+    def test_size_on_flower_snarks(self, k, size):
+        # a feedback vertex set of a cubic graph has at least (n + 2) / 4 vertices
+        assert len(_feedback_vertices(flower_snark(k))) == size
+
+    @pytest.mark.parametrize("g", [
+        *(pytest.param(seeded_cubic_multigraph(n, seed), id=f"n{n}-seed{seed}")
+          for n in (16, 24, 32, 40) for seed in range(10)),
+        pytest.param(flower_snark(9), id="J9"),
+    ])
+    def test_agrees_with_every_sink_seed(self, g, monkeypatch):
+        # past the brute force's reach: the old seed family, D = V, is the reference
+        import fulkerson_lab.graph_core as graph_core
+
+        values = [cyclic_edge_connectivity_at_least(g, k) for k in range(1, 7)]
+        monkeypatch.setattr(graph_core, "_feedback_vertices", lambda g: frozenset(g.vertices()))
+        assert values == [cyclic_edge_connectivity_at_least(g, k) for k in range(1, 7)]
 
 
 class TestCycleDecomposition:
