@@ -55,9 +55,10 @@ class Budget:
     colouring unknown, never absent), the exact cover's nodes, the
     candidate vertex orders, vertex steps and blocks of states of the
     exact cover's counting DP, in both of its passes (one node each;
-    running out there leaves the cover unknown), the pair queries of the
-    FR-triple walk that `find_fr_triple`, `enumerate_fr_triples` and A1A2
-    share, and the F-family search's candidate placements.
+    running out there leaves the cover unknown, as does a layer past the
+    DP's state bound), the pair queries of the FR-triple walk that
+    `find_fr_triple`, `enumerate_fr_triples` and A1A2 share, and the
+    F-family search's candidate placements.
     The perfect-matching stream spends no nodes itself: it asks stopped()
     before each blossom search and 4-cycle repair and ends once the budget
     is exhausted, whether by a node search, a cancel or a read past the

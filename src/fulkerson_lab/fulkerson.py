@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
 from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition
@@ -314,54 +314,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _incidence_masks(g: CubicGraph, pms: Sequence[frozenset[int]]
-                     ) -> tuple[list[int], list[int]]:
-    """(holders, edges_of): bit i of holders[e] and bit e of edges_of[i] are
-    set iff edge e lies in matching i.
-
-    Each holder mask is set bit by bit in a byte array and made an int
-    once, so the work is linear in the listing; or-ing bits into a growing
-    int would copy it at every bit.
-    """
-    rows = [bytearray((len(pms) + 7) // 8) for _ in range(g.num_edges)]
-    edges_of = []
-    for idx, pm in enumerate(pms):
-        byte, bit = idx >> 3, 1 << (idx & 7)
-        mask = 0
-        for e in pm:
-            rows[e][byte] |= bit
-            mask |= 1 << e
-        edges_of.append(mask)
-    return [int.from_bytes(row, "little") for row in rows], edges_of
-
-
-def _listed_holders(g: CubicGraph, pms: Sequence[frozenset[int]]
-                    ) -> tuple[Callable[[int], list[int]], Callable[..., Iterator]]:
-    """`_two_covers`' count and holders over a listing, on the int bit masks
-    of `_incidence_masks`."""
-    holder_masks, edges_of = _incidence_masks(g, pms)
-
-    def usable(closed: int) -> int:
-        rest = (1 << len(pms)) - 1
-        for e in _bits(closed):
-            rest &= ~holder_masks[e]
-        return rest
-
-    def count(closed: int) -> list[int]:
-        rest = usable(closed)
-        return [(mask & rest).bit_count() for mask in holder_masks]
-
-    def holders(e: int | None, closed: int) -> Iterator[tuple[frozenset[int], int]]:
-        rest = usable(closed)
-        return ((pms[i], edges_of[i]) for i in _bits(rest if e is None else holder_masks[e] & rest))
-
-    return count, holders
-
-
-def _two_covers(g: CubicGraph, budget: Budget
-                ) -> tuple[Iterator[tuple[frozenset[int], ...]], bool]:
+def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int], ...]] | None:
     """The 6-tuples of perfect matchings that cover every edge exactly twice,
-    lazily, and whether the matchings they come from are truncated.
+    lazily; None when the counting DP gives up before the search starts.
 
     The exact-multiplicity cover (after Knuth's Algorithm M) that EXACT2COVER,
     AUTO and the covering enumeration share: an edge is open twice, open
@@ -376,29 +331,25 @@ def _two_covers(g: CubicGraph, budget: Budget
     nodes of its own, and `holders(e, closed)` draws e's usable holders
     (every usable matching when e is None) from one `record.holding` stream
     with their edge bit masks.  A graph with no perfect matching spends no
-    node.  When the DP's first pass, with nothing closed and so its widest,
-    passes `_FRONTIER_CAP` states, the same search runs on `_listed_holders`
-    over the listing of the record, capped as in
-    `enumerate_perfect_matchings`; only then can the matchings be
-    truncated.  Either way the search visits the same nodes while the
-    listing is complete.
+    node and yields nothing.  The DP's root pass, with nothing closed, is
+    its widest, since closed edges only remove states: when it gives up,
+    on the budget or past its per-layer state bound, the result is None,
+    which callers report as unknown, never absent.  Every later pass fits
+    the bound, so it gives up only when the budget runs out.
     """
     record = _MatchingRecord(g, budget)
-    order = _frontier_order(g, budget) if record.reach(0) else None
-    if order is None:  # no perfect matching, or no budget left
-        return iter(()), False
+    if not record.reach(0):  # no perfect matching, or no budget left
+        return None if budget.exhausted else iter(())
+    order = _frontier_order(g, budget)
+    if order is None:
+        return None
     count = partial(_holder_counts, g, _frontier_steps(g, order), budget=budget)
+    root = count(0)
+    if root is None:
+        return None
 
     def holders(e: int | None, closed: int) -> Iterator[tuple[frozenset[int], int]]:
         return ((m, sum(1 << f for f in m)) for m in record.holding(e, frozenset(_bits(closed))))
-
-    root, truncated = count(0), False
-    if root is None:
-        if budget.exhausted:
-            return iter(()), truncated
-        pms, truncated = record.listing()
-        count, holders = _listed_holders(g, pms)
-        root = count(0)
 
     def search(chosen: tuple[frozenset[int], ...], open_once: int, open_twice: int,
                counts: Sequence[int] | None) -> Iterator[tuple[frozenset[int], ...]]:
@@ -429,22 +380,22 @@ def _two_covers(g: CubicGraph, budget: Budget
                 return
 
     everything = (1 << g.num_edges) - 1
-    return search((), everything, everything, root), truncated
+    return search((), everything, everything, root)
 
 
 def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
     """EXACT2COVER: the first cover `_two_covers` finds.
 
     Only the six chosen become `PerfectMatching`s.  Finding none proves
-    absence only when the matchings were not truncated and the budget held
+    absence only when the counting DP did not give up and the budget held
     out.
     """
-    covers, truncated = _two_covers(g, budget)
-    chosen = next(covers, None)
+    covers = _two_covers(g, budget)
+    chosen = None if covers is None else next(covers, None)
     if chosen is not None:
         return SearchResult(_checked_covering(g, (PerfectMatching(g, m) for m in chosen),
                                               "exact cover result does not cover"), True)
-    return SearchResult(None, not truncated and not budget.exhausted)
+    return SearchResult(None, covers is not None and not budget.exhausted)
 
 
 def _covering_by_a1a2(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
@@ -484,13 +435,15 @@ def enumerate_fulkerson_coverings(g: CubicGraph,
     Runs `_two_covers`, the search EXACT2COVER stops at its first cover, to
     the end; each multiset is kept once, members in canonical order, and
     the list is sorted by the members' edge sets.  Only the members of the
-    coverings kept become `PerfectMatching`s.
+    coverings kept become `PerfectMatching`s.  The list is complete unless
+    the budget runs out or the counting DP gives up, and then it holds the
+    coverings found so far (none, when the DP gave up).
     """
     budget = Budget() if budget is None else budget
-    covers, truncated = _two_covers(g, budget)
-    kept = sorted({tuple(sorted(tuple(sorted(m)) for m in chosen)) for chosen in covers})
+    covers = _two_covers(g, budget)
+    kept = sorted({tuple(sorted(tuple(sorted(m)) for m in chosen)) for chosen in covers or ()})
     out = [FulkersonCovering(tuple(PerfectMatching(g, m) for m in chosen)) for chosen in kept]
-    return SearchResult(out, not truncated and not budget.exhausted)
+    return SearchResult(out, covers is not None and not budget.exhausted)
 
 
 def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
@@ -500,9 +453,11 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
 
     COLOR doubles a 3-edge-coloring when one exists; EXACT2COVER solves the
     exact multiset cover of `_two_covers`, which counts the perfect
-    matchings by a frontier DP instead of listing them; A1A2 searches
-    disjoint matching pairs whose splits are both 3-edge-colorable, drawing
-    them from the FR-triples of `_fr_triples`.  AUTO cascades the three.
+    matchings by a frontier DP and lists none, and is unknown when that DP
+    gives up; A1A2 searches disjoint matching pairs whose splits are both
+    3-edge-colorable, drawing them from the FR-triples of `_fr_triples`.
+    AUTO cascades the three, going on to A1A2 whenever the exact cover is
+    unknown with budget to spare.
 
     The coloring is `three_edge_coloring`'s, from three searches: a perfect
     matching m with an even 2-factor gives m color 0 and alternates 1, 2

@@ -127,6 +127,8 @@ class PMEnumeration:
         return self.matchings[i]
 
 
+# The cap of a perfect-matching listing, and the per-layer state bound of the
+# exact cover's counting DP (`_holder_counts`)
 DEFAULT_PM_LIMIT = 1_000_000
 
 
@@ -483,8 +485,7 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None,
     stops the stream (see `_canonical_matchings`); an odd vertex count
     yields the empty, complete enumeration, and a negative `limit` raises
     `GraphError`.  No budget nodes are spent.  It validates every matching
-    of a `_MatchingRecord`'s listing, which the exact cover's fallback
-    reads as raw edge-id sets.
+    of a `_MatchingRecord`'s listing.
     """
     found, truncated = _MatchingRecord(g, budget).listing(limit)
     return PMEnumeration(tuple(PerfectMatching(g, s) for s in found), truncated)
@@ -683,7 +684,7 @@ def _first_coloring(g: MultiGraph, colors: int, budget: Budget | None) -> EdgeCo
 
 
 _ORDER_STARTS = 8  # start vertices of the order search, spread over the vertex ids
-_FRONTIER_CAP = 4096  # states at one step past which a frontier DP gives up
+_FRONTIER_CAP = 4096  # states at one step past which the colour refuter gives up
 _STATES_PER_NODE = 256  # states a frontier DP expands per budget node
 
 
@@ -791,7 +792,7 @@ L = TypeVar("L", set[int], dict[int, int])
 
 
 def _frontier_layers(moves: Sequence[Move], advance: Callable[[Move, L], L], start: L,
-                     budget: Budget | None) -> list[L] | None:
+                     budget: Budget | None, cap: int) -> list[L] | None:
     """The forward pass of a frontier DP: its states after each of `moves`;
     None when it gives up.
 
@@ -802,14 +803,14 @@ def _frontier_layers(moves: Sequence[Move], advance: Callable[[Move, L], L], sta
     leaves no state.  It spends as `_spend_on` says before each move, and
     gives up when the budget runs out, by nodes or a cancel
     (`budget.exhausted` then says so), or when a move leaves more than
-    `_FRONTIER_CAP` states.
+    `cap` states, the calling DP's own bound.
     """
     layers = [start]
     for move in moves:
         if not _spend_on(budget, len(layers[-1])):
             return None
         after = advance(move, layers[-1])
-        if len(after) > _FRONTIER_CAP:
+        if len(after) > cap:
             return None
         layers.append(after)
         if not after:
@@ -872,14 +873,16 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
     Fundamentals E100-A, 2017).
 
     Besides the order search's nodes it spends and gives up as
-    `_frontier_layers` does.
+    `_frontier_layers` does, past `_FRONTIER_CAP` states in one layer: a
+    refuter that gives up leaves the colouring to the stream, so a small
+    cap bounds the time it spends on wide graphs.
     """
     order = _frontier_order(g, budget)
     if order is None:
         return None
     moves = _frontier_steps(g, order)
     width = max((bit for _, opened in moves for bit in opened), default=0).bit_length()
-    layers = _frontier_layers(moves, partial(_coloring_step, width), {0}, budget)
+    layers = _frontier_layers(moves, partial(_coloring_step, width), {0}, budget, _FRONTIER_CAP)
     return None if layers is None else bool(layers[-1])
 
 
@@ -919,12 +922,14 @@ def _holder_counts(g: MultiGraph, moves: list[Move], closed: int,
     backward pass over the same plan counts each state's ways to finish.
     An edge's count is the sum of forward times backward over the states
     that hold it, at the move where it joins the frontier.  Both passes
-    spend and give up as `_frontier_layers` does; closed edges only remove
-    states, so with nothing closed the pass is at its widest.
+    spend, and give up on the budget, as `_frontier_layers` does; the
+    forward pass also gives up past `DEFAULT_PM_LIMIT` states in one layer,
+    the cap of the listing whose work the DP does instead.  Closed edges
+    only remove states, so with nothing closed the pass is at its widest.
     """
     plan = [(shut, {bit: e for bit, e in opened.items() if not closed >> e & 1})
             for shut, opened in moves]
-    layers = _frontier_layers(plan, _matching_step, {0: 1}, budget)
+    layers = _frontier_layers(plan, _matching_step, {0: 1}, budget, DEFAULT_PM_LIMIT)
     if layers is None:
         return None
     counts = [0] * g.num_edges

@@ -1,6 +1,7 @@
-"""The package declares no dependencies, networkx stays out of tier-1, and
+"""The package declares no dependencies, networkx stays out of tier-1,
 only matchcolor names the perfect-matching stream `_canonical_matchings`
-and the insides of its frontier DPs.
+and the insides of its frontier DPs, and the covering search lists no
+perfect matchings.
 
 The rules are read from the source with `ast`, so a forbidden import or
 name fails here even when the module that holds it is never imported.
@@ -19,6 +20,9 @@ TEST_MODULES = sorted((ROOT / "tests").rglob("*.py"))
 # modules reach the frontier DPs through `_frontier_order`,
 # `_frontier_steps` and `_holder_counts`
 FRONTIER_INSIDES = {"_frontier_layers", "_coloring_step", "_matching_step", "_class_fills"}
+# the ways to list perfect matchings, and their cap
+LISTINGS = {"listing", "enumerate_perfect_matchings", "_capped_matchings", "DEFAULT_PM_LIMIT"}
+FULKERSON = ROOT / "src" / "fulkerson_lab" / "fulkerson.py"
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -71,8 +75,16 @@ def test_only_matchcolor_names_the_frontier_dp_insides(path):
     assert FRONTIER_INSIDES.isdisjoint(identifiers(path))
 
 
+def test_the_covering_search_lists_no_matchings():
+    # the exact cover counts by the frontier DP, and the FR-triple walk
+    # draws through `_MatchingRecord`'s queries
+    assert LISTINGS.isdisjoint(identifiers(FULKERSON))
+
+
 def test_the_rules_find_the_modules():
     assert ROOT / "src" / "fulkerson_lab" / "cli.py" in PACKAGE_MODULES
+    assert FULKERSON in PACKAGE_MODULES
     names = identifiers(ROOT / "src" / "fulkerson_lab" / "matchcolor.py")
     assert "_canonical_matchings" in names and FRONTIER_INSIDES <= names
+    assert LISTINGS <= set().union(*map(identifiers, PACKAGE_MODULES))
     assert Path(__file__).resolve() in TEST_MODULES

@@ -107,6 +107,11 @@ class TestVerifyFFamily:
         assert not report.ok
         assert report.diagnostics
 
+    def test_refuses_a_family_of_another_graph(self):
+        _, fam, _ = ten_vertex_family()
+        with pytest.raises(GraphError, match="family belongs to a different graph"):
+            verify_ffamily(petersen(), fam)
+
     def test_rejects_member_outside_matching(self):
         g = petersen()
         m = enumerate_perfect_matchings(g)[0]
@@ -141,6 +146,11 @@ class TestDeriveN:
         members = [Matching(g, []) for _ in range(4)]
         with pytest.raises(GraphError):
             derive_n(g, m, members)  # odd cycles unmet
+
+    def test_needs_four_members(self):
+        g, fam, _ = ten_vertex_family()
+        with pytest.raises(GraphError, match="an F-family has exactly four members"):
+            derive_n(g, fam.m, [fam.a, fam.b, fam.c])
 
     def test_non_adjacent_determined_vertices_give_none(self):
         # on a C6 2-factor, pick two members with interleaved single...

@@ -54,6 +54,7 @@ from oracles import (
     fr_triple_scan,
     proper_covering_exists,
     random_cubic_multigraph,
+    seeded_cubic_multigraph,
 )
 
 
@@ -516,7 +517,8 @@ class TestFindCovering:
 
     # Out of budget from the first node: AUTO's colour stage draws nothing,
     # then one stream decides whether g has a perfect matching; EXACT2COVER
-    # lists; A1A2 draws M_0 before its first pair query.
+    # draws M_0 before its counting DP; A1A2 draws M_0 before its first pair
+    # query.
     @pytest.mark.parametrize("strategy,calls", [
         ("auto", 1), ("color", 0), ("exact2cover", 1), ("a1a2", 1),
     ])
@@ -579,35 +581,30 @@ class TestFindCovering:
         assert [m.members for m in auto.value.matchings] == \
             [m.members for m in exact.value.matchings]
 
-    def test_auto_past_the_matching_cap_lists_as_enumerate_does(self, monkeypatch):
-        # Past the frontier DP's state cap the exact cover lists, and the
-        # listing keeps the matching cap.
-        from fulkerson_lab import matchcolor
-
+    def test_auto_past_the_matching_cap_lists_nothing(self, monkeypatch):
+        # The matching cap bounds the counting DP's layers.  Past it the
+        # exact cover lists nothing: it and the covering enumeration are
+        # unknown, never absent, and AUTO goes on to A1A2.
         g = flower_snark(7)
-        assert len(enumerate_perfect_matchings(g)) == 128
-        monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 2)
-        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 100)
-        listings = []
-        listing = matchcolor._MatchingRecord.listing
-        monkeypatch.setattr(matchcolor._MatchingRecord, "listing",
-                            lambda *args: listings.append(listing(*args)) or listings[-1])
-        auto = find_fulkerson_covering(g, "auto")
+        self.refuse_listings(monkeypatch)
+        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 2)
         exact = find_fulkerson_covering(g, "exact2cover")
-        capped = enumerate_perfect_matchings(g)
-        assert capped.truncated and len(capped) == 100
-        # AUTO, EXACT2COVER and the enumeration read the same canonical prefix
-        assert listings == [([m.members for m in capped], True)] * 3
-        assert not auto.definitely_absent
-        assert auto == exact
+        assert exact.unknown and not exact.definitely_absent
+        every = enumerate_fulkerson_coverings(g)
+        assert every.value == [] and not every.complete
+        auto = find_fulkerson_covering(g, "auto")
+        assert auto.found and auto == find_fulkerson_covering(g, "a1a2")
 
-    @pytest.mark.parametrize("make,spent", [(petersen, 54), (lambda: flower_snark(5), 326)],
+    # The colour stage spends 38 and 321 nodes (J5's refuter refutes it
+    # after the stream's 32 draws), the exact cover 12 and 16 in its order
+    # search and forward pass until a layer holds more than 3 states, and
+    # A1A2 the last 4.
+    @pytest.mark.parametrize("make,spent", [(petersen, 54), (lambda: flower_snark(5), 341)],
                              ids=["petersen", "J5"])
     def test_auto_falls_through_to_a1a2_past_the_matching_cap(self, monkeypatch, make, spent):
-        # past a state cap of 2 the exact cover lists, and with a matching
-        # cap of 3 it sees too few matchings to decide, so AUTO's last
-        # stage, A1A2, finds the covering
-        monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 2)
+        # with a matching cap of 3 the counting DP gives up on its first
+        # pass, so the exact cover is unknown and AUTO's last stage, A1A2,
+        # finds the covering
         monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 3)
         g = make()
         assert find_fulkerson_covering(g, "exact2cover").unknown
@@ -774,22 +771,6 @@ class TestExactCoverEngine:
         assert find_fulkerson_covering(make(), "exact2cover", budget).found
         assert budget.spent == spent
 
-    @pytest.mark.parametrize("make", [
-        lambda: flower_snark(9), lambda: goldberg(5), lambda: goldberg(7),
-    ], ids=["J9", "G5", "G7"])
-    def test_incidence_masks_are_the_straightforward_ones(self, make):
-        import fulkerson_lab.fulkerson as fulkerson
-
-        g = make()
-        pms = [m.members for m in enumerate_perfect_matchings(g)]
-        holders = [0] * g.num_edges
-        edges_of = [0] * len(pms)
-        for idx, pm in enumerate(pms):
-            for e in pm:
-                holders[e] |= 1 << idx
-                edges_of[idx] |= 1 << e
-        assert fulkerson._incidence_masks(g, pms) == (holders, edges_of)
-
     def test_goldberg_five_certificate(self):
         res = find_fulkerson_covering(goldberg(5), "exact2cover", Budget(limit=5_000_000))
         assert [sorted(m.members) for m in res.value.matchings] == self.G5_COVER
@@ -825,20 +806,19 @@ class TestExactCoverEngine:
 
 class TestListingFreeCover:
     """The exact cover counts the perfect matchings by a frontier DP and
-    lists none, unless the DP passes its state cap."""
+    lists none; past the DP's state bound the cover is unknown."""
 
     @staticmethod
     def first_cover(g, budget):
-        """The first cover `_two_covers` yields, whether it read a truncated
-        listing, and the nodes the cover search itself spent."""
+        """The first cover `_two_covers` yields and the nodes the cover
+        search itself spent."""
         import sys
 
         import fulkerson_lab.fulkerson as fulkerson
 
         nodes = []
         budget.cancel = lambda: sys._getframe(2).f_code.co_name == "search" and nodes.append(1)
-        covers, truncated = fulkerson._two_covers(g, budget)
-        return next(covers, None), truncated, len(nodes)
+        return next(fulkerson._two_covers(g, budget), None), len(nodes)
 
     @staticmethod
     def count_listings(monkeypatch):
@@ -856,35 +836,81 @@ class TestListingFreeCover:
         (lambda: flower_snark(13), 8), (lambda: goldberg(5), 24), (lambda: goldberg(7), 24),
     ], ids=["petersen", "J5", "J7", "J9", "J11", "J13", "G5", "G7"])
     def test_the_counts_and_the_listing_choose_the_same_six(self, monkeypatch, make, nodes):
+        # the DP's counts against counts read off a listing of every
+        # perfect matching, which only this test makes
+        import fulkerson_lab.fulkerson as fulkerson
+
         g = make()
         listings = self.count_listings(monkeypatch)
         counted = self.first_cover(g, Budget())
         assert listings == []
-        monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 0)
-        listed = self.first_cover(g, Budget())
-        assert len(listings) == 1  # past the state cap the search lists
-        assert counted == listed
-        cover, truncated, spent = counted
+        pms = [m.members for m in enumerate_perfect_matchings(g)]
+
+        def listed_counts(g, moves, closed, budget):
+            usable = [m for m in pms if not any(closed >> e & 1 for e in m)]
+            return [sum(e in m for m in usable) for e in range(g.num_edges)]
+
+        monkeypatch.setattr(fulkerson, "_holder_counts", listed_counts)
+        assert self.first_cover(g, Budget()) == counted
+        cover, spent = counted
         assert verify_covering(g, FulkersonCovering(tuple(PerfectMatching(g, m)
                                                           for m in cover))).ok
-        assert not truncated and spent == nodes
+        assert spent == nodes
 
-    def test_past_the_state_cap_the_listing_decides(self, monkeypatch):
-        # the same certificates from the fallback, and its matching cap
-        # still makes a cover that it cannot find unknown, not absent
+    def test_past_the_state_bound_the_cover_is_unknown(self, monkeypatch):
+        # G5's widest layer holds 296 states: at that bound the cover finds
+        # its certificate, one below it the cover and the covering
+        # enumeration are unknown, never absent.  Neither lists, and the
+        # colour refuter's cap does not reach them.
         g = goldberg(5)
         want = find_fulkerson_covering(g, "exact2cover")
         want_all = enumerate_fulkerson_coverings(k33())
         assert len(want_all.value) == 3
         listings = self.count_listings(monkeypatch)
         monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 2)
+        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 296)
         assert find_fulkerson_covering(g, "exact2cover") == want
-        assert find_fulkerson_covering(g, "auto") == want
         assert enumerate_fulkerson_coverings(k33()) == want_all
-        assert len(listings) == 3
-        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 10)
-        capped = find_fulkerson_covering(g, "exact2cover")
-        assert capped.unknown and not capped.definitely_absent
+        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 295)
+        budget = Budget()
+        capped = find_fulkerson_covering(g, "exact2cover", budget)
+        assert capped.unknown and not capped.definitely_absent and not budget.exhausted
+        every = enumerate_fulkerson_coverings(g)
+        assert every.value == [] and not every.complete
+        assert listings == []
+
+    # EXACT2COVER's certificates on two random graphs whose counting DP
+    # passes the colour refuter's cap, as the `certificate covering` text
+    # that the CLI writes; taken from the exact cover that listed every
+    # perfect matching past that cap
+    SEEDED_COVERING_SHA256 = {
+        0: "94fb72376f4487c5da07471214cdccfc7f6e1aa9e40234dbf63770f88482e8d4",
+        1: "1e86624ad4d2f5c644519d2ce583e30d8c589fb6e85265b2bdceabdc0cb924a6",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact2cover_past_the_refuters_cap_lists_nothing(self, monkeypatch, seed):
+        import hashlib
+
+        from fulkerson_lab import matchcolor
+        from fulkerson_lab.cli import certificate_of_covering, write_certificate
+
+        TestFindCovering.refuse_listings(monkeypatch)
+        widest = []
+        forward = matchcolor._frontier_layers
+
+        def forward_widest(*args):
+            layers = forward(*args)
+            widest.append(layers and max(map(len, layers)))
+            return layers
+
+        monkeypatch.setattr(matchcolor, "_frontier_layers", forward_widest)
+        g = seeded_cubic_multigraph(60, seed, bridgeless=True)
+        res = find_fulkerson_covering(g, "exact2cover")
+        assert res.found and verify_covering(g, res.value).ok
+        assert widest[0] > matchcolor._FRONTIER_CAP
+        out = write_certificate(certificate_of_covering(res.value))
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SEEDED_COVERING_SHA256[seed]
 
     @staticmethod
     def spend_sites(g):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fulkerson_lab.generators import (
     DotProductSpec,
+    NamedVertexMap,
     cube_q3,
     dot_product,
     doubled_matching_cycle,
@@ -21,6 +22,7 @@ from fulkerson_lab.generators import (
     theta,
 )
 from fulkerson_lab.graph_core import (
+    CubicGraph,
     GraphError,
     cycle_decomposition,
     cyclic_edge_connectivity_at_least,
@@ -115,6 +117,12 @@ class TestGoldberg:
         assert sorted(names.names.values()) == list(range(24))
 
 
+class TestNamedVertexMap:
+    def test_labels_map_to_distinct_ids(self):
+        with pytest.raises(GraphError, match="vertex labels must map to distinct ids"):
+            NamedVertexMap({"a": 0, "b": 0})
+
+
 class TestSmallGraphs:
     def test_theta(self):
         g = theta()
@@ -179,6 +187,12 @@ class TestDotProduct:
         # every non-e3 edge at the theta endpoints returns to the other endpoint
         with pytest.raises(GraphError):
             dot_product(petersen(), theta(), DotProductSpec(e1=0, e2=2, e3=0))
+
+    def test_rejects_an_e3_end_with_a_double_edge(self):
+        # e3 = 0 joins 0 and 1; vertex 0's two other edges both go to 2
+        g2 = CubicGraph(4, [(0, 1), (0, 2), (0, 2), (1, 3), (1, 3), (2, 3)])
+        with pytest.raises(GraphError, match="endpoint 0 of e3 needs two other distinct"):
+            dot_product(petersen(), g2, DotProductSpec(e1=0, e2=2, e3=0))
 
     def test_first_spec_yields_a_snark(self):
         res = dot_product(petersen(), petersen(), DotProductSpec(e1=0, e2=2, e3=0))

@@ -69,6 +69,24 @@ class TestMultiGraph:
         with pytest.raises(GraphError):
             CubicGraph(2, [(0, 0), (0, 1), (1, 1)])
 
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="vertex count must be non-negative"):
+            MultiGraph(-1, [])
+
+    def test_other_end_refuses_a_vertex_off_the_edge(self):
+        g = petersen()
+        v = next(v for v in g.vertices() if v not in g.endpoints(0))
+        with pytest.raises(GraphError, match=f"vertex {v} is not an endpoint of edge 0"):
+            g.other_end(0, v)
+
+    def test_incident_refuses_an_unknown_vertex(self):
+        with pytest.raises(GraphError, match="unknown vertex 10"):
+            petersen().incident(10)
+
+    def test_a_matching_holds_no_loop(self):
+        with pytest.raises(GraphError, match="loop 1 cannot belong to a matching"):
+            Matching(MultiGraph(2, [(0, 1), (0, 0)]), [1])
+
     def test_equality_is_structural(self):
         assert theta() == theta()
         assert petersen() == petersen()

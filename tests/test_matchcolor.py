@@ -313,6 +313,10 @@ class TestSplitAndSuppress:
         assert s.components[0] == g
         assert all(chain == (e,) for e, chain in s.provenance[0].items())
 
+    def test_refuses_a_split_end_that_is_not_cubic(self):
+        with pytest.raises(GraphError, match="split endpoint is not cubic"):
+            split_and_suppress(MultiGraph(2, [(0, 1)]), [0])
+
     def test_doubled_cycle_one_copy_per_pair(self):
         # splitting one copy of each doubled edge dissolves everything into
         # vertexless loops: the two copy-digons and the surviving 4-cycle
@@ -599,6 +603,10 @@ class TestC5Structure:
         with pytest.raises(GraphError):
             shrink_to_gstar(g, m, bad)
         assert shrink_to_gstar(g, m, other) is not None
+        # the 2-factor of another perfect matching of g
+        m2 = next(p for p in enumerate_perfect_matchings(g) if p != m)
+        with pytest.raises(GraphError, match="cycle set is not the 2-factor of the matching"):
+            shrink_to_gstar(g, m, two_factor_cycles(g, m2))
 
 
 class TestFiveEdgeColoring:
@@ -994,8 +1002,13 @@ class TestHolderCounts:
             assert budget.exhausted and budget.spent == fire_on
 
     def test_the_state_cap_applies_to_the_counts(self, monkeypatch):
+        # the counts' cap is the matching cap, not the colour refuter's:
+        # G5's widest layer holds 296 states
         g = goldberg(5)
         monkeypatch.setattr(matchcolor, "_FRONTIER_CAP", 2)
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 296)
+        assert matchcolor._holder_counts(g, self.steps(g), 0, Budget()) is not None
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 295)
         budget = Budget()
         assert matchcolor._holder_counts(g, self.steps(g), 0, budget) is None
         assert not budget.exhausted
