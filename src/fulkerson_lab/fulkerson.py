@@ -14,7 +14,7 @@ from functools import cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
-from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition
+from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition, _cut_labels
 from .matchcolor import (
     EdgeColoring,
     PerfectMatching,
@@ -314,6 +314,33 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _three_cuts(g: CubicGraph) -> list[int]:
+    """The cuts of g with exactly three edges, as edge bit masks, less the
+    three edges at one vertex.
+
+    Three edges make a cut iff their `_cut_labels` XOR to 0.  The lowest
+    bit of the three labels then lies in exactly two of them, and it is
+    the lowest bit of both, so only pairs with the same lowest bit are
+    looked up.
+    """
+    label = _cut_labels(g)
+    with_label: dict[int, list[int]] = {}
+    by_low: dict[int, list[int]] = {}  # 0 holds the bridges, whose labels are 0
+    for e, x in enumerate(label):
+        with_label.setdefault(x, []).append(e)
+        by_low.setdefault(x & -x, []).append(e)
+    stars = {sum(1 << e for e in g.incident(v)) for v in g.vertices()}
+    cuts = []
+    for low, edges in by_low.items():
+        for i, a in enumerate(edges):
+            for b in edges[i + 1:]:
+                for c in with_label.get(label[a] ^ label[b], ()):
+                    cut = 1 << a | 1 << b | 1 << c
+                    if (low or c > b) and cut not in stars:
+                        cuts.append(cut)
+    return cuts
+
+
 def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int], ...]] | None:
     """The 6-tuples of perfect matchings that cover every edge exactly twice,
     lazily; None when the counting DP gives up before the search starts.
@@ -330,12 +357,17 @@ def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
     usable holders by the frontier DP `_holder_counts`, which spends budget
     nodes of its own, and `holders(e, closed)` draws e's usable holders
     (every usable matching when e is None) from one `record.holding` stream
-    with their edge bit masks.  A graph with no perfect matching spends no
-    node and yields nothing.  The DP's root pass, with nothing closed, is
-    its widest, since closed edges only remove states: when it gives up,
-    on the budget or past its per-layer state bound, the result is None,
-    which callers report as unknown, never absent.  Every later pass fits
-    the bound, so it gives up only when the budget runs out.
+    with their edge bit masks.  A perfect matching meets a cut of three
+    edges (`_three_cuts`) in one or three of them, since the cut has an odd
+    side, and six that cover each edge twice meet it six times, once each:
+    a holder that holds a whole cut is in no cover, and `holders` skips it,
+    which spares the search every partner it would try with it.  A graph
+    with no perfect matching spends no node and yields nothing.  The DP's
+    root pass, with nothing closed, keeps the most states, since closed
+    edges only remove states: when it gives up, on the budget or past its
+    state bound, the result is None, which callers report as unknown,
+    never absent.  Every later pass fits the bound, so it gives up only
+    when the budget runs out.
     """
     record = _MatchingRecord(g, budget)
     if not record.reach(0):  # no perfect matching, or no budget left
@@ -348,8 +380,13 @@ def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
     if root is None:
         return None
 
+    cuts = _three_cuts(g)
+
     def holders(e: int | None, closed: int) -> Iterator[tuple[frozenset[int], int]]:
-        return ((m, sum(1 << f for f in m)) for m in record.holding(e, frozenset(_bits(closed))))
+        for m in record.holding(e, frozenset(_bits(closed))):
+            mask = sum(1 << f for f in m)
+            if all(cut & ~mask for cut in cuts):
+                yield m, mask
 
     def search(chosen: tuple[frozenset[int], ...], open_once: int, open_twice: int,
                counts: Sequence[int] | None) -> Iterator[tuple[frozenset[int], ...]]:

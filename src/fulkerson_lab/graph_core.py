@@ -219,27 +219,35 @@ class CycleSet:
         return frozenset(e for c in self.cycles for e in c.edges)
 
 
+def _spanning_forest(g: MultiGraph) -> tuple[list[int], list[int]]:
+    """Each vertex's forest edge to its parent, -1 at a root, and the
+    vertices in the order they are taken: a component at a time from its
+    lowest vertex, parents before children."""
+    up = [-2] * g.num_vertices  # -2 until taken
+    order = []
+    for root in g.vertices():
+        if up[root] == -2:
+            up[root] = -1
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for e in g.incident(v):
+                    w = g.other_end(e, v)
+                    if up[w] == -2:
+                        up[w] = e
+                        stack.append(w)
+    return up, order
+
+
 def _components(g: MultiGraph) -> list[list[int]]:
-    """Connected components (vertex lists) of g."""
-    seen = [False] * g.num_vertices
-    comps = []
-    for s in g.vertices():
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for e in g.incident(v):
-                if g.is_loop(e):
-                    continue
-                w = g.other_end(e, v)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
+    """Connected components (vertex lists) of g, each from its lowest vertex."""
+    comps: list[list[int]] = []
+    up, order = _spanning_forest(g)
+    for v in order:
+        if up[v] == -1:
+            comps.append([])
+        comps[-1].append(v)
     return comps
 
 
@@ -247,64 +255,47 @@ def is_connected(g: MultiGraph) -> bool:
     return len(_components(g)) <= 1
 
 
+def _cut_labels(g: MultiGraph) -> list[int]:
+    """A bit mask per edge such that a set of edges is a cut, the edges
+    between some vertex set and the rest, iff their masks XOR to 0.
+
+    A cut is an edge set that meets every cycle evenly.  Each edge off a
+    spanning forest gets its own bit, and each forest edge the bits of the
+    off-forest edges whose fundamental cycles pass it, those at the
+    vertices below it.  A bridge's mask is 0; a loop's is its own bit.
+    """
+    up, order = _spanning_forest(g)
+    label = [0] * g.num_edges
+    below = [0] * g.num_vertices
+    for e, u, w in g.edges:
+        if e != up[u] and e != up[w]:
+            label[e] = 1 << e
+            below[u] ^= label[e]
+            below[w] ^= label[e]  # a loop's bit cancels: it passes no forest edge
+    for v in reversed(order):
+        if up[v] >= 0:
+            label[up[v]] = below[v]
+            below[g.other_end(up[v], v)] ^= below[v]
+    return label
+
+
 def is_bridgeless(g: MultiGraph) -> bool:
-    """True iff connected g has no cut edge.  Parallel edges are never bridges."""
+    """True iff connected g has no cut edge, one whose `_cut_labels` mask is
+    0.  Parallel edges are never bridges."""
     if not is_connected(g):
         raise GraphError("is_bridgeless requires a connected graph")
-    if g.num_vertices == 0:
-        return True
-    # Iterative DFS lowpoint computation; only the tree edge itself is
-    # skipped when updating lowpoints, so a parallel copy acts as a back edge.
-    disc = [-1] * g.num_vertices
-    low = [0] * g.num_vertices
-    timer = 0
-    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(g.incident(0)))]
-    disc[0] = low[0] = timer
-    timer += 1
-    while stack:
-        v, pe, it = stack[-1]
-        advanced = False
-        for e in it:
-            if e == pe or g.is_loop(e):
-                continue
-            w = g.other_end(e, v)
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, e, iter(g.incident(w))))
-                advanced = True
-                break
-            low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] > disc[p]:
-                    return False
-    return True
+    return all(_cut_labels(g))
 
 
 def is_bipartite(g: MultiGraph) -> bool:
-    """Standard 2-coloring test; parallel edges are irrelevant, loops fail it."""
-    if g.has_loops():
-        return False
-    color = [-1] * g.num_vertices
-    for s in g.vertices():
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for e in g.incident(v):
-                w = g.other_end(e, v)
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    """Whether the two sides of a spanning forest, by depth parity, hold no
+    edge inside; parallel edges are irrelevant, loops fail it."""
+    up, order = _spanning_forest(g)
+    side = [0] * g.num_vertices
+    for v in order:
+        if up[v] >= 0:
+            side[v] = 1 - side[g.other_end(up[v], v)]
+    return all(side[u] != side[w] for _, u, w in g.edges)
 
 
 def _connected_sets(nbrs: list[tuple[int, ...]], root: int, size: int) -> list[frozenset[int]]:

@@ -127,9 +127,14 @@ class PMEnumeration:
         return self.matchings[i]
 
 
-# The cap of a perfect-matching listing, and the per-layer state bound of the
-# exact cover's counting DP (`_holder_counts`)
+# The cap of a perfect-matching listing
 DEFAULT_PM_LIMIT = 1_000_000
+
+# The states that the counting DP (`_holder_counts`) keeps over all the layers
+# of its forward pass.  A kept state costs about 90 bytes (8.2M states held
+# 740 MB on a 100-vertex graph), so 10^7 states stay near 1 GB, under the
+# 2.3 GB that a listing of `DEFAULT_PM_LIMIT` matchings of that graph held.
+_COUNT_CAP = 10_000_000
 
 
 def _base(link: dict[int, int], v: int) -> int:
@@ -792,7 +797,7 @@ L = TypeVar("L", set[int], dict[int, int])
 
 
 def _frontier_layers(moves: Sequence[Move], advance: Callable[[Move, L], L], start: L,
-                     budget: Budget | None, cap: int) -> list[L] | None:
+                     budget: Budget | None, cap: int, summed: bool) -> list[L] | None:
     """The forward pass of a frontier DP: its states after each of `moves`;
     None when it gives up.
 
@@ -802,15 +807,18 @@ def _frontier_layers(moves: Sequence[Move], advance: Callable[[Move, L], L], sta
     follow `states` at that vertex.  The pass ends early at a move that
     leaves no state.  It spends as `_spend_on` says before each move, and
     gives up when the budget runs out, by nodes or a cancel
-    (`budget.exhausted` then says so), or when a move leaves more than
-    `cap` states, the calling DP's own bound.
+    (`budget.exhausted` then says so), or past `cap` states, the calling
+    DP's own bound: in one layer, or with `summed` in all the layers it
+    keeps, so that their memory stays bounded.
     """
     layers = [start]
+    kept = len(start)
     for move in moves:
         if not _spend_on(budget, len(layers[-1])):
             return None
         after = advance(move, layers[-1])
-        if len(after) > cap:
+        kept = kept + len(after) if summed else len(after)
+        if kept > cap:
             return None
         layers.append(after)
         if not after:
@@ -882,7 +890,8 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
         return None
     moves = _frontier_steps(g, order)
     width = max((bit for _, opened in moves for bit in opened), default=0).bit_length()
-    layers = _frontier_layers(moves, partial(_coloring_step, width), {0}, budget, _FRONTIER_CAP)
+    layers = _frontier_layers(moves, partial(_coloring_step, width), {0}, budget, _FRONTIER_CAP,
+                              False)
     return None if layers is None else bool(layers[-1])
 
 
@@ -923,13 +932,13 @@ def _holder_counts(g: MultiGraph, moves: list[Move], closed: int,
     An edge's count is the sum of forward times backward over the states
     that hold it, at the move where it joins the frontier.  Both passes
     spend, and give up on the budget, as `_frontier_layers` does; the
-    forward pass also gives up past `DEFAULT_PM_LIMIT` states in one layer,
-    the cap of the listing whose work the DP does instead.  Closed edges
-    only remove states, so with nothing closed the pass is at its widest.
+    forward pass also gives up once the states of all its layers, which
+    the backward pass reads, pass `_COUNT_CAP`.  Closed edges only remove
+    states, so with nothing closed the pass keeps the most.
     """
     plan = [(shut, {bit: e for bit, e in opened.items() if not closed >> e & 1})
             for shut, opened in moves]
-    layers = _frontier_layers(plan, _matching_step, {0: 1}, budget, DEFAULT_PM_LIMIT)
+    layers = _frontier_layers(plan, _matching_step, {0: 1}, budget, _COUNT_CAP, True)
     if layers is None:
         return None
     counts = [0] * g.num_edges

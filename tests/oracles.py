@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's search code paths: matchings come
 from subset enumeration, bridges from edge deletion plus connectivity,
-cyclic cuts from edge-subset enumeration, colorability from matching
+cyclic cuts from edge-subset enumeration, cuts of three edges from
+vertex-subset enumeration, colorability from matching
 partitions or raw assignment enumeration, F-families from balanced subsets
 of the matching.  The random cubic multigraphs that the differential tests
 feed them come from one Hypothesis helper here.  Four former library
@@ -253,6 +254,19 @@ def naive_cyclic_edge_connectivity_at_least(g: MultiGraph, k: int) -> bool:
             if cyclic >= 2:
                 return False
     return True
+
+
+def naive_three_cuts(g: MultiGraph) -> set[int]:
+    """The cuts of exactly three edges, as edge bit masks, less the three
+    edges at one vertex: the cut of every vertex subset is tried."""
+    cuts = set()
+    for size in range(1, g.num_vertices):
+        for side in combinations(g.vertices(), size):
+            inside = set(side)
+            cut = [e for e, u, w in g.edges if (u in inside) != (w in inside)]
+            if len(cut) == 3:
+                cuts.add(sum(1 << e for e in cut))
+    return cuts - {sum(1 << e for e in g.incident(v)) for v in g.vertices()}
 
 
 def colorable_via_matching_partition(g: MultiGraph) -> bool:

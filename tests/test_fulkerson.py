@@ -52,6 +52,7 @@ from oracles import (
     enumerated_fr_triple,
     fr_triple_partitions,
     fr_triple_scan,
+    naive_three_cuts,
     proper_covering_exists,
     random_cubic_multigraph,
     seeded_cubic_multigraph,
@@ -581,13 +582,13 @@ class TestFindCovering:
         assert [m.members for m in auto.value.matchings] == \
             [m.members for m in exact.value.matchings]
 
-    def test_auto_past_the_matching_cap_lists_nothing(self, monkeypatch):
-        # The matching cap bounds the counting DP's layers.  Past it the
-        # exact cover lists nothing: it and the covering enumeration are
+    def test_auto_past_the_state_cap_lists_nothing(self, monkeypatch):
+        # `_COUNT_CAP` bounds the states that the counting DP keeps.  Past it
+        # the exact cover lists nothing: it and the covering enumeration are
         # unknown, never absent, and AUTO goes on to A1A2.
         g = flower_snark(7)
         self.refuse_listings(monkeypatch)
-        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 2)
+        monkeypatch.setattr("fulkerson_lab.matchcolor._COUNT_CAP", 2)
         exact = find_fulkerson_covering(g, "exact2cover")
         assert exact.unknown and not exact.definitely_absent
         every = enumerate_fulkerson_coverings(g)
@@ -596,16 +597,16 @@ class TestFindCovering:
         assert auto.found and auto == find_fulkerson_covering(g, "a1a2")
 
     # The colour stage spends 38 and 321 nodes (J5's refuter refutes it
-    # after the stream's 32 draws), the exact cover 12 and 16 in its order
-    # search and forward pass until a layer holds more than 3 states, and
-    # A1A2 the last 4.
-    @pytest.mark.parametrize("make,spent", [(petersen, 54), (lambda: flower_snark(5), 341)],
+    # after the stream's 32 draws), the exact cover 11 and 15: its order
+    # search, and one step of the forward pass, after which the DP keeps
+    # more than 3 states; A1A2 spends the last 4.
+    @pytest.mark.parametrize("make,spent", [(petersen, 53), (lambda: flower_snark(5), 340)],
                              ids=["petersen", "J5"])
     def test_auto_falls_through_to_a1a2_past_the_matching_cap(self, monkeypatch, make, spent):
-        # with a matching cap of 3 the counting DP gives up on its first
-        # pass, so the exact cover is unknown and AUTO's last stage, A1A2,
-        # finds the covering
-        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 3)
+        # with a state cap of 3 the counting DP gives up on its first pass,
+        # so the exact cover is unknown and AUTO's last stage, A1A2, finds
+        # the covering
+        monkeypatch.setattr("fulkerson_lab.matchcolor._COUNT_CAP", 3)
         g = make()
         assert find_fulkerson_covering(g, "exact2cover").unknown
         budget = Budget()
@@ -677,10 +678,12 @@ class TestFindCovering:
 
     # AUTO on the snark-search benchmark's graphs: the colour stage's draws
     # and refuter, then the exact cover and its counting DP.  A DP that
-    # spends or branches differently moves these.
+    # spends or branches differently moves these.  G5 and G7 have cuts of
+    # three edges, and the exact cover skips the matchings that hold one
+    # whole; without that they spend 1,985 and 2,668.
     @pytest.mark.parametrize("make,spent", [
         (lambda: flower_snark(9), 758), (lambda: flower_snark(11), 851),
-        (lambda: goldberg(5), 1985), (lambda: goldberg(7), 2668),
+        (lambda: goldberg(5), 1418), (lambda: goldberg(7), 1877),
     ], ids=["J9", "J11", "G5", "G7"])
     def test_auto_node_counts(self, make, spent):
         budget = Budget()
@@ -759,12 +762,14 @@ class TestExactCoverEngine:
         [0, 5, 9, 11, 16, 18, 21, 26, 29, 31, 34, 35, 38, 39, 42, 45, 48, 49, 51, 57],
     ]
 
-    # 8, 8 and 24 cover nodes; the rest are the frontier DP's order search,
-    # vertex steps and state blocks
+    # 8, 8 and 17 cover nodes; the rest are the frontier DP's order search,
+    # vertex steps and state blocks.  G5 would take 24 cover nodes and 1,645
+    # in all without skipping the matchings that hold a cut of three edges
+    # (`TestThreeCuts`).
     @pytest.mark.parametrize("make,spent", [
         (lambda: flower_snark(5), 237),
         (lambda: flower_snark(9), 419),
-        (lambda: goldberg(5), 1645),
+        (lambda: goldberg(5), 1078),
     ], ids=["J5", "J9", "G5"])
     def test_node_counts(self, make, spent):
         budget = Budget(limit=5_000_000)
@@ -804,6 +809,74 @@ class TestExactCoverEngine:
         assert [[m.members for m in c.matchings] for c in res_all.value] == [[frozenset()] * 6]
 
 
+class TestThreeCuts:
+    """A perfect matching meets a cut of three edges in one or three of
+    them, and the six of a covering meet it six times, once each, so the
+    exact cover skips the matchings that hold a whole one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_the_cuts_are_the_brute_force_ones(self, data):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        g = random_cubic_multigraph(data, max_order=12, loops=True)
+        cuts = fulkerson._three_cuts(g)
+        assert len(cuts) == len(set(cuts))
+        assert set(cuts) == naive_three_cuts(g)
+
+    def test_the_named_graphs(self):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        # J3's central triangle; J5 and J7 are cyclically 4-edge-connected
+        assert [len(fulkerson._three_cuts(flower_snark(k))) for k in (3, 5, 7)] == [1, 0, 0]
+        assert [len(fulkerson._three_cuts(goldberg(k))) for k in (5, 7)] == [9, 11]
+        assert fulkerson._three_cuts(petersen()) == fulkerson._three_cuts(k33()) == []
+
+    # (nodes spent with the skip, and without it)
+    @pytest.mark.parametrize("make,spent", [
+        (lambda: goldberg(5), (1078, 1645)),
+        (lambda: seeded_cubic_multigraph(40, 7, bridgeless=True), (263, 19271)),
+        (lambda: seeded_cubic_multigraph(44, 11, bridgeless=True), (287, 27007)),
+    ], ids=["G5", "random-40", "random-44"])
+    def test_skipping_changes_no_cover(self, monkeypatch, make, spent):
+        # a skipped matching lies in no covering, so the first cover is the
+        # one found without the skip, which only saves nodes
+        import fulkerson_lab.fulkerson as fulkerson
+
+        g = make()
+        budget = Budget()
+        res = find_fulkerson_covering(g, "exact2cover", budget)
+        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g: [])
+        unskipped = Budget()
+        assert find_fulkerson_covering(g, "exact2cover", unskipped) == res
+        assert (budget.spent, unskipped.spent) == spent
+
+    def test_skipping_keeps_every_covering(self, monkeypatch):
+        import fulkerson_lab.fulkerson as fulkerson
+
+        g = seeded_cubic_multigraph(18, 4, bridgeless=True)
+        budget = Budget()
+        every = enumerate_fulkerson_coverings(g, budget)
+        assert every.complete and len(every.value) == 10
+        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g: [])
+        unskipped = Budget()
+        assert enumerate_fulkerson_coverings(g, unskipped) == every
+        assert (budget.spent, unskipped.spent) == (1263, 1426)
+
+    def test_a_deep_cover_fits_a_small_budget(self, monkeypatch):
+        # Without the skip the cover search tries every partner of a first
+        # matching that holds a whole cut of three edges, each a dead end
+        # that costs a recount, and 20,000 nodes do not reach the cover.
+        import fulkerson_lab.fulkerson as fulkerson
+
+        g = seeded_cubic_multigraph(60, 11, bridgeless=True)
+        budget = Budget(limit=1000)
+        res = find_fulkerson_covering(g, "exact2cover", budget)
+        assert res.found and verify_covering(g, res.value).ok and budget.spent == 533
+        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g: [])
+        assert find_fulkerson_covering(g, "exact2cover", Budget(limit=20_000)).unknown
+
+
 class TestListingFreeCover:
     """The exact cover counts the perfect matchings by a frontier DP and
     lists none; past the DP's state bound the cover is unknown."""
@@ -833,7 +906,7 @@ class TestListingFreeCover:
     @pytest.mark.parametrize("make,nodes", [
         (petersen, 8), (lambda: flower_snark(5), 8), (lambda: flower_snark(7), 8),
         (lambda: flower_snark(9), 8), (lambda: flower_snark(11), 8),
-        (lambda: flower_snark(13), 8), (lambda: goldberg(5), 24), (lambda: goldberg(7), 24),
+        (lambda: flower_snark(13), 8), (lambda: goldberg(5), 17), (lambda: goldberg(7), 17),
     ], ids=["petersen", "J5", "J7", "J9", "J11", "J13", "G5", "G7"])
     def test_the_counts_and_the_listing_choose_the_same_six(self, monkeypatch, make, nodes):
         # the DP's counts against counts read off a listing of every
@@ -858,20 +931,22 @@ class TestListingFreeCover:
         assert spent == nodes
 
     def test_past_the_state_bound_the_cover_is_unknown(self, monkeypatch):
-        # G5's widest layer holds 296 states: at that bound the cover finds
-        # its certificate, one below it the cover and the covering
-        # enumeration are unknown, never absent.  Neither lists, and the
-        # colour refuter's cap does not reach them.
+        # G5's root pass keeps 2,947 states over its layers, 296 in the
+        # widest: at a bound of 2,947 the cover finds its certificate, and
+        # AUTO, whose colour refuter gives up at a cap of 2, gives the same;
+        # one below it the cover and the covering enumeration are unknown,
+        # never absent.  Neither lists.
         g = goldberg(5)
         want = find_fulkerson_covering(g, "exact2cover")
         want_all = enumerate_fulkerson_coverings(k33())
         assert len(want_all.value) == 3
         listings = self.count_listings(monkeypatch)
         monkeypatch.setattr("fulkerson_lab.matchcolor._FRONTIER_CAP", 2)
-        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 296)
+        monkeypatch.setattr("fulkerson_lab.matchcolor._COUNT_CAP", 2947)
         assert find_fulkerson_covering(g, "exact2cover") == want
+        assert find_fulkerson_covering(g, "auto") == want
         assert enumerate_fulkerson_coverings(k33()) == want_all
-        monkeypatch.setattr("fulkerson_lab.matchcolor.DEFAULT_PM_LIMIT", 295)
+        monkeypatch.setattr("fulkerson_lab.matchcolor._COUNT_CAP", 2946)
         budget = Budget()
         capped = find_fulkerson_covering(g, "exact2cover", budget)
         assert capped.unknown and not capped.definitely_absent and not budget.exhausted
@@ -938,7 +1013,7 @@ class TestListingFreeCover:
         # at the cover's own nodes, as well as inside the DP
         g = goldberg(5)
         sites = self.spend_sites(g)
-        assert len(sites) == 1645 and sites.count("search") == 24
+        assert len(sites) == 1078 and sites.count("search") == 17
         at = [k for k, s in enumerate(sites) if s == site]
         for k in (at[0], at[len(at) // 2], at[-1]):
             budget = Budget(limit=k)

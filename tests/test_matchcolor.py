@@ -607,6 +607,10 @@ class TestC5Structure:
         m2 = next(p for p in enumerate_perfect_matchings(g) if p != m)
         with pytest.raises(GraphError, match="cycle set is not the 2-factor of the matching"):
             shrink_to_gstar(g, m, two_factor_cycles(g, m2))
+        # the matching's own 2-factor, but a 4-cycle
+        pm = find_perfect_matching(k4())
+        with pytest.raises(GraphError, match="every 2-factor cycle must be a chordless 5-cycle"):
+            shrink_to_gstar(k4(), pm, two_factor_cycles(k4(), pm))
 
 
 class TestFiveEdgeColoring:
@@ -1002,13 +1006,14 @@ class TestHolderCounts:
             assert budget.exhausted and budget.spent == fire_on
 
     def test_the_state_cap_applies_to_the_counts(self, monkeypatch):
-        # the counts' cap is the matching cap, not the colour refuter's:
-        # G5's widest layer holds 296 states
+        # the counts' cap is `_COUNT_CAP`, not the colour refuter's, and it
+        # bounds the states of all the layers: G5's forward pass keeps
+        # 2,947, 296 in its widest layer
         g = goldberg(5)
         monkeypatch.setattr(matchcolor, "_FRONTIER_CAP", 2)
-        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 296)
+        monkeypatch.setattr(matchcolor, "_COUNT_CAP", 2947)
         assert matchcolor._holder_counts(g, self.steps(g), 0, Budget()) is not None
-        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 295)
+        monkeypatch.setattr(matchcolor, "_COUNT_CAP", 2946)
         budget = Budget()
         assert matchcolor._holder_counts(g, self.steps(g), 0, budget) is None
         assert not budget.exhausted
