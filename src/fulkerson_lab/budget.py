@@ -47,18 +47,18 @@ class Budget:
     Searches call spend() once per explored node; a False return means the
     search must unwind and report an incomplete result.  Once the budget is
     exhausted, spend() refuses at once, without asking `cancel` or counting
-    the node.  The nodes are the edge-colouring searches' nodes (lifts
-    included), the perfect matchings that `three_edge_coloring` draws
-    alongside its colouring search (one node each), its frontier refuter's
-    candidate vertex orders, vertex steps and blocks of states expanded
-    (one node each; a cancel or an exhausted budget there leaves the
-    colouring unknown, never absent), the exact cover's nodes, the
-    candidate vertex orders, vertex steps and blocks of states of the
-    exact cover's counting DP, in both of its passes (one node each;
-    running out there leaves the cover unknown, as does a layer past the
-    DP's state bound), the pair queries of the FR-triple walk that
-    `find_fr_triple`, `enumerate_fr_triples` and A1A2 share, and the
-    F-family search's candidate placements.
+    the node.  The nodes are the backtracking edge-colouring search's
+    nodes, the perfect matchings that `three_edge_coloring` draws (nine
+    nodes each, lifts included), its frontier refuter's candidate vertex
+    orders, vertex steps and blocks of states expanded (one node each; a
+    cancel or an exhausted budget there leaves the colouring unknown,
+    never absent), the exact cover's nodes, the candidate vertex orders,
+    vertex steps and blocks of states of the exact cover's counting DP,
+    in both of its passes (one node each; running out there leaves the
+    cover unknown, as does a layer past the DP's state bound), the pair
+    queries of the FR-triple walk that `find_fr_triple`,
+    `enumerate_fr_triples` and A1A2 share, and the F-family search's
+    candidate placements.
     The perfect-matching stream spends no nodes itself: it asks stopped()
     before each blossom search and 4-cycle repair and ends once the budget
     is exhausted, whether by a node search, a cancel or a read past the

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
 from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition, _cut_labels
@@ -170,8 +170,9 @@ def fr_triple_from_matchings(g: CubicGraph, a1: Matching | Iterable[int],
     3-edge-colorable graph.  The returned triple has T2 = a1 and T0 = a2:
     chain colors are pulled back through the suppression provenance, each
     a1 edge takes the two colors its neighboring chains avoid, and a2 edges
-    stay uncovered.  The coloring search spends the budget, when there is
-    one, and raises `BudgetExhausted` when it runs out first.
+    stay uncovered.  The colouring of each component, by
+    `three_edge_coloring`, spends the budget, when there is one, and
+    raises `BudgetExhausted` when it runs out first.
     """
     a1 = _as_matching(g, a1)
     a2 = _as_matching(g, a2)
@@ -388,10 +389,13 @@ def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
             if all(cut & ~mask for cut in cuts):
                 yield m, mask
 
-    def search(chosen: tuple[frozenset[int], ...], open_once: int, open_twice: int,
-               counts: Sequence[int] | None) -> Iterator[tuple[frozenset[int], ...]]:
+    def search(search: Callable, chosen: tuple[frozenset[int], ...], open_once: int,
+               open_twice: int, counts: Sequence[int] | None
+               ) -> Iterator[tuple[frozenset[int], ...]]:
         # counts: the usable holders per edge at this node, when its parent
-        # closed no edge
+        # closed no edge.  `search` is handed itself: a closure that named
+        # itself would be a reference cycle, and would keep the record, the
+        # DP plan and the cuts alive until the cyclic collector ran.
         if not budget.spend():
             return
         if len(chosen) == 6:
@@ -411,13 +415,13 @@ def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
             return
         for m, mask in holders(branch, closed):
             now_closed = mask & ~open_twice
-            yield from search(chosen + (m,), open_once & ~now_closed, open_twice & ~mask,
-                              None if now_closed else counts)
+            yield from search(search, chosen + (m,), open_once & ~now_closed,
+                              open_twice & ~mask, None if now_closed else counts)
             if budget.exhausted:
                 return
 
     everything = (1 << g.num_edges) - 1
-    return search((), everything, everything, root)
+    return search(search, (), everything, everything, root)
 
 
 def _covering_by_exact_cover(g: CubicGraph, budget: Budget) -> SearchResult[FulkersonCovering]:
@@ -496,12 +500,12 @@ def find_fulkerson_covering(g: CubicGraph, strategy: str = AUTO,
     AUTO cascades the three, going on to A1A2 whenever the exact cover is
     unknown with budget to spare.
 
-    The coloring is `three_edge_coloring`'s, from three searches: a perfect
-    matching m with an even 2-factor gives m color 0 and alternates 1, 2
-    around each cycle of G - m from its lowest edge id, unless the coloring
-    search finishes first; once 32 matchings are drawn with no coloring, a
-    frontier DP runs once and may prove that there is none, which ends the
-    colour stage with no further draws.  COLOR without a coloring is
+    The coloring is `three_edge_coloring`'s, from the canonical matching
+    stream: the first perfect matching m with an even 2-factor gives m
+    color 0 and alternates 1, 2 around each cycle of G - m from its lowest
+    edge id; once 32 matchings are drawn with no coloring, a frontier DP
+    runs once and may prove that there is none, which ends the colour
+    stage with no further draws.  COLOR without a coloring is
     unknown, never absent.  When the colour stage spends the budget, AUTO
     stops there: absent if g has no perfect matching (one search, no
     enumeration), else unknown.

@@ -600,7 +600,7 @@ def split_and_suppress(
 
 
 def _edge_colorings(g: MultiGraph, colors: int,
-                    budget: Budget | None = None) -> Iterator[tuple[int, ...] | None]:
+                    budget: Budget | None = None) -> Iterator[tuple[int, ...]]:
     """Proper edge colorings by deterministic backtracking on an explicit stack.
 
     Pre-colors the lowest non-isolated vertex's edges 0, 1, 2, ..., which
@@ -610,8 +610,6 @@ def _edge_colorings(g: MultiGraph, colors: int,
     included, spends one budget node; the search stops when the budget
     runs out.  The uncolored edges sit in buckets by their number of free
     colors, so a node costs time in proportion to one bucket, not to m.
-    A leaf yields its coloring and every other node yields None, so a
-    caller can run the search node by node.
     """
     m = g.num_edges
     if g.has_loops():
@@ -665,7 +663,6 @@ def _edge_colorings(g: MultiGraph, colors: int,
             free = full & ~(used[u] | used[v])
             if free:
                 stack.append([e, [c for c in range(colors) if free >> c & 1], 0])
-            yield None
         # Backtrack to the deepest edge with an untried color and place it.
         while stack:
             frame = stack[-1]
@@ -684,7 +681,7 @@ def _edge_colorings(g: MultiGraph, colors: int,
 
 def _first_coloring(g: MultiGraph, colors: int, budget: Budget | None) -> EdgeColoring | None:
     """The first coloring `_edge_colorings` finds, or None."""
-    sol = next((s for s in _edge_colorings(g, colors, budget) if s is not None), None)
+    sol = next(_edge_colorings(g, colors, budget), None)
     return None if sol is None else EdgeColoring(g, sol, colors)
 
 
@@ -969,46 +966,46 @@ def _holder_counts(g: MultiGraph, moves: list[Move], closed: int,
 
 
 # `three_edge_coloring` asks `_frontier_colorable` once, after this many
-# perfect matchings drawn with no coloring.  Colourable graphs almost never
-# draw that many: 99.9 % of seeded random bridgeless cubic graphs of 12-32
-# vertices need at most 23, while the snarks J_k and G_k draw hundreds
-# (CHANGES.md).
+# perfect matchings drawn with no coloring.  Colourable graphs seldom draw
+# that many: of the 8,916 colourable graphs in random-batch seeds 1-29
+# (12-32 vertices), 99.9 % draw at most 23 and three draw more than 32,
+# while the snarks J_k and G_k draw hundreds (CHANGES.md).
 _REFUTE_AFTER = 32
 
-# Coloring-search nodes run per matching drawn in `three_edge_coloring`.  In the 1,540 colour
-# stages of random-batch's graphs (seeds 1-5) the stream decides 1,489, the search 50 and the
-# refuter 1, which settles the snarks after `_REFUTE_AFTER` draws whatever k is (CHANGES.md).
-# A different k can change which search finds a coloring, and so the certificates.
-NODES_PER_MATCHING = 8
+# Budget nodes that `three_edge_coloring` spends per perfect matching drawn, one `spend()`
+# each, so the cancel callback is asked as often: one for the draw and eight for the
+# backtracking search that ran beside the stream until it was dropped.  The charge keeps the
+# node counts of AUTO and the node count at which a wide graph gives up.  A draw there costs
+# 0.08-0.27 ms, and a charge of one gave "unknown" 8-12 times later (CHANGES.md).
+NODES_PER_MATCHING = 9
 
 
 def three_edge_coloring(g: MultiGraph, budget: Budget | None = None) -> EdgeColoring | None:
     """A proper 3-edge-coloring, or None: absent, or unknown when `budget` is exhausted.
 
-    On loopless 3-regular input two searches alternate, counted in work:
-    one perfect matching drawn from the canonical stream for one budget
-    node, then `NODES_PER_MATCHING` nodes of the coloring search.  By
-    Tait's equivalence a matching m whose 2-factor G - m has no odd cycle
-    gives a coloring: m takes color 0, and on each cycle the lowest edge id
-    takes color 1, the colors alternating 1, 2 after it.  The first search
-    to finish decides, and one that runs out with budget to spare proves
-    absence.  A third search only refutes: once `_REFUTE_AFTER` matchings
-    are drawn with no coloring, `_frontier_colorable` runs once, and when
-    it proves g not colorable the call returns None.  When it finds g
-    colorable or gives up, the two searches go on where they stopped, so
-    the coloring returned is always theirs; a budget it spends or a cancel
-    it meets leaves None with `budget.exhausted`, unknown.  Other input
-    runs the coloring search alone; a loop refutes at once.  The matchings
-    come from a `_canonical_matchings(g, budget=budget)` stream of the
-    call's own, which keeps nothing.
+    On loopless 3-regular input the canonical matching stream decides, by
+    Tait's equivalence: g is colorable iff some perfect matching m leaves
+    a 2-factor G - m with no odd cycle.  The first such m in canonical
+    order takes color 0, and on each cycle the lowest edge id takes color
+    1, the colors alternating 1, 2 after it.  Each draw spends
+    `NODES_PER_MATCHING` nodes first, and a stream that ends with budget to
+    spare proves absence.  A refuter can end the stream early: once
+    `_REFUTE_AFTER` matchings are drawn with no coloring,
+    `_frontier_colorable` runs once, and when it proves g not colorable the
+    call returns None.  When it finds g colorable or gives up, the stream
+    goes on where it stopped, so the coloring returned is always the
+    stream's; a budget it spends or a cancel it meets leaves None with
+    `budget.exhausted`, unknown.  Other input runs the backtracking search
+    `_edge_colorings`; a loop refutes at once.  The matchings come from a
+    `_canonical_matchings(g, budget=budget)` stream of the call's own,
+    which keeps nothing.
     """
     if not _loopless_cubic(g):
         return _first_coloring(g, 3, budget)
-    colorings = _edge_colorings(g, 3, budget)
     factors = _two_factors(g, _canonical_matchings(g, budget=budget),
                            lambda verts: len(verts) % 2 == 0)
     for drawn in count(1):
-        if budget is not None and not budget.spend():
+        if budget is not None and not all(budget.spend() for _ in range(NODES_PER_MATCHING)):
             return None
         m, factor = next(factors, (None, None))
         if m is None:
@@ -1020,13 +1017,6 @@ def three_edge_coloring(g: MultiGraph, budget: Budget | None = None) -> EdgeColo
                 for i, e in enumerate(cyc.edges):
                     assignment[e] = 1 + (i - low) % 2
             return EdgeColoring(g, tuple(assignment), 3)
-        steps = 0
-        for sol in islice(colorings, NODES_PER_MATCHING):
-            if sol is not None:
-                return EdgeColoring(g, sol, 3)
-            steps += 1
-        if steps < NODES_PER_MATCHING:
-            return None  # the coloring search ended
         if drawn == _REFUTE_AFTER and _frontier_colorable(g, budget) is False:
             return None
 
@@ -1057,8 +1047,7 @@ def enumerate_three_edge_colorings(g: MultiGraph) -> list[EdgeColoring]:
     Each orbit is represented by its lexicographically minimal assignment;
     the list is sorted by that assignment.
     """
-    reps = sorted({_canonical_color_form(sol, 3) for sol in _edge_colorings(g, 3)
-                   if sol is not None})
+    reps = sorted({_canonical_color_form(sol, 3) for sol in _edge_colorings(g, 3)})
     return [EdgeColoring(g, rep, 3) for rep in reps]
 
 

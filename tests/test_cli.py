@@ -605,6 +605,18 @@ n 3 8 9 12
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.BENCH_COVERING_SHA256[name]
 
+    def test_auto_on_j9_runs_no_backtracking_colouring(self, capsys, tmp_path, monkeypatch):
+        # AUTO's colour stage decides J9 by the matching stream and its refuter
+        def refuse(*args):
+            raise AssertionError("the backtracking colouring search ran")
+
+        monkeypatch.setattr("fulkerson_lab.matchcolor._edge_colorings", refuse)
+        path = tmp_path / "g.graph"
+        path.write_text(write_graph_file(flower_snark(9)))
+        code, out, _ = run(capsys, "search", str(path), "covering")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BENCH_COVERING_SHA256["J9"]
+
     def test_search_all_petersen_triples(self, capsys, petersen_file):
         code, out, _ = run(capsys, "search", petersen_file, "fr-triple", "--all")
         assert code == 0

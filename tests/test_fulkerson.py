@@ -563,8 +563,8 @@ class TestFindCovering:
     def test_auto_lists_once_unless_the_colour_stream_ended(self, monkeypatch, make, calls):
         # AUTO lists no matching at all now.  The colour stage starts its
         # own stream (`calls`): the frontier refuter refutes the snarks'
-        # colourings after 32 draws, Petersen's colouring search ends at its
-        # fifth.  The exact cover then starts one stream for M_0 and one per
+        # colourings after 32 draws, Petersen's stream ends after its six
+        # matchings.  The exact cover then starts one stream for M_0 and one per
         # branching node, six on the way to each of these covers, exactly
         # as EXACT2COVER does.
         self.refuse_listings(monkeypatch)
@@ -596,11 +596,12 @@ class TestFindCovering:
         auto = find_fulkerson_covering(g, "auto")
         assert auto.found and auto == find_fulkerson_covering(g, "a1a2")
 
-    # The colour stage spends 38 and 321 nodes (J5's refuter refutes it
-    # after the stream's 32 draws), the exact cover 11 and 15: its order
-    # search, and one step of the forward pass, after which the DP keeps
-    # more than 3 states; A1A2 spends the last 4.
-    @pytest.mark.parametrize("make,spent", [(petersen, 53), (lambda: flower_snark(5), 340)],
+    # The colour stage spends 63 and 321 nodes (Petersen's stream ends after
+    # its six matchings, J5's refuter refutes it after the stream's 32
+    # draws), the exact cover 11 and 15: its order search, and one step of
+    # the forward pass, after which the DP keeps more than 3 states; A1A2
+    # spends the last 20, nine for each of the two matchings its lifts draw.
+    @pytest.mark.parametrize("make,spent", [(petersen, 94), (lambda: flower_snark(5), 356)],
                              ids=["petersen", "J5"])
     def test_auto_falls_through_to_a1a2_past_the_matching_cap(self, monkeypatch, make, spent):
         # with a state cap of 3 the counting DP gives up on its first pass,
@@ -796,6 +797,29 @@ class TestExactCoverEngine:
         res = find_fulkerson_covering(goldberg(5), "exact2cover", budget)
         assert res.unknown
         assert budget.exhausted and budget.spent == 4
+
+    def test_the_search_frees_its_record_without_the_cyclic_collector(self, monkeypatch):
+        # the record, and the DP plan and cuts beside it, go as the call
+        # returns, not when the cyclic collector runs
+        import gc
+        import weakref
+
+        import fulkerson_lab.fulkerson as fulkerson
+
+        records = []
+
+        class Record(fulkerson._MatchingRecord):
+            def __init__(self, *args):
+                super().__init__(*args)
+                records.append(weakref.ref(self))
+
+        monkeypatch.setattr(fulkerson, "_MatchingRecord", Record)
+        gc.disable()
+        try:
+            assert find_fulkerson_covering(goldberg(5), "exact2cover").found
+            assert len(records) == 1 and records[0]() is None
+        finally:
+            gc.enable()
 
     def test_edgeless_graph_is_covered_by_six_empty_matchings(self):
         g = CubicGraph(0, [])
@@ -1260,7 +1284,7 @@ class TestGoldbergCoverings:
         assert is_proper(res.value)
 
     @pytest.mark.parametrize("make,spent", [
-        (lambda: flower_snark(21), 4), (lambda: goldberg(9), 83), (chain8, 4),
+        (lambda: flower_snark(21), 20), (lambda: goldberg(9), 99), (chain8, 20),
     ], ids=["J21", "G9", "chain8"])
     def test_a1a2_node_counts(self, make, spent):
         # J21 has 2^21 perfect matchings, more than the matching cap, which

@@ -666,18 +666,23 @@ class TestDepthAndNodeCounts:
         assert budget.spent == spent
         assert not budget.exhausted
 
-    # The coloring search run alongside the matching stream: nodes plus
-    # matchings drawn, plus the frontier refuter's nodes once 32 matchings
-    # are drawn.  Petersen's coloring search ends at the fifth draw; the other
-    # snarks draw 32 matchings (288 nodes) and are refuted by the frontier
-    # DP, J13 in 355 nodes where the stream alone spent 73,729 and the
-    # coloring search alone 344,485.  Q3 and the pairing-model graph are
-    # colored by a matching.
+    def test_the_coloring_search_one_node_short_is_unknown(self):
+        budget = Budget(limit=32)
+        assert _first_coloring(petersen(), 3, budget) is None
+        assert budget.exhausted
+
+    # The matching stream: nine nodes per matching drawn, plus the frontier
+    # refuter's nodes once 32 matchings are drawn.  Petersen's stream ends
+    # after its six matchings (seven draws, 63 nodes); the other snarks draw
+    # 32 matchings (288 nodes) and are refuted by the frontier DP, J13 in
+    # 355 nodes where the unrefuted stream spends 73,737 and the coloring
+    # search alone 344,485.  Q3 and the pairing-model graph are colored by
+    # a matching, Q3 by the first.
     @pytest.mark.parametrize("make,spent,found", [
-        (petersen, 38, False), (lambda: flower_snark(5), 321, False),
-        (lambda: goldberg(5), 340, False), (cube_q3, 1, True),
+        (petersen, 63, False), (lambda: flower_snark(5), 321, False),
+        (lambda: goldberg(5), 340, False), (cube_q3, 9, True),
         (lambda: flower_snark(7), 329, False), (lambda: flower_snark(9), 339, False),
-        (lambda: flower_snark(13), 355, False), (lambda: pairing_model(300, seed=1), 253, True),
+        (lambda: flower_snark(13), 355, False), (lambda: pairing_model(300, seed=1), 261, True),
     ], ids=["petersen", "J5", "G5", "Q3", "J7", "J9", "J13", "pairing300"])
     def test_three_edge_coloring_node_counts(self, make, spent, found):
         g = make()
@@ -700,22 +705,36 @@ def pairing_model(n: int, seed: int) -> CubicGraph:
 
 
 class TestColoringByMatchings:
-    """`three_edge_coloring` runs the coloring search alongside the canonical
-    matching stream; either may decide."""
+    """On loopless cubic input `three_edge_coloring` decides by the canonical
+    matching stream alone, with the frontier refuter to end it early."""
 
-    # k = 0 runs the matching stream alone, k = 10**9 the coloring search alone.
+    # the backtracking search, which non-cubic input runs, is the reference
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_colorable_iff_three_matchings_partition_the_edges(self, data):
         g = random_cubic_multigraph(data, max_order=12, loops=True)
         colorable = colorable_via_matching_partition(g)
-        for k in (0, 1, NODES_PER_MATCHING, 10**9):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(matchcolor, "NODES_PER_MATCHING", k)
-                col = three_edge_coloring(g)
-            assert (col is not None) == colorable
-            if col is not None:
-                assert EdgeColoring(g, col.assignment, 3)
+        assert (_first_coloring(g, 3, None) is not None) == colorable
+        col = three_edge_coloring(g)
+        assert (col is not None) == colorable
+        if col is not None:
+            assert EdgeColoring(g, col.assignment, 3)
+
+    @pytest.mark.parametrize("make,colorable", [
+        (petersen, False), (lambda: flower_snark(5), False), (lambda: goldberg(5), False),
+        (k33, True), (cube_q3, True), (lambda: pairing_model(300, seed=1), True),
+    ], ids=["petersen", "J5", "G5", "K33", "Q3", "pairing300"])
+    def test_cubic_input_runs_no_backtracking(self, monkeypatch, make, colorable):
+        def refuse(*args):
+            raise AssertionError("three_edge_coloring ran the backtracking search")
+
+        monkeypatch.setattr(matchcolor, "_edge_colorings", refuse)
+        g = make()
+        budget = Budget()
+        col = three_edge_coloring(g, budget)
+        assert (col is not None) == colorable and not budget.exhausted
+        if col is not None:
+            assert EdgeColoring(g, col.assignment, 3)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -735,9 +754,7 @@ class TestColoringByMatchings:
                         want[e] = 1 + (i - low) % 2
                 want = tuple(want)
                 break
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matchcolor, "NODES_PER_MATCHING", 0)
-            col = three_edge_coloring(g)
+        col = three_edge_coloring(g)
         assert (None if col is None else col.assignment) == want
 
     def test_one_node_budget_is_unknown(self):
@@ -745,10 +762,12 @@ class TestColoringByMatchings:
         assert three_edge_coloring(pairing_model(300, seed=1), budget=budget) is None
         assert budget.exhausted
 
-    # The search spends one node for the first matching, then the stream
-    # asks cancel before its first blossom search.  The frontier refuter is
-    # held off, so the stream runs on J9 until the cancel fires.
-    @pytest.mark.parametrize("fire_on", [2, 500, 3000])
+    # Each draw asks cancel at each of its nine spends, and the stream asks
+    # it before every blossom search and 4-cycle repair.  The frontier
+    # refuter is held off, so the stream runs on J9 until the cancel fires:
+    # the second question is the first draw's second spend, the tenth the
+    # stream's first blossom search.
+    @pytest.mark.parametrize("fire_on", [2, 10, 500, 3000])
     def test_cancel_inside_the_stream_is_unknown(self, monkeypatch, fire_on):
         monkeypatch.setattr(matchcolor, "_REFUTE_AFTER", 10**9)
         calls = []
@@ -760,8 +779,8 @@ class TestColoringByMatchings:
         budget = Budget(cancel=cancel)
         assert three_edge_coloring(flower_snark(9), budget=budget) is None
         assert budget.exhausted and len(calls) == fire_on
-        if fire_on == 2:
-            assert budget.spent == 1
+        if fire_on in (2, 10):
+            assert budget.spent == min(fire_on, NODES_PER_MATCHING)
 
     def test_a_record_past_the_cap_is_no_listing(self, monkeypatch):
         # a listing past the cap keeps the first matchings and is truncated
@@ -871,9 +890,9 @@ class TestFrontierRefuter:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_the_coloring_is_the_interleaves_whatever_the_refuter_says(self, data):
+    def test_the_stream_colors_whatever_the_refuter_says(self, data):
         # refuting after the first draw, with and without a cap that makes
-        # the DP give up, returns what the interleave alone returns
+        # the DP give up, returns what the stream alone returns
         g = random_cubic_multigraph(data, max_order=12, loops=True)
         results = []
         for after, cap in ((10**9, 4096), (1, 4096), (1, 2)):
@@ -893,9 +912,9 @@ class TestFrontierRefuter:
         budget = Budget()
         assert three_edge_coloring(flower_snark(9), budget) is None
         assert refuted == [None] and not budget.exhausted
-        # the stream runs out after its 512 draws as it does alone (4,609
+        # the stream runs out after its 512 matchings (513 draws, 4,617
         # nodes); the refuter spent 19 before it gave up
-        assert budget.spent == 4609 + 19
+        assert budget.spent == 4617 + 19
 
     def test_every_budget_short_of_the_refutation_is_unknown(self):
         g = flower_snark(9)
