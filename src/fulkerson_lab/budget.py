@@ -60,9 +60,9 @@ class Budget:
     `enumerate_fr_triples` and A1A2 share, and the F-family search's
     candidate placements.
     The perfect-matching stream spends no nodes itself: it asks stopped()
-    before each blossom search and 4-cycle repair and ends once the budget
-    is exhausted, whether by a node search, a cancel or a read past the
-    matching cap.  A limit of None takes `default_node_budget()`.
+    before each blossom search and ends once the budget is exhausted,
+    whether by a node search, a cancel or a read past the matching cap.
+    A limit of None takes `default_node_budget()`.
     """
 
     limit: int | None = None

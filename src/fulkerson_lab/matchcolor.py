@@ -10,7 +10,7 @@ be pulled back to the original graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import count, dropwhile, islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -236,23 +236,10 @@ def _repair(near: Sequence[Sequence[int]], saturated: list[bool], mate: list[int
             v: int, w: int) -> bool:
     """Pairs the saturated v and w in `mate`, or finds that no completion holds vw.
 
-    Their old partners are left exposed, and one `_augment` search joins
-    them again; on failure `mate` is restored.
+    Their old partners are left exposed, and one `_augment` search from v's
+    old partner joins them again; on failure `mate` is restored.
     """
     a, c = mate[v], mate[w]
-    if c in near[a]:  # the shortest repair: pair a with c
-        mate[v], mate[w], mate[a], mate[c] = w, v, c, a
-        return True
-    for x in near[a]:
-        if not saturated[x]:
-            break
-    else:
-        return False  # a has no free neighbour left
-    for x in near[c]:
-        if not saturated[x]:
-            break
-    else:
-        return False  # c has no free neighbour left
     mate[v], mate[w], mate[a], mate[c] = w, v, -1, -1
     if _augment(near, saturated, mate, a):
         return True
@@ -273,10 +260,10 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
 
     `mate` is always one perfect matching of the allowed graph that holds
     every included edge, found up front by one `_augment` search per
-    exposed vertex, so no subtree without a completion is entered:
-    including an edge that `mate` does not pair is one `_repair`, and
-    excluding one that it does pair re-matches its ends, by an alternating
-    4-cycle u-x-mate(x)-w when there is one, else by one `_augment`.
+    exposed vertex, so no subtree without a completion is entered.
+    `mate` changes only by blossom search: including an edge that `mate`
+    does not pair is one `_repair`, and excluding one that it does pair
+    re-matches its ends by one `_augment`.
     `near[u][w]` counts the allowed edges between u and w, so excluding one
     of two parallel edges leaves its twin usable; loops are never allowed.
     Once the first matching is out, a bare vertex left with one allowed
@@ -285,9 +272,9 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
     completion of the subtree, so the order is the same.
 
     It spends no nodes.  With a cancel callback it asks `budget.stopped()`
-    before every blossom search and every 4-cycle repair (nothing else
-    exhausts the budget between yields); it ends there, or on resuming from
-    a yield once the budget is exhausted.
+    before every blossom search and nowhere else (nothing else exhausts
+    the budget between yields); it ends there, or on resuming from a yield
+    once the budget is exhausted.
     """
     n = g.num_vertices
     if n % 2 == 1 or budget is not None and budget.exhausted:
@@ -401,18 +388,10 @@ def _canonical_matchings(g: MultiGraph, exclude: frozenset[int] = frozenset(),
                 if cancel is not None and budget.stopped():
                     return
                 mate[u] = mate[w] = -1
-                for x in near[u]:
-                    if not saturated[x] and mate[x] in near[w]:
-                        y = mate[x]
-                        mate[u], mate[x], mate[w], mate[y] = x, u, y, w
-                        break
-                else:
-                    # a w with no free neighbour left is a dead end without a search
-                    if all(saturated[x] for x in near[w]) or not _augment(near, saturated,
-                                                                          mate, u):
-                        mate[u], mate[w] = w, u
-                        allow(e, 1)
-                        continue
+                if not _augment(near, saturated, mate, u):
+                    mate[u], mate[w] = w, u
+                    allow(e, 1)
+                    continue
             stack.append((e, EXCLUDED))
             bare -= force([u, w])
             e += 1
@@ -644,7 +623,7 @@ def _edge_colorings(g: MultiGraph, colors: int,
 
     anchor = next(v for v in g.vertices() if g.incident(v))
     for c, e in enumerate(g.incident(anchor)):
-        if c >= colors or used[g.other_end(e, anchor)] >> c & 1:
+        if c >= colors:
             return
         toggle(e, c)
 
@@ -761,7 +740,9 @@ def _frontier_steps(g: MultiGraph, order: Sequence[int]) -> list[Move]:
     slot, and the slots number exactly the widest frontier w, so a DP keeps
     a state as bit masks by slot, each below 2 ** w.  v's move is the slot
     mask of its closing edges and the slot bit of each new edge, mapped to
-    the edge.
+    the edge.  Each DP steps its own states along the walk, in a pass of
+    its own: `_frontier_colorable` by `_coloring_step`, `_holder_counts`
+    by `_matching_step`.
     """
     place = {v: i for i, v in enumerate(order)}
     bit_of: dict[int, int] = {}  # the slot bit of each frontier edge
@@ -788,39 +769,6 @@ def _spend_on(budget: Budget | None, states: int) -> bool:
             if not budget.spend():
                 return False
     return True
-
-
-L = TypeVar("L", set[int], dict[int, int])
-
-
-def _frontier_layers(moves: Sequence[Move], advance: Callable[[Move, L], L], start: L,
-                     budget: Budget | None, cap: int, summed: bool) -> list[L] | None:
-    """The forward pass of a frontier DP: its states after each of `moves`;
-    None when it gives up.
-
-    `moves` is the walk of `_frontier_steps`, or the DP's own filtered copy
-    of it.  `start` holds the state of the empty frontier, and
-    `advance(move, states)` is the DP's own state step: the states that
-    follow `states` at that vertex.  The pass ends early at a move that
-    leaves no state.  It spends as `_spend_on` says before each move, and
-    gives up when the budget runs out, by nodes or a cancel
-    (`budget.exhausted` then says so), or past `cap` states, the calling
-    DP's own bound: in one layer, or with `summed` in all the layers it
-    keeps, so that their memory stays bounded.
-    """
-    layers = [start]
-    kept = len(start)
-    for move in moves:
-        if not _spend_on(budget, len(layers[-1])):
-            return None
-        after = advance(move, layers[-1])
-        kept = kept + len(after) if summed else len(after)
-        if kept > cap:
-            return None
-        layers.append(after)
-        if not after:
-            break
-    return layers
 
 
 @cache
@@ -877,8 +825,10 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
     21, 1996) as a frontier-based search (Kawahara et al., IEICE Trans.
     Fundamentals E100-A, 2017).
 
-    Besides the order search's nodes it spends and gives up as
-    `_frontier_layers` does, past `_FRONTIER_CAP` states in one layer: a
+    It keeps the states of one vertex at a time, and answers False at the
+    first vertex that leaves none.  Besides the order search's nodes, it
+    spends as `_spend_on` says before each vertex.  It gives up when the
+    budget runs out, or past `_FRONTIER_CAP` states at one vertex: a
     refuter that gives up leaves the colouring to the stream, so a small
     cap bounds the time it spends on wide graphs.
     """
@@ -887,9 +837,16 @@ def _frontier_colorable(g: MultiGraph, budget: Budget | None) -> bool | None:
         return None
     moves = _frontier_steps(g, order)
     width = max((bit for _, opened in moves for bit in opened), default=0).bit_length()
-    layers = _frontier_layers(moves, partial(_coloring_step, width), {0}, budget, _FRONTIER_CAP,
-                              False)
-    return None if layers is None else bool(layers[-1])
+    states = {0}
+    for move in moves:
+        if not _spend_on(budget, len(states)):
+            return None
+        states = _coloring_step(width, move, states)
+        if len(states) > _FRONTIER_CAP:
+            return None
+        if not states:
+            return False
+    return True
 
 
 def _matching_step(move: Move, states: dict[int, int]) -> dict[int, int]:
@@ -927,20 +884,27 @@ def _holder_counts(g: MultiGraph, moves: list[Move], closed: int,
     both passes.  The forward pass counts the ways to reach each state; a
     backward pass over the same plan counts each state's ways to finish.
     An edge's count is the sum of forward times backward over the states
-    that hold it, at the move where it joins the frontier.  Both passes
-    spend, and give up on the budget, as `_frontier_layers` does; the
-    forward pass also gives up once the states of all its layers, which
-    the backward pass reads, pass `_COUNT_CAP`.  Closed edges only remove
-    states, so with nothing closed the pass keeps the most.
+    that hold it, at the move where it joins the frontier; an empty forward
+    layer makes every count 0.  Each pass spends as `_spend_on` says before
+    each move and gives up when the budget runs out.  The forward pass keeps
+    its layers for the backward one, and gives up once they hold more than
+    `_COUNT_CAP` states.  Closed edges only remove states, so with nothing
+    closed the pass keeps the most.
     """
     plan = [(shut, {bit: e for bit, e in opened.items() if not closed >> e & 1})
             for shut, opened in moves]
-    layers = _frontier_layers(plan, _matching_step, {0: 1}, budget, _COUNT_CAP, True)
-    if layers is None:
-        return None
+    layers = [{0: 1}]
+    kept = 1
+    for move in plan:
+        if not _spend_on(budget, len(layers[-1])):
+            return None
+        layers.append(_matching_step(move, layers[-1]))
+        kept += len(layers[-1])
+        if kept > _COUNT_CAP:
+            return None
+        if not layers[-1]:
+            return [0] * g.num_edges  # no perfect matching avoids `closed`
     counts = [0] * g.num_edges
-    if not layers[-1]:
-        return counts  # no perfect matching avoids `closed`
     finish = {0: 1}
     for i in range(len(plan), 0, -1):
         if not _spend_on(budget, len(finish)):

@@ -16,10 +16,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_MODULES = sorted((ROOT / "src" / "fulkerson_lab").rglob("*.py"))
 TEST_MODULES = sorted((ROOT / "tests").rglob("*.py"))
-# the forward pass, the two state steps and the colour fill table; other
-# modules reach the frontier DPs through `_frontier_order`,
-# `_frontier_steps` and `_holder_counts`
-FRONTIER_INSIDES = {"_frontier_layers", "_coloring_step", "_matching_step", "_class_fills"}
+# the two state steps and the colour fill table; other modules reach the
+# frontier DPs through `_frontier_order`, `_frontier_steps` and
+# `_holder_counts`
+FRONTIER_INSIDES = {"_coloring_step", "_matching_step", "_class_fills"}
 # the ways to list perfect matchings, and their cap
 LISTINGS = {"listing", "enumerate_perfect_matchings", "_capped_matchings", "DEFAULT_PM_LIMIT"}
 FULKERSON = ROOT / "src" / "fulkerson_lab" / "fulkerson.py"

@@ -125,6 +125,21 @@ class TestVerifyFFamily:
         with pytest.raises(GraphError):
             FFamily(fam.m, fam.a, fam.a, fam.c, fam.d, fam.n_edges)
 
+    def test_rejects_a_member_of_another_graph(self):
+        _, fam, _ = ten_vertex_family()
+        with pytest.raises(GraphError, match="family members live on different graphs"):
+            FFamily(fam.m, Matching(petersen(), []), fam.b, fam.c, fam.d, fam.n_edges)
+
+    def test_rejects_n_of_another_graph(self):
+        _, fam, _ = ten_vertex_family()
+        with pytest.raises(GraphError, match="N lives on a different graph"):
+            FFamily(fam.m, *fam.members, Matching(petersen(), []))
+
+    def test_rejects_n_meeting_the_matching(self):
+        g, fam, _ = ten_vertex_family()
+        with pytest.raises(GraphError, match="N must avoid the perfect matching"):
+            FFamily(fam.m, *fam.members, Matching(g, [min(fam.m.members)]))
+
 
 class TestDeriveN:
     def test_ten_vertex_hand_values(self):

@@ -995,19 +995,16 @@ class TestListingFreeCover:
         from fulkerson_lab.cli import certificate_of_covering, write_certificate
 
         TestFindCovering.refuse_listings(monkeypatch)
-        widest = []
-        forward = matchcolor._frontier_layers
-
-        def forward_widest(*args):
-            layers = forward(*args)
-            widest.append(layers and max(map(len, layers)))
-            return layers
-
-        monkeypatch.setattr(matchcolor, "_frontier_layers", forward_widest)
+        sizes = []
+        step = matchcolor._matching_step
+        monkeypatch.setattr(matchcolor, "_matching_step",
+                            lambda *args: sizes.append(len(after := step(*args))) or after)
         g = seeded_cubic_multigraph(60, seed, bridgeless=True)
         res = find_fulkerson_covering(g, "exact2cover")
         assert res.found and verify_covering(g, res.value).ok
-        assert widest[0] > matchcolor._FRONTIER_CAP
+        # the widest layer comes from the first forward pass, which closes
+        # no edge: closed edges only remove states
+        assert max(sizes) > matchcolor._FRONTIER_CAP
         out = write_certificate(certificate_of_covering(res.value))
         assert hashlib.sha256(out.encode()).hexdigest() == self.SEEDED_COVERING_SHA256[seed]
 
@@ -1024,15 +1021,20 @@ class TestListingFreeCover:
             # asked by Budget.spend, or by Budget.stopped for the stream
             if sys._getframe(1).f_code.co_name == "spend":
                 name = sys._getframe(2).f_code.co_name
-                sites.append(sys._getframe(3).f_code.co_name if name == "_spend_on" else name)
+                if name == "_spend_on":
+                    # `_holder_counts` binds `finish` as its backward pass starts
+                    dp = sys._getframe(3)
+                    name = dp.f_code.co_name + (".backward" if "finish" in dp.f_locals
+                                                else ".forward")
+                sites.append(name)
             return False
 
         budget = Budget(cancel=cancel)
         assert find_fulkerson_covering(g, "exact2cover", budget).found
         return sites
 
-    @pytest.mark.parametrize("site", ["search", "_frontier_order", "_frontier_layers",
-                                      "_holder_counts"])
+    @pytest.mark.parametrize("site", ["search", "_frontier_order", "_holder_counts.forward",
+                                      "_holder_counts.backward"])
     def test_running_out_of_budget_anywhere_is_unknown(self, site):
         # at the cover's own nodes, as well as inside the DP
         g = goldberg(5)

@@ -1,4 +1,5 @@
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -21,6 +22,7 @@ from fulkerson_lab.graph_core import (
     CubicGraph,
     EdgeSet,
     GraphError,
+    Matching,
     MultiGraph,
     cycle_decomposition,
 )
@@ -226,6 +228,13 @@ class TestInputChecks:
         with pytest.raises(GraphError, match="incident edges at vertex 0 share color 0"):
             EdgeColoring(k4(), (0,) * 6, 3)
 
+    def test_a_plain_matching_stands_in_for_a_perfect_one(self):
+        g = petersen()
+        pm = enumerate_perfect_matchings(g)[0]
+        assert two_factor_cycles(g, Matching(g, pm.members)) == two_factor_cycles(g, pm)
+        with pytest.raises(GraphError, match="matching does not saturate every vertex"):
+            two_factor_cycles(g, Matching(g, [0]))
+
 
 class TestBalanced:
     def test_whole_matching_is_balanced(self):
@@ -426,6 +435,13 @@ class TestThreeEdgeColoring:
     def test_loops_only_is_vacuously_colorable(self):
         s = split_and_suppress(theta(), [0], partner=[1])
         assert three_edge_colorable(s) == []
+
+    def test_a_vertex_of_degree_four_is_refuted_before_the_first_node(self):
+        # the search colours the first vertex's edges 0, 1, 2 and finds no
+        # colour for its fourth
+        budget = Budget()
+        assert three_edge_coloring(MultiGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), budget) is None
+        assert budget.spent == 0 and not budget.exhausted
 
 
 class TestEnumerateColorings:
@@ -763,10 +779,10 @@ class TestColoringByMatchings:
         assert budget.exhausted
 
     # Each draw asks cancel at each of its nine spends, and the stream asks
-    # it before every blossom search and 4-cycle repair.  The frontier
-    # refuter is held off, so the stream runs on J9 until the cancel fires:
-    # the second question is the first draw's second spend, the tenth the
-    # stream's first blossom search.
+    # it before every blossom search.  The frontier refuter is held off, so
+    # the stream runs on J9 until the cancel fires: the second question is
+    # the first draw's second spend, the tenth the stream's first blossom
+    # search.
     @pytest.mark.parametrize("fire_on", [2, 10, 500, 3000])
     def test_cancel_inside_the_stream_is_unknown(self, monkeypatch, fire_on):
         monkeypatch.setattr(matchcolor, "_REFUTE_AFTER", 10**9)
@@ -859,13 +875,31 @@ class TestFrontierRefuter:
         (lambda: goldberg(5), 31, 592, 3813), (lambda: goldberg(7), 43, 1536, 8910),
     ], ids=["J9", "J11", "G5", "G7"])
     def test_layer_sizes(self, monkeypatch, make, layers, widest, total):
-        runs = []
-        forward = matchcolor._frontier_layers
-        monkeypatch.setattr(matchcolor, "_frontier_layers",
-                            lambda *args: runs.append(forward(*args)) or runs[-1])
+        sizes = [1]  # the start layer: the empty frontier's one state
+        step = matchcolor._coloring_step
+        monkeypatch.setattr(matchcolor, "_coloring_step",
+                            lambda *args: sizes.append(len(after := step(*args))) or after)
         assert matchcolor._frontier_colorable(make(), None) is False
-        [sizes] = [[len(layer) for layer in run] for run in runs]
         assert (len(sizes), max(sizes), sum(sizes)) == (layers, widest, total)
+
+    def test_keeps_one_layer_alive(self, monkeypatch):
+        # the refuter reads only its last layer, so while it computes the
+        # next, no layer before the current one is still alive
+        class Layer(set):
+            pass
+
+        made, alive = [], []
+        step = matchcolor._coloring_step
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            after = Layer(step(*args))
+            made.append(weakref.ref(after))
+            return after
+
+        monkeypatch.setattr(matchcolor, "_coloring_step", tracked)
+        assert matchcolor._frontier_colorable(goldberg(7), None) is False
+        assert len(alive) == 42 and max(alive) == 1
 
     def test_the_fill_table_is_every_one_to_one_assignment_to_the_free_classes(self):
         for new in range(64):
@@ -1145,11 +1179,12 @@ class TestCanonicalOrder:
                 assert list(record.avoiding(s, j)) == [m for m in full[j:] if not m & s]
 
     # Outcomes of the blossom searches and of the repairs of a full listing,
-    # from one measured run.  Before forced edges and 4-cycle repairs the
-    # stream failed 2,540 (G5) and 45,451 (G7) blossom searches.
+    # from one measured run.  The stream re-matches only by blossom search:
+    # each repair runs one, and so does each backtrack that re-matches the
+    # ends of the edge it excludes.
     @pytest.mark.parametrize("make,count,augment,repair", [
-        (lambda: goldberg(5), 619, {False: 122, True: 695}, {False: 169, True: 465}),
-        (lambda: goldberg(7), 8166, {False: 814, True: 8648}, {False: 1396, True: 6392}),
+        (lambda: goldberg(5), 619, {False: 209, True: 1103}, {False: 169, True: 465}),
+        (lambda: goldberg(7), 8166, {False: 1690, True: 14585}, {False: 1396, True: 6392}),
     ], ids=["G5", "G7"])
     def test_failed_blossom_searches_of_a_full_listing(self, monkeypatch, make, count, augment,
                                                        repair):
