@@ -140,7 +140,11 @@ def verify_ffamily(g: CubicGraph, fam: FFamily) -> FFamilyReport:
     if fam.graph != g:
         raise GraphError("family belongs to a different graph")
     cycles = two_factor_cycles(g, fam.m)
-    positions = _member_positions(g, cycles, fam.members)
+    return _report(fam, cycles, _member_positions(g, cycles, fam.members))
+
+
+def _report(fam: FFamily, cycles: CycleSet, positions: list[list[list[int]]]) -> FFamilyReport:
+    """`verify_ffamily` over the walk of fam's 2-factor and its members' positions."""
     # one odd-arc pass per cycle and member feeds both the balance list and
     # the cycle conditions
     odd = [[_odd_arcs(len(cyc), posns) for posns in positions[ci]]
@@ -182,7 +186,12 @@ def derive_n(g: CubicGraph, m: PerfectMatching | Iterable[int],
     if len(members) != 4:
         raise GraphError("an F-family has exactly four members")
     cycles = two_factor_cycles(g, m)
-    positions = _member_positions(g, cycles, members)
+    n = _pair_set(cycles, _member_positions(g, cycles, members))
+    return None if n is None else Matching(g, n)
+
+
+def _pair_set(cycles: CycleSet, positions: list[list[list[int]]]) -> set[int] | None:
+    """`derive_n` over the walk of m's 2-factor and the four members' positions, as edge ids."""
     n_total: set[int] = set()
     for ci, cyc in enumerate(cycles):
         per_member = positions[ci]
@@ -195,7 +204,7 @@ def derive_n(g: CubicGraph, m: PerfectMatching | Iterable[int],
         if not cands:
             return None
         n_total |= cands[0]
-    return Matching(g, n_total)
+    return n_total
 
 
 def _restriction(cycle: Cycle, posns: Sequence[int]) -> frozenset[int]:
@@ -475,11 +484,13 @@ def _checked_family(g: CubicGraph, m: PerfectMatching | Iterable[int],
     """The family of m with these members and their N; the callers ensure that it verifies."""
     m = _as_perfect(g, m)
     members = [Matching(g, mem) for mem in members]
-    n = derive_n(g, m, members)
+    cycles = two_factor_cycles(g, m)  # one walk feeds both the pair set and the check
+    positions = _member_positions(g, cycles, members)
+    n = _pair_set(cycles, positions)
     if n is None:
         raise GraphError(f"internal invariant failure: {what} admit no pair set")
-    fam = FFamily(m, *members, n)
-    report = verify_ffamily(g, fam)
+    fam = FFamily(m, *members, Matching(g, n))
+    report = _report(fam, cycles, positions)
     if not report.ok:
         raise GraphError(f"internal invariant failure: the family of {what} fails "
                          "verification: " + "; ".join(report.diagnostics))

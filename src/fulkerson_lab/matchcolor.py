@@ -1139,14 +1139,45 @@ def _chordless(g: MultiGraph, verts: Sequence[int]) -> bool:
     return True
 
 
-def _first_two_factor(g: CubicGraph, keep: Callable[[list[int]], bool], count: int | None = None
+def _c5_exclusions(g: MultiGraph) -> frozenset[int]:
+    """The edges that no chordless-C5 2-factor leaves in its matching.
+
+    G - m runs through each vertex by the two edges that m leaves there, so
+    an edge uw of m needs, at u and at w alike, a chordless 5-cycle through
+    the other two edges.  The chordless 5-cycles are listed once, each from
+    its lowest vertex; an edge that fails at either end is returned.
+    """
+    nbrs = [set(g.neighbors(v)) for v in g.vertices()]
+    pairs: list[set[frozenset[int]]] = [set() for _ in g.vertices()]  # v's two cycle neighbours
+    for s in g.vertices():
+        for x in nbrs[s]:
+            for a in nbrs[x]:
+                for b in nbrs[a]:
+                    for y in nbrs[b] & nbrs[s]:
+                        cyc = (s, x, a, b, y)
+                        if x < y and min(cyc) == s and len(set(cyc)) == 5 and _chordless(g, cyc):
+                            for i, v in enumerate(cyc):
+                                pairs[v].add(frozenset((cyc[i - 1], cyc[(i + 1) % 5])))
+
+    def fits(e: int, v: int) -> bool:
+        return frozenset(g.other_end(f, v) for f in g.incident(v) if f != e) in pairs[v]
+
+    return frozenset(e for e, u, w in g.edges if not (fits(e, u) and fits(e, w)))
+
+
+def _first_two_factor(g: CubicGraph, keep: Callable[[list[int]], bool], count: int | None = None,
+                      exclude: frozenset[int] = frozenset()
                       ) -> tuple[PerfectMatching, CycleSet] | None:
     """The first perfect matching, in canonical order, whose 2-factor passes
     keep at every cycle and has `count` cycles when given, with that 2-factor.
 
-    Raises `BudgetExhausted` when none passes before the matching cap.
+    It draws from the stream of matchings that avoid `exclude`.  When no
+    matching that passes holds an excluded edge, the answer is the one the
+    whole stream gives, for the excluded stream keeps the canonical order
+    of what it yields.  Raises `BudgetExhausted` when none passes before
+    `DEFAULT_PM_LIMIT` matchings of that stream.
     """
-    for i, (m, cycles) in enumerate(_two_factors(g, _canonical_matchings(g), keep)):
+    for i, (m, cycles) in enumerate(_two_factors(g, _canonical_matchings(g, exclude), keep)):
         if i == DEFAULT_PM_LIMIT:
             raise BudgetExhausted(f"none of the first {DEFAULT_PM_LIMIT} perfect matchings "
                                   "has the 2-factor sought")
@@ -1158,11 +1189,18 @@ def _first_two_factor(g: CubicGraph, keep: Callable[[list[int]], bool], count: i
 def find_c5_two_factor(g: CubicGraph) -> tuple[PerfectMatching, CycleSet] | None:
     """A perfect matching whose complement is a 2-factor of chordless 5-cycles.
 
-    Canonical-first; raises `BudgetExhausted` when the matching cap cuts the search short.
+    Canonical-first.  Before it draws a matching it excludes each edge uw
+    with an end, u or w, that lies on no chordless 5-cycle avoiding uw
+    (`_c5_exclusions`).  Such an edge is in no matching it could return, so
+    the first matching that passes is the same as over the whole stream.
+    `DEFAULT_PM_LIMIT` counts matchings of the excluded stream, which skips
+    only matchings that fail: a result can go from unknown to found, never
+    the reverse.  Raises `BudgetExhausted` when the cap cuts the search short.
     """
     if g.num_vertices % 5 != 0 or g.num_vertices % 2 == 1:
         return None
-    return _first_two_factor(g, lambda verts: len(verts) == 5 and _chordless(g, verts))
+    return _first_two_factor(g, lambda verts: len(verts) == 5 and _chordless(g, verts),
+                             exclude=_c5_exclusions(g))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ cyclic cuts from edge-subset enumeration, cuts of three edges from
 vertex-subset enumeration, colorability from matching
 partitions or raw assignment enumeration, F-families from balanced subsets
 of the matching.  The random cubic multigraphs that the differential tests
-feed them come from one Hypothesis helper here.  Four former library
+feed them come from one Hypothesis helper here; `c5_structured_graph` seeds
+graphs that have a chordless-C5 2-factor, and `first_c5_two_factor` finds
+the first such factor in the sorted reference listing.  Four former library
 searches live on here as references: the plain depth-first perfect-matching
 search and the slot search for F-families (for the orders the library
 yields), the brute-force cyclic-connectivity test, and the FR-triple search
@@ -507,3 +509,46 @@ def slot_ffamilies(g: CubicGraph, m: PerfectMatching, budget: Budget) -> Iterato
             stack.pop()
         else:
             return
+
+
+def c5_structured_graph(k: int, seed: int) -> CubicGraph:
+    """k disjoint 5-cycles (k even) joined by a random perfect matching with no
+    edge inside a cycle, its vertex and edge ids shuffled: a simple cubic
+    graph with a chordless-C5 2-factor."""
+    rng = random.Random(seed)
+    n = 5 * k
+    while True:
+        ends = list(range(n))
+        rng.shuffle(ends)
+        joins = list(zip(ends[::2], ends[1::2]))
+        if all(u // 5 != w // 5 for u, w in joins):
+            break
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[w]) for u, w in
+             [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(k) for i in range(5)] + joins]
+    rng.shuffle(edges)
+    return CubicGraph(n, edges)
+
+
+def leaves_chordless_c5s(g: MultiGraph, m: frozenset[int]) -> bool:
+    """True iff the perfect matching m of the cubic g leaves a 2-factor of
+    chordless 5-cycles: each component of G - m has five vertices, and no
+    matching edge joins a vertex to one of its own cycle other than its
+    two neighbours there."""
+    cycle_of = {v: set(c) for c in _components(g, m) for v in c}
+    for e in m:
+        u, w = g.endpoints(e)
+        for v, mate in ((u, w), (w, u)):
+            beside = {g.other_end(f, v) for f in g.incident(v) if f != e}
+            if len(cycle_of[v]) != 5 or mate in cycle_of[v] - beside:
+                return False
+    return True
+
+
+def first_c5_two_factor(g: MultiGraph) -> frozenset[int] | None:
+    """The first perfect matching in canonical order that leaves chordless
+    5-cycles.  The matchings come from `naive_perfect_matchings`, sorted:
+    subset enumeration is out of reach beyond 12 vertices."""
+    return next((m for m in sorted(naive_perfect_matchings(g), key=lambda s: tuple(sorted(s)))
+                 if leaves_chordless_c5s(g, m)), None)

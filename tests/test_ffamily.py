@@ -62,6 +62,7 @@ from fulkerson_lab.ffamily import (
 from oracles import (
     balanced_subsets,
     brute_force_perfect_matchings,
+    c5_structured_graph,
     ffamily_exists,
     ffamily_holds,
     random_cubic_multigraph,
@@ -189,6 +190,22 @@ class TestDeriveN:
         g = flower_snark(5)
         m = [0, 2, 6, 8, 14, 17, 20, 23, 26, 27]
         assert derive_n(g, m, [[8], [14], [17], [20]]) is None
+
+    def test_a_checked_family_walks_its_two_factor_once(self, monkeypatch):
+        # the pair set and the check read one walk of G - m
+        g, fam, _ = ten_vertex_family()
+        walks = []
+        walk = ffamily.two_factor_cycles
+        monkeypatch.setattr(ffamily, "two_factor_cycles",
+                            lambda *args: walks.append(1) or walk(*args))
+        assert ffamily._checked_family(g, fam.m, fam.members, "members") == fam
+        assert len(walks) == 1
+
+    def test_a_checked_family_keeps_the_no_pair_set_refusal(self):
+        g = flower_snark(5)
+        m = [0, 2, 6, 8, 14, 17, 20, 23, 26, 27]
+        with pytest.raises(GraphError, match="members admit no pair set"):
+            ffamily._checked_family(g, m, [[8], [14], [17], [20]], "members")
 
 
 class TestCoveringFromFFamily:
@@ -928,16 +945,24 @@ class TestFirstMatchStream:
         monkeypatch.setattr(matchcolor._MatchingRecord, "listing", refuse)
         assert search()
 
-    def test_c5_factor_past_the_cap_is_unknown(self, monkeypatch):
-        # the expansion's first chordless-C5 2-factor is that of its 899th
-        # matching of 1,286
-        g = petersen_expansion().graph
+    @staticmethod
+    def _found_from_cap(monkeypatch, g, first):
+        # the cap counts the matchings of the stream that avoids the excluded
+        # edges; the factor is that of its `first`-th matching
         want = find_c5_two_factor(g)
-        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 899)
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", first)
         assert find_c5_two_factor(g) == want
-        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", 100)
-        with pytest.raises(BudgetExhausted, match="first 100 perfect matchings"):
+        monkeypatch.setattr(matchcolor, "DEFAULT_PM_LIMIT", first - 1)
+        with pytest.raises(BudgetExhausted, match=f"first {first - 1} perfect matchings"):
             find_c5_two_factor(g)
+
+    def test_c5_factor_past_the_cap_is_unknown(self, monkeypatch):
+        # the expansion's first chordless-C5 2-factor is that of the first
+        # matching that avoids the excluded edges (its 899th of 1,286 in all)
+        self._found_from_cap(monkeypatch, petersen_expansion().graph, 1)
+
+    def test_a_later_c5_factor_past_the_cap_is_unknown(self, monkeypatch):
+        self._found_from_cap(monkeypatch, c5_structured_graph(4, 87), 4)
 
     def test_family_search_past_the_cap_is_unknown(self, monkeypatch):
         # G5 has no F-family, but only its first two matchings are read
@@ -976,9 +1001,27 @@ class TestRejectedTwoFactorsBuildNothing:
         assert made == []
 
     def test_c5_search_on_the_expansion_builds_few_cycles(self, monkeypatch):
-        # 899 matchings are drawn; every 2-factor before the last holds a
-        # cycle that is not a chordless 5-cycle
+        # one matching is drawn, and its 2-factor's ten 5-cycles are all
+        # that is built
         g = petersen_expansion().graph
         made = self._count(monkeypatch, Cycle)
         assert find_c5_two_factor(g) is not None
-        assert len(made) < 1000
+        assert len(made) == 10
+
+    def test_c5_search_on_the_expansion_draws_one_matching(self, monkeypatch):
+        # the edges that no chordless-C5 2-factor leaves in its matching are
+        # excluded before the first draw, and one matching avoids all 45 of
+        # them; the whole stream reaches the same one at its 899th
+        g = petersen_expansion().graph
+        drawn = []
+        stream = matchcolor._canonical_matchings
+
+        def counted(*args, **kwargs):
+            for m in stream(*args, **kwargs):
+                drawn.append(m)
+                yield m
+
+        monkeypatch.setattr(matchcolor, "_canonical_matchings", counted)
+        m, _ = find_c5_two_factor(g)
+        assert drawn == [m.members]
+        assert len(matchcolor._c5_exclusions(g)) == 45

@@ -53,10 +53,14 @@ from oracles import (
     SearchCounts,
     balanced_subsets,
     brute_force_perfect_matchings,
+    c5_structured_graph,
     colorable_via_matching_partition,
     count_proper_colorings,
+    first_c5_two_factor,
+    leaves_chordless_c5s,
     naive_perfect_matchings,
     random_cubic_multigraph,
+    seeded_cubic_multigraph,
 )
 
 
@@ -589,6 +593,43 @@ class TestC5Structure:
         assert made == [m]
         assert m.members == enumerate_perfect_matchings(g)[8].members
         assert cycles == two_factor_cycles(g, m)
+
+    @pytest.mark.parametrize("k, seeds", [(2, 100), (4, 80), (6, 40)])
+    def test_agrees_with_the_oracle_on_c5_structured_graphs(self, k, seeds):
+        for seed in range(seeds):
+            g = c5_structured_graph(k, seed)
+            m, cycles = find_c5_two_factor(g)
+            assert m.members == first_c5_two_factor(g), seed
+            assert cycles == two_factor_cycles(g, m)
+
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_agrees_with_the_oracle_on_random_cubic_graphs(self, n):
+        for seed in range(20):
+            g = seeded_cubic_multigraph(n, seed)
+            found = find_c5_two_factor(g)
+            want = first_c5_two_factor(g)
+            assert (found and found[0].members) == want, seed
+            assert found is None or found[1] == two_factor_cycles(g, found[0])
+
+    @pytest.mark.parametrize("graph, excluded", [
+        (petersen, 0),
+        (ten_vertex_c5_example, 8),
+        (lambda: c5_structured_graph(4, 87), 14),
+        (lambda: c5_structured_graph(6, 3), 30),
+        # two 5-cycles, each with one edge doubled by a matching edge: either
+        # twin can be the matching edge, and the eight other cycle edges are
+        # excluded
+        (lambda: CubicGraph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7),
+                                 (7, 8), (8, 9), (9, 5), (0, 1), (5, 6), (2, 7), (3, 8),
+                                 (4, 9)]), 8),
+    ], ids=["petersen", "ten-c5", "c5-structured-20-seed-87", "c5-structured-30-seed-3",
+            "twins"])
+    def test_excludes_no_edge_of_a_c5_two_factors_matching(self, graph, excluded):
+        g = graph()
+        out = matchcolor._c5_exclusions(g)
+        assert len(out) == excluded
+        factors = [m for m in naive_perfect_matchings(g) if leaves_chordless_c5s(g, m)]
+        assert factors and not any(m & out for m in factors)
 
     def test_shrink_petersen_two_vertices_five_parallels(self):
         g = petersen()
