@@ -316,6 +316,8 @@ def _parse_recipe(text: str) -> tuple[CubicGraph, list[DotStep]]:
                 key, _, val = p.partition("=")
                 if key not in ("e1", "e2", "e3"):
                     raise ParseError(f"unknown step option {key!r}")
+                if key in fixed:
+                    raise ParseError(f"duplicate step option {key!r} in {line!r}")
                 try:
                     fixed[key] = int(val)
                 except ValueError as exc:

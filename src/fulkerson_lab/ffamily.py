@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_BUDGET_ENV, Budget, BudgetExhausted, SearchResult
@@ -650,8 +650,9 @@ class DotStep:
     kind "type1" takes the family from the factor (the accumulated graph
     contributes a 2-factor of two odd cycles); kind "type2" keeps the
     accumulated family (the factor contributes the odd-cycle pair).
-    Explicit edge choices are optional; omitted ones are searched in
-    canonical order.
+    A given edge option is kept; an omitted one is the least edge passing
+    its transport's check: e1 and e2 on different odd cycles (type1) or
+    outside M and N with no common end (type2), e3 joining two odd cycles.
     """
 
     kind: str
@@ -678,11 +679,21 @@ def _first_two_odd_cycle_pm(g: CubicGraph) -> tuple[PerfectMatching, CycleSet]:
 
 def _joining_edge(g: CubicGraph, m: PerfectMatching, cycles: CycleSet,
                   exclude: frozenset[int] = frozenset()) -> int:
-    """The least edge of m outside exclude with exactly one end on the first cycle."""
+    """The least edge of m outside exclude that joins two distinct odd cycles."""
     for e in sorted(m.members - exclude):
-        if [cycles.place[v][0] for v in g.endpoints(e)].count(0) == 1:
+        if _joins_odd_cycles(g, cycles, e):
             return e
     raise TransportError("no matching edge joins the two odd cycles")
+
+
+def _disjoint_edge(g: CubicGraph, fam: FFamily, partner: int | None) -> int:
+    """The least edge outside M and N sharing no end with partner (the least when None)."""
+    taken = fam.m.members | fam.n_edges.members
+    ends = set() if partner is None else set(g.endpoints(partner))
+    for e in sorted(g.edge_ids()):
+        if e not in taken and ends.isdisjoint(g.endpoints(e)):
+            return e
+    raise TransportError("no valid edge pair for the dot product")
 
 
 def _searched_family(g: CubicGraph, what: str) -> FFamily:
@@ -702,45 +713,32 @@ def _step_type1(g1: CubicGraph, step: DotStep) -> TransportResult:
     fam2 = _searched_family(step.factor, "the factor")
     member_edges = frozenset(e for mem in fam2.members for e in mem)
     cycles2 = two_factor_cycles(step.factor, fam2.m)
-    if step.e3 is not None:
-        xy = step.e3
-    else:
-        xy = _joining_edge(step.factor, fam2.m, cycles2, exclude=member_edges)
-    e1 = step.e1 if step.e1 is not None else min(cycles1.cycles[0].edges)
-    e2 = step.e2 if step.e2 is not None else min(cycles1.cycles[1].edges)
+    xy = step.e3 if step.e3 is not None else _joining_edge(step.factor, fam2.m, cycles2,
+                                                           exclude=member_edges)
+    first, second = (c.edges for c in cycles1.cycles)
+    e1 = step.e1 if step.e1 is not None else min(second if step.e2 in first else first)
+    e2 = step.e2 if step.e2 is not None else min(second if e1 in first else first)
     return dot_preserve_type1(g1, m1, step.factor, fam2, DotProductSpec(e1=e1, e2=e2, e3=xy))
 
 
 def _step_type2(g1: CubicGraph, fam1: FFamily, step: DotStep) -> TransportResult:
     m2, cycles2 = _first_two_odd_cycle_pm(step.factor)
     e3 = step.e3 if step.e3 is not None else _joining_edge(step.factor, m2, cycles2)
-    forbidden = fam1.m.members | fam1.n_edges.members
-    candidates = [e for e in sorted(g1.edge_ids()) if e not in forbidden]
-    if step.e1 is not None and step.e2 is not None:
-        pairs: Iterable[tuple[int, int]] = [(step.e1, step.e2)]
-    else:
-        pairs = combinations(candidates, 2)
-    last_error: TransportError | None = None
-    for xy, zt in pairs:
-        spec = DotProductSpec(e1=xy, e2=zt, e3=e3)
-        try:
-            return dot_preserve_type2(g1, fam1, step.factor, m2, spec)
-        except GraphError as exc:
-            last_error = TransportError(str(exc))
-            continue
-    raise last_error or TransportError("no valid edge pair for the dot product")
+    xy = step.e1 if step.e1 is not None else _disjoint_edge(g1, fam1, step.e2)
+    zt = step.e2 if step.e2 is not None else _disjoint_edge(g1, fam1, xy)
+    return dot_preserve_type2(g1, fam1, step.factor, m2, DotProductSpec(e1=xy, e2=zt, e3=e3))
 
 
 def iterate_dot_sequence(base: CubicGraph, steps: Sequence[DotStep],
                          base_family: FFamily | None = None) -> PipelineResult:
     """Chain family-preserving dot products and assemble the final covering.
 
-    The base graph's family is searched unless supplied; every intermediate
-    family is verified by the transport operations themselves.  An F-family
-    search that runs out of budget, or a two-odd-cycle matching search that
-    reaches the matching cap, raises `BudgetExhausted`, and an edge
-    option outside its graph (e1 and e2 in the accumulated graph, e3 in the
-    factor) raises `StepOptionError`.
+    The base graph's family is searched unless supplied; each step calls its
+    transport once, and the transport verifies the family it builds.  An
+    F-family search out of budget, or a two-odd-cycle matching search at the
+    matching cap, raises `BudgetExhausted`; an edge option outside its graph
+    (e1 and e2 in the accumulated graph, e3 in the factor) raises
+    `StepOptionError`; any other failed step raises `TransportError`.
     """
     graph = base
     family = _searched_family(base, "the base graph") if base_family is None else base_family
@@ -758,8 +756,9 @@ def iterate_dot_sequence(base: CubicGraph, steps: Sequence[DotStep],
                 result = _step_type1(graph, step)
             else:
                 result = _step_type2(graph, family, step)
-        except (TransportError, BudgetExhausted) as exc:
-            raise type(exc)(f"step {idx + 1} failed: {exc}") from exc
+        except (GraphError, BudgetExhausted) as exc:
+            kind = BudgetExhausted if isinstance(exc, BudgetExhausted) else TransportError
+            raise kind(f"step {idx + 1} failed: {exc}") from exc
         graph, family = result.graph, result.family
         stages.append((graph, family))
     covering = covering_from_ffamily(graph, family)
@@ -828,16 +827,22 @@ def covering_from_c5_structure(g: CubicGraph) -> C5StructureResult:
     """Covering via contraction of a chordless-C5 2-factor.
 
     Finds a 2-factor of chordless 5-cycles, contracts it to a 5-regular
-    multigraph, 5-edge-colors that, and pulls four color classes back as
-    an F-family for the complementary matching.
+    multigraph, 5-edge-colors that under the default node budget, and
+    pulls four color classes back as an F-family for the complementary
+    matching.  A coloring search that runs out of budget raises
+    `BudgetExhausted`, never "not 5-edge-colorable".
     """
     found = find_c5_two_factor(g)
     if found is None:
         return C5StructureResult(None, "no 2-factor of chordless 5-cycles")
     m, cycles = found
     shrunk = shrink_to_gstar(g, m, cycles)
-    coloring = five_edge_coloring(shrunk.graph)
+    budget = Budget()
+    coloring = five_edge_coloring(shrunk.graph, budget)
     if coloring is None:
+        if budget.exhausted:
+            raise BudgetExhausted(f"the 5-edge-coloring of the contracted graph ran out of "
+                                  f"its {budget.limit}-node budget (${DEFAULT_BUDGET_ENV})")
         return C5StructureResult(None, "the contracted graph is not 5-edge-colorable")
     fam = _checked_family(g, m, [[shrunk.edge_origin[e] for e in coloring.color_class(color)]
                                  for color in range(4)], "color classes")

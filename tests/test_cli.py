@@ -487,6 +487,8 @@ class TestBadInputExitsTwo:
         ("# only a comment\n", "empty recipe"),
         ("base petersen\ndot type1 petersen e4=1\n", "unknown step option 'e4'"),
         ("base petersen\ndot type1 petersen e1=x\n", "bad value in 'e1=x'"),
+        ("base petersen\ndot type2 petersen e3=0 e3=2\n",
+         "duplicate step option 'e3' in 'dot type2 petersen e3=0 e3=2'"),
         ("base petersen\nbase petersen\n", "duplicate base line"),
         ("base petersen\ndot type3 petersen\n", "bad dot line 'dot type3 petersen'"),
         ("base petersen\ndot type1 flower 4\n",
@@ -502,9 +504,9 @@ class TestBadInputExitsTwo:
          "flower parameter exceeds 100000"),
         ("base petersen\ndot type2 goldberg 100001\n",
          "bad dot factor in 'dot type2 goldberg 100001': goldberg parameter exceeds 100000"),
-    ], ids=["empty", "step-option", "value", "duplicate-base", "dot-line", "dot-factor",
-            "no-base", "base-family", "base-parameter", "base-no-parameter", "base-no-family",
-            "base-huge-parameter", "dot-huge-parameter"])
+    ], ids=["empty", "step-option", "value", "duplicate-option", "duplicate-base", "dot-line",
+            "dot-factor", "no-base", "base-family", "base-parameter", "base-no-parameter",
+            "base-no-family", "base-huge-parameter", "dot-huge-parameter"])
     def test_recipe(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.recipe"
         path.write_text(text)

@@ -1,7 +1,7 @@
 import re
 import time
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,6 +504,134 @@ class TestIteratePipeline:
             iterate_dot_sequence(petersen(), [DotStep("type9", petersen())])
 
 
+class TestDotStepRule:
+    """A given edge option is kept; an omitted one is the least edge that passes
+    the check its transport makes, and each step calls its transport once."""
+
+    @staticmethod
+    def _stage18():
+        return iterate_dot_sequence(petersen(), [DotStep("type1", petersen())])
+
+    @staticmethod
+    def _least_disjoint(g, fam, partner):
+        taken = fam.m.members | fam.n_edges.members
+        return min(e for e in g.edge_ids()
+                   if e not in taken and not set(g.endpoints(e)) & set(g.endpoints(partner)))
+
+    @pytest.mark.parametrize("option,value", [("e1", 7), ("e2", 9)])
+    def test_a_lone_type2_option_is_kept(self, option, value):
+        stage = self._stage18()
+        partner = self._least_disjoint(stage.graph, stage.family, value)
+        pair = {"e1": value, "e2": partner} if option == "e1" else {"e1": partner, "e2": value}
+        steps = [DotStep("type1", petersen())]
+        plain = iterate_dot_sequence(petersen(), steps + [DotStep("type2", petersen())])
+        lone = iterate_dot_sequence(petersen(),
+                                    steps + [DotStep("type2", petersen(), **{option: value})])
+        both = iterate_dot_sequence(petersen(), steps + [DotStep("type2", petersen(), **pair)])
+        assert lone.graph != plain.graph
+        assert (lone.graph, lone.family) == (both.graph, both.family)
+
+    @pytest.mark.parametrize("option", ["e1", "e2"])
+    @pytest.mark.parametrize("cycle", [0, 1])
+    def test_a_lone_type1_option_on_either_odd_cycle(self, option, cycle):
+        # a lone option takes its partner from the other odd cycle, whichever
+        # cycle it lies on
+        _m, cycles = _first_two_odd_cycle_pm(petersen())
+        value = max(cycles.cycles[cycle].edges)
+        other = min(cycles.cycles[1 - cycle].edges)
+        pair = {"e1": value, "e2": other} if option == "e1" else {"e1": other, "e2": value}
+        lone = iterate_dot_sequence(petersen(),
+                                    [DotStep("type1", petersen(), **{option: value})])
+        both = iterate_dot_sequence(petersen(), [DotStep("type1", petersen(), **pair)])
+        assert (lone.graph, lone.family) == (both.graph, both.family)
+        assert verify_covering(lone.graph, lone.covering).ok
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = ffamily.dot_preserve_type2
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ffamily, "dot_preserve_type2", counted)
+        return calls
+
+    def test_a_bad_fixed_e3_is_refused_after_one_transport(self, monkeypatch):
+        # Petersen's edge 1 lies on the 2-factor of its first two-odd-cycle
+        # matching; a search over edge pairs would retry it on J17's 2,016 pairs
+        calls = self._counted(monkeypatch)
+        with pytest.raises(TransportError, match="step 1 failed: e3 must belong to the "
+                                                 "second factor's perfect matching"):
+            iterate_dot_sequence(flower_snark(17), [DotStep("type2", petersen(), e3=1)])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("option", ["e1", "e2"])
+    def test_an_option_in_n_is_refused_after_one_transport(self, monkeypatch, option):
+        fam = find_ffamily(petersen()).value
+        bad = min(fam.n_edges.members)
+        calls = self._counted(monkeypatch)
+        name = "xy" if option == "e1" else "zt"
+        with pytest.raises(TransportError, match=f"step 1 failed: {name} must avoid N"):
+            iterate_dot_sequence(petersen(), [DotStep("type2", petersen(), **{option: bad})],
+                                 base_family=fam)
+        assert len(calls) == 1
+
+    def test_every_step_of_a_chain_calls_its_transport_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        iterate_dot_sequence(petersen(), [DotStep("type1", petersen())]
+                             + [DotStep("type2", petersen())] * 3)
+        assert len(calls) == 3
+
+    def test_an_option_with_no_partner_is_refused(self):
+        # the prism's 2-factor is two triangles; with N one edge of each, every
+        # edge outside M and N meets the matching edge 0-3 at an end.  The rule
+        # reads only M and N, so the members may stay empty.
+        g = CubicGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                           (0, 3), (1, 4), (2, 5)])
+        empty = Matching(g, [])
+        fam = FFamily(PerfectMatching(g, [6, 7, 8]), empty, empty, empty, empty,
+                      Matching(g, [1, 4]))
+        with pytest.raises(TransportError,
+                           match="step 1 failed: no valid edge pair for the dot product"):
+            iterate_dot_sequence(g, [DotStep("type2", petersen(), e1=6)], base_family=fam)
+
+    def test_a_pair_sharing_an_end_keeps_the_dot_products_refusal(self):
+        stage = self._stage18()
+        taken = stage.family.m.members | stage.family.n_edges.members
+        g = stage.graph
+        xy = min(e for e in g.edge_ids() if e not in taken)
+        zt = min(e for e in g.edge_ids() if e not in taken and e != xy
+                 and set(g.endpoints(e)) & set(g.endpoints(xy)))
+        with pytest.raises(TransportError, match="step 2 failed: e1 and e2 must not share "
+                                                 "endpoints"):
+            iterate_dot_sequence(petersen(), [DotStep("type1", petersen()),
+                                              DotStep("type2", petersen(), e1=xy, e2=zt)])
+
+    @pytest.mark.parametrize("factor", [petersen, lambda: flower_snark(5)],
+                             ids=["petersen", "J5"])
+    def test_every_disjoint_pair_outside_m_and_n_transports(self, factor):
+        # The rule takes the least such pair; any other would serve as well.
+        # The stages of composite26 hold those of composite18.
+        g2 = factor()
+        m2, cycles2 = _first_two_odd_cycle_pm(g2)
+        e3 = ffamily._joining_edge(g2, m2, cycles2)
+        stages = iterate_dot_sequence(petersen(), [DotStep("type1", petersen()),
+                                                   DotStep("type2", petersen())]).stages
+        tried = 0
+        for g1, fam1 in stages:
+            taken = fam1.m.members | fam1.n_edges.members
+            free = [e for e in g1.edge_ids() if e not in taken]
+            for xy, zt in permutations(free, 2):
+                if set(g1.endpoints(xy)) & set(g1.endpoints(zt)):
+                    continue
+                moved = dot_preserve_type2(g1, fam1, g2, m2, DotProductSpec(xy, zt, e3))
+                assert verify_ffamily(moved.graph, moved.family).ok
+                tried += 1
+        assert tried == 614  # ordered pairs over the three stages
+
+
 class TestC5StructurePipeline:
     def test_petersen(self):
         result = covering_from_c5_structure(petersen())
@@ -523,6 +651,41 @@ class TestC5StructurePipeline:
         result = covering_from_c5_structure(k4())
         assert not result.found
         assert "no 2-factor" in result.reason
+
+    @pytest.mark.parametrize("limit,found", [("21", True), ("20", False)])
+    def test_the_colouring_spends_the_default_budget(self, monkeypatch, limit, found):
+        # the expansion's contracted graph is coloured in exactly 21 nodes
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", limit)
+        if found:
+            assert covering_from_c5_structure(petersen_expansion().graph).found
+        else:
+            with pytest.raises(BudgetExhausted, match="5-edge-coloring of the contracted "
+                                                      "graph ran out of its 20-node budget"):
+                covering_from_c5_structure(petersen_expansion().graph)
+
+    def test_a_colouring_out_of_budget_is_unknown_not_absent(self, monkeypatch):
+        # 1,000 vertices: an unbudgeted search spent 10^8 nodes with no answer,
+        # so the wrapper refuses to start one
+        real = ffamily.five_edge_coloring
+        budgets = []
+
+        def budgeted(gstar, budget=None):
+            assert budget is not None, "the 5-edge-coloring must spend a budget"
+            budgets.append(budget)
+            return real(gstar, budget)
+
+        monkeypatch.setattr(ffamily, "five_edge_coloring", budgeted)
+        monkeypatch.setenv("FULKERSON_LAB_BUDGET", "20000")
+        with pytest.raises(BudgetExhausted):
+            covering_from_c5_structure(c5_structured_graph(200, 1))
+        assert [(b.limit, b.exhausted) for b in budgets] == [(20000, True)]
+
+    @pytest.mark.parametrize("k,seed", [(40, 1), (100, 1)])
+    def test_wide_c5_graphs_colour_under_the_default_budget(self, k, seed):
+        g = c5_structured_graph(k, seed)
+        result = covering_from_c5_structure(g)
+        assert result.found
+        assert verify_covering(g, result.covering).ok
 
     def test_flower_snark_j5_reports_reason(self):
         # J5 has 20 vertices but no chordless-C5 2-factor

@@ -1161,6 +1161,39 @@ class TestLiftProperty:
                 part = t_partition(g, triple)
                 assert (part.t2.members, part.t0.members) == pair
 
+    @staticmethod
+    def _drawn_pairs(g, count):
+        # the first `count` distinct (T2, T0) pairs of the FR-triple walk A1A2 reads
+        import fulkerson_lab.fulkerson as fulkerson
+
+        edges = frozenset(g.edge_ids())
+        pairs = []
+        for a, b, c in fulkerson._fr_triples(g, Budget()):
+            pair = ((a & b) | (a & c) | (b & c), edges - a - b - c)
+            if pair not in pairs:
+                pairs.append(pair)
+                if len(pairs) == count:
+                    break
+        return pairs
+
+    @pytest.mark.parametrize("make,count", [
+        pytest.param(petersen, 20, id="petersen"),  # all of Petersen's 20 pairs
+        pytest.param(lambda: flower_snark(5), 100, id="J5"),
+        pytest.param(lambda: goldberg(5), 100, id="G5"),
+        *(pytest.param(lambda seed=seed: seeded_cubic_multigraph(16, seed, bridgeless=True), 30,
+                       id=f"n16-{seed}") for seed in range(10)),
+    ])
+    def test_a_drawn_triples_own_pair_lifts(self, make, count):
+        # A1A2 lifts (T2, T0) after its partner, yet the drawn triple is already
+        # such a lift: it colours the split of T2 by the matching holding each
+        # T1 edge.  So this lift never fails, and A1A2's second lift is redundant.
+        g = make()
+        pairs = self._drawn_pairs(g, count)
+        assert len(pairs) == count
+        for t2, t0 in pairs:
+            part = t_partition(g, fr_triple_from_matchings(g, t2, t0))
+            assert (part.t2.members, part.t0.members) == (t2, t0)
+
 
 class TestTripleCharacterization:
     """Equivalence between triples and alternating matching pairs, exhaustively."""

@@ -681,6 +681,12 @@ class TestFiveEdgeColoring:
         with pytest.raises(GraphError):
             five_edge_coloring(petersen())
 
+    def test_an_edgeless_graph_takes_the_empty_coloring(self):
+        # `_edge_colorings` yields () at once when there is no edge to colour
+        assert five_edge_coloring(MultiGraph(0, [])).assignment == ()
+        assert three_edge_coloring(MultiGraph(2, [])).assignment == ()
+        assert [c.assignment for c in enumerate_three_edge_colorings(MultiGraph(1, []))] == [()]
+
     def test_tripled_matching_multigraph_decision(self):
         # Petersen with one perfect matching tripled: 5-regular; the search
         # itself is the decision procedure, cross-checked for propriety.
