@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_BUDGET_ENV, Budget, BudgetExhausted, SearchResult
 from .generators import DotProductResult, DotProductSpec, dot_product, petersen
@@ -87,15 +87,22 @@ class FFamilyReport:
     diagnostics: tuple[str, ...]
 
 
+def _edge_pairs(length: int, posns: Sequence[int]) -> list[tuple[int, int]]:
+    """Each two disjoint cycle edges whose ends are the four sorted positions,
+    as the positions the edges start at: none, one pair, or two on a 4-cycle."""
+    p1, p2, p3, p4 = posns
+    pairs = []
+    if (p2 - p1) % length == 1 and (p4 - p3) % length == 1:
+        pairs.append((p1, p3))
+    if (p3 - p2) % length == 1 and (p1 - p4) % length == 1:
+        pairs.append((p2, p4))
+    return pairs
+
+
 def _pairing_candidates(cycle: Cycle, posns: Sequence[int]) -> list[frozenset[int]]:
     """2-edge cycle matchings covering the four given positions, canonical order."""
-    length = len(cycle)
-    p1, p2, p3, p4 = sorted(posns)
-    cands = []
-    if (p2 - p1) % length == 1 and (p4 - p3) % length == 1:
-        cands.append(frozenset((cycle.edges[p1], cycle.edges[p3])))
-    if (p3 - p2) % length == 1 and (p1 - p4) % length == 1:
-        cands.append(frozenset((cycle.edges[p2], cycle.edges[p4])))
+    cands = [frozenset((cycle.edges[a], cycle.edges[b]))
+             for a, b in _edge_pairs(len(cycle), sorted(posns))]
     cands.sort(key=lambda s: tuple(sorted(s)))
     return cands
 
@@ -342,11 +349,13 @@ def _position_sets(length: int, need: Sequence[int], scan: Iterable[int], rank: 
 
 
 def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]], fixed: dict[int, int],
-                used: int, budget: Budget) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+                used: int, budget: Budget, room: Callable[[list[int]], bool]
+                ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
     """The labellings of a cycle's own m-edges that meet its conditions, in canonical order.
 
     own lists the m-edges first met at this cycle (by id, with their
-    positions); fixed[pos] is the label of an edge met before.  A placement
+    positions); fixed[pos] is the member of an edge met before that has
+    one, the cycle's fixed member ends.  A placement
     is (key, used after it); the key lists (-edge, member) for the own
     edges it puts in a member, so keys sort as the label vectors of the
     own edges, with -1 < 0 < 1 < 2 < 3.  The placement that labels no own
@@ -354,10 +363,13 @@ def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]], fixed:
     the four fixed member ends alone.  The others come in buckets by their
     least labelled own edge j, largest first; a bucket holds the fixed
     member ends, the ends of edge j and ends of larger own edges only, so
-    memory stays linear in the cycle's length.
+    memory stays linear in the cycle's length.  Every member labelling of
+    a position set puts the same own edges in members, so `room` reads
+    their ids once per set, before any labelling is built, and a set goes
+    when it is False: when a later cycle could then take no placement.
     """
     length, odd = len(cycle), cycle.is_odd
-    required = sorted(p for p, lab in fixed.items() if lab >= 0)
+    required = sorted(fixed)
     top = len(own)
     rank = [-1] * length  # own index at each end, top at a fixed member end, -1 where none may be
     for j, (_, posns) in enumerate(own):
@@ -374,6 +386,8 @@ def _placements(cycle: Cycle, own: Sequence[tuple[int, tuple[int, ...]]], fixed:
             ids = sorted({j for j in ranks if j < top})
             if any(len(own[j][1]) != ranks.count(j) for j in ids):
                 continue  # a chord with one end inside
+            if not room([own[j][0] for j in ids]):
+                continue
             for labs in _end_labels(length % 2, tuple(p % 2 for p in posns),
                                     tuple(fixed.get(p, -1) for p in posns),
                                     tuple(ids.index(j) if j < top else -1 for j in ranks), used):
@@ -405,48 +419,61 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching | Iterable[int], budget: Budget
     agree with the labels fixed so far: the ends of two disjoint cycle
     edges (the N edges), or none on an even cycle no member touches yet
     (see `_placements`).  Each placement labels the cycle's own m-edges,
-    and a forward check rejects it when a later cycle gets too many member
-    ends.  Placements are tried in the order of the own edges' label
-    vectors, -1 < 0 < 1 < 2 < 3, so families come in lexicographic order
-    of all the labels, cycle by cycle and by edge id within a cycle.
-    Every candidate placement examined spends one node.  `factor` is the
-    2-factor G - m, as `_two_factors` or `two_factor_cycles` walks it, and
-    m is wrapped only for a family yielded.
+    and a two-part forward check keeps every later cycle able to take a
+    placement.  By positions, once per position set: a later cycle may
+    hold at most four fixed member ends, and four only at the ends of two
+    disjoint cycle edges, since its ends only grow deeper in the search.
+    By labels, once per labelling: an odd later cycle may not hold two
+    ends of one member.  Placements are tried in the order of the own
+    edges' label vectors, -1 < 0 < 1 < 2 < 3, so families come in
+    lexicographic order of all the labels, cycle by cycle and by edge id
+    within a cycle.  Every candidate placement examined spends one node.
+    `factor` is the 2-factor G - m, as `_two_factors` or
+    `two_factor_cycles` walks it, and m is wrapped only for a family
+    yielded.
     """
     cycles = factor.cycles
     order = sorted(range(len(cycles)), key=lambda ci: (len(cycles[ci]), ci))
     turn = {ci: r for r, ci in enumerate(order)}  # the cycle's place in the order
     own: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]  # (m-edge, positions)
-    prior: list[list[tuple[int, int]]] = [[] for _ in order]  # (m-edge met before, position)
-    far: dict[int, int] = {}  # m-edge -> the later cycle it touches, or -1
+    far: dict[int, tuple[int, int]] = {}  # m-edge -> the later cycle it touches, its position
     for e in sorted(m):
         on: dict[int, list[int]] = {}
         for v in g.endpoints(e):
             ci, pos = factor.place[v]
             on.setdefault(turn[ci], []).append(pos)
-        first, far[e] = min(on), max(on) if len(on) == 2 else -1
+        first, later = min(on), max(on)
         own[first].append((e, tuple(on[first])))
-        if far[e] >= 0:
-            prior[far[e]].append((e, on[far[e]][0]))
-    caps = [1 if cycles[ci].is_odd else 4 for ci in order]
-    counts = [[0] * 5 for _ in order]  # member ends fixed on each cycle, then their total
+        if later != first:
+            far[e] = later, on[later][0]
+    lengths = [len(cycles[ci]) for ci in order]
+    ends: list[dict[int, int]] = [{} for _ in order]  # fixed member ends: position -> member
     label = dict.fromkeys(m, -1)
 
-    def place(key: tuple[tuple[int, int], ...], sign: int) -> bool:
-        """Apply (sign 1) or undo (sign -1) a placement; False if a later cycle is overfull.
+    def room(edges: list[int]) -> bool:
+        """False if putting these m-edges in members leaves a later cycle more
+        than four member ends, or four not at the ends of two disjoint edges."""
+        held: dict[int, list[int]] = {}
+        for e in edges:
+            if e in far:
+                later, pos = far[e]
+                held.setdefault(later, [*ends[later]]).append(pos)
+        return all(len(posns) < 4 or len(posns) == 4 and _edge_pairs(lengths[later], sorted(posns))
+                   for later, posns in held.items())
 
-        This is the forward check: no cycle may hold more than four member
-        ends, nor an odd one two ends of a member.
-        """
+    def place(key: tuple[tuple[int, int], ...], sign: int) -> bool:
+        """Apply (sign 1) or undo (sign -1) a placement; False if it gives an
+        odd later cycle two ends of a member (`room` has checked the rest)."""
         fits = True
         for ne, lab in key:
             label[-ne] = lab if sign > 0 else -1
-            later = far[-ne]
-            if later >= 0:
-                cnt = counts[later]
-                cnt[lab] += sign
-                cnt[4] += sign
-                fits = fits and cnt[4] <= 4 and cnt[lab] <= caps[later]
+            if -ne in far:
+                later, pos = far[-ne]
+                if sign < 0:
+                    del ends[later][pos]
+                    continue
+                fits = fits and not (lengths[later] % 2 and lab in ends[later].values())
+                ends[later][pos] = lab
         return fits
 
     stack: list[tuple[Iterator, list]] = []  # per placed cycle: its placements, the one taken
@@ -458,8 +485,7 @@ def _ffamilies(g: CubicGraph, m: PerfectMatching | Iterable[int], budget: Budget
                 yield _checked_family(g, m, [[e for e, lab in label.items() if lab == mi]
                                              for mi in range(4)], "searched members")
         else:
-            fixed = {pos: label[e] for e, pos in prior[r]}
-            stack.append((_placements(cycles[order[r]], own[r], fixed, used, budget),
+            stack.append((_placements(cycles[order[r]], own[r], ends[r], used, budget, room),
                           [()]))
         # take the next placement that passes the forward check, at the deepest cycle with one
         while stack:

@@ -50,6 +50,7 @@ from fulkerson_lab.ffamily import (
     dot_preserve_type2,
     enumerate_ffamilies,
     _cycle_condition,
+    _edge_pairs,
     _end_labels,
     _ffamilies,
     _first_two_odd_cycle_pm,
@@ -66,6 +67,7 @@ from oracles import (
     ffamily_exists,
     ffamily_holds,
     random_cubic_multigraph,
+    seeded_cubic_multigraph,
     slot_ffamilies,
 )
 
@@ -989,11 +991,15 @@ class TestSearchPins:
         assert all(verify_ffamily(g, fam).ok for fam in res.value)
 
     def test_goldberg5_is_absent_within_500k_nodes(self):
-        # 418 of its 619 perfect matchings leave a triangle and cost no node
+        # 418 of its 619 perfect matchings leave a triangle and cost no node.
+        # Once a position set leaves a later cycle four fixed member ends
+        # that no two disjoint edges hold, it goes (1,827 nodes before):
+        # the nodes that went were spent on the cycles between that
+        # placement and the cycle that could not take it.
         budget = Budget(limit=500_000)
         res = find_ffamily(goldberg(5), budget=budget)
         assert res.definitely_absent
-        assert budget.spent == 1827
+        assert budget.spent == 1523
 
     def test_long_even_cycle_gives_unknown_not_recursion_error(self):
         # the second copies of the doubled edges leave one 2400-cycle, and
@@ -1003,6 +1009,20 @@ class TestSearchPins:
         res = find_ffamily(g, m=range(2400, 3600), budget=budget)
         assert res.unknown
         assert budget.exhausted
+
+
+def _count_rejected_position_sets(monkeypatch) -> list:
+    """Records the own m-edges of each position set that `_placements`
+    rejects because a later cycle could then take no placement."""
+    rejected: list = []
+    placements = ffamily._placements
+
+    def counted(*args):
+        *rest, room = args
+        return placements(*rest, lambda edges: room(edges) or rejected.append(edges))
+
+    monkeypatch.setattr(ffamily, "_placements", counted)
+    return rejected
 
 
 class TestSlotOrder:
@@ -1030,6 +1050,13 @@ class TestSlotOrder:
     @given(st.data())
     def test_random_multigraphs(self, data):
         self._assert_same_sequence(random_cubic_multigraph(data, max_order=12))
+
+    @pytest.mark.parametrize("order", [14, 16, 18, 20])
+    def test_seeded_multigraphs_where_the_position_check_fires(self, monkeypatch, order):
+        rejected = _count_rejected_position_sets(monkeypatch)
+        for seed in range(5):
+            self._assert_same_sequence(seeded_cubic_multigraph(order, seed, bridgeless=True))
+        assert rejected
 
 
 class TestOracleDifferential:
@@ -1188,3 +1215,31 @@ class TestRejectedTwoFactorsBuildNothing:
         m, _ = find_c5_two_factor(g)
         assert drawn == [m.members]
         assert len(matchcolor._c5_exclusions(g)) == 45
+
+
+class TestPositionCheck:
+    """A position set goes, before any labelling of it is built, once it
+    leaves a later cycle fixed member ends that no placement can hold."""
+
+    @pytest.mark.parametrize("length,posns,pairs", [
+        (4, (0, 1, 2, 3), [(0, 2), (1, 3)]),
+        (7, (0, 1, 3, 4), [(0, 3)]),
+        (7, (0, 3, 4, 6), [(3, 6)]),
+        (7, (0, 1, 2, 5), []),
+        (8, (0, 2, 4, 6), []),
+    ])
+    def test_edge_pairs(self, length, posns, pairs):
+        assert _edge_pairs(length, posns) == pairs
+
+    def test_absence_proof_on_goldberg5_reads_few_labellings(self, monkeypatch):
+        # each lookup builds or fetches every labelling of one position set;
+        # the check that counted member ends alone let 1,588 sets through
+        lookups = []
+        labels = ffamily._end_labels
+        monkeypatch.setattr(ffamily, "_end_labels",
+                            lambda *args: lookups.append(1) or labels(*args))
+        rejected = _count_rejected_position_sets(monkeypatch)
+        res = find_ffamily(goldberg(5), budget=Budget(limit=500_000))
+        assert res.definitely_absent
+        assert len(lookups) == 326
+        assert rejected
