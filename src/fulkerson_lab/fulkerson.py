@@ -14,7 +14,8 @@ from functools import cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchResult
-from .graph_core import CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition, _cut_labels
+from .graph_core import (CubicGraph, EdgeSet, GraphError, Matching, cycle_decomposition,
+                         _cut_labels, _three_cuts)
 from .matchcolor import (
     EdgeColoring,
     PerfectMatching,
@@ -315,33 +316,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _three_cuts(g: CubicGraph) -> list[int]:
-    """The cuts of g with exactly three edges, as edge bit masks, less the
-    three edges at one vertex.
-
-    Three edges make a cut iff their `_cut_labels` XOR to 0.  The lowest
-    bit of the three labels then lies in exactly two of them, and it is
-    the lowest bit of both, so only pairs with the same lowest bit are
-    looked up.
-    """
-    label = _cut_labels(g)
-    with_label: dict[int, list[int]] = {}
-    by_low: dict[int, list[int]] = {}  # 0 holds the bridges, whose labels are 0
-    for e, x in enumerate(label):
-        with_label.setdefault(x, []).append(e)
-        by_low.setdefault(x & -x, []).append(e)
-    stars = {sum(1 << e for e in g.incident(v)) for v in g.vertices()}
-    cuts = []
-    for low, edges in by_low.items():
-        for i, a in enumerate(edges):
-            for b in edges[i + 1:]:
-                for c in with_label.get(label[a] ^ label[b], ()):
-                    cut = 1 << a | 1 << b | 1 << c
-                    if (low or c > b) and cut not in stars:
-                        cuts.append(cut)
-    return cuts
-
-
 def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int], ...]] | None:
     """The 6-tuples of perfect matchings that cover every edge exactly twice,
     lazily; None when the counting DP gives up before the search starts.
@@ -359,16 +333,17 @@ def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
     nodes of its own, and `holders(e, closed)` draws e's usable holders
     (every usable matching when e is None) from one `record.holding` stream
     with their edge bit masks.  A perfect matching meets a cut of three
-    edges (`_three_cuts`) in one or three of them, since the cut has an odd
-    side, and six that cover each edge twice meet it six times, once each:
-    a holder that holds a whole cut is in no cover, and `holders` skips it,
-    which spares the search every partner it would try with it.  A graph
-    with no perfect matching spends no node and yields nothing.  The DP's
-    root pass, with nothing closed, keeps the most states, since closed
-    edges only remove states: when it gives up, on the budget or past its
-    state bound, the result is None, which callers report as unknown,
-    never absent.  Every later pass fits the bound, so it gives up only
-    when the budget runs out.
+    edges in one or three of them, since the cut has an odd side, and six
+    that cover each edge twice meet it six times, once each: a holder that
+    holds a whole cut is in no cover, and `holders` skips it, which spares
+    the search every partner it would try with it.  The cuts are listed
+    once, by `graph_core._three_cuts`, the enumerator that the cyclic
+    edge-connectivity test also reads.  A graph with no perfect matching
+    spends no node and yields nothing.  The DP's root pass, with nothing
+    closed, keeps the most states, since closed edges only remove states:
+    when it gives up, on the budget or past its state bound, the result is
+    None, which callers report as unknown, never absent.  Every later pass
+    fits the bound, so it gives up only when the budget runs out.
     """
     record = _MatchingRecord(g, budget)
     if not record.reach(0):  # no perfect matching, or no budget left
@@ -381,7 +356,7 @@ def _two_covers(g: CubicGraph, budget: Budget) -> Iterator[tuple[frozenset[int],
     if root is None:
         return None
 
-    cuts = _three_cuts(g)
+    cuts = list(_three_cuts(g, _cut_labels(g)))
 
     def holders(e: int | None, closed: int) -> Iterator[tuple[frozenset[int], int]]:
         for m in record.holding(e, frozenset(_bits(closed))):

@@ -287,6 +287,30 @@ def is_bridgeless(g: MultiGraph) -> bool:
     return all(_cut_labels(g))
 
 
+def _three_cuts(g: MultiGraph, label: Sequence[int]) -> Iterator[int]:
+    """The cuts of g with exactly three edges, as edge bit masks, less the
+    three edges at one vertex; label is g's `_cut_labels`.
+
+    Three edges make a cut iff their labels XOR to 0.  The lowest bit of
+    the three labels then lies in exactly two of them, and it is the
+    lowest bit of both, so only pairs with the same lowest bit are looked
+    up.  The cuts come lazily, so a caller that needs one stops there.
+    """
+    with_label: dict[int, list[int]] = {}
+    by_low: dict[int, list[int]] = {}  # 0 holds the bridges, whose labels are 0
+    for e, x in enumerate(label):
+        with_label.setdefault(x, []).append(e)
+        by_low.setdefault(x & -x, []).append(e)
+    stars = {sum(1 << e for e in g.incident(v)) for v in g.vertices()}
+    for low, edges in by_low.items():
+        for i, a in enumerate(edges):
+            for b in edges[i + 1:]:
+                for c in with_label.get(label[a] ^ label[b], ()):
+                    cut = 1 << a | 1 << b | 1 << c
+                    if (low or c > b) and cut not in stars:
+                        yield cut
+
+
 def is_bipartite(g: MultiGraph) -> bool:
     """Whether the two sides of a spanning forest, by depth parity, hold no
     edge inside; parallel edges are irrelevant, loops fail it."""
@@ -334,20 +358,22 @@ def _feedback_vertices(g: MultiGraph) -> frozenset[int]:
 
 
 def _splits_cyclically(arcs: list[tuple[tuple[int, int, int, int], ...]], num_edges: int,
-                       source: frozenset[int], sink: frozenset[int], c: int) -> bool:
-    """True iff a minimum source-sink cut has at most c edges and a cycle on each side.
+                       source: frozenset[int], sink: frozenset[int]) -> bool:
+    """True iff a minimum source-sink cut has a cycle on each side.
 
-    Unit-capacity max flow: augments along breadth-first residual paths and
-    stops after c + 1 of them.  An arc (e, v, w, d) crosses edge e from v to
-    w; flow[e] is +1 or -1 when one unit crosses e in the direction d = +1
-    or -1, and 0 when none does.  When no path is left, the vertices the
-    source still reaches are the smallest source side of a minimum cut, so
-    the rest is its largest sink side.
+    Unit-capacity max flow: augments along breadth-first residual paths
+    until none is left, so it runs one search more than the flow's value,
+    which is at most the number of edges leaving the sink.  An arc
+    (e, v, w, d) crosses edge e from v to w; flow[e] is +1 or -1 when one
+    unit crosses e in the direction d = +1 or -1, and 0 when none does.
+    When no path is left, the vertices the source still reaches are the
+    smallest source side of a minimum cut, so the rest is its largest sink
+    side.
     """
     n = len(arcs)
     flow = [0] * num_edges
     value = 0
-    while value <= c:
+    while True:
         seen = bytearray(n)
         for v in source:
             seen[v] = 1
@@ -376,53 +402,59 @@ def _splits_cyclically(arcs: list[tuple[tuple[int, int, int, int], ...]], num_ed
         while arc is not None:
             flow[arc[0]] += arc[3]
             arc = entry[arc[1]]
-    return False
 
 
 def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     """True iff no edge cut of size < k leaves two components that both contain cycles.
 
-    Flow-based, after Dvořák, Kára, Král' and Pangrác, "An algorithm for
-    cyclic edge connectivity of cubic graphs" (SWAT 2004, LNCS 3111).  A
-    cyclic cut of fewer than k edges exists iff some bond (a cut whose two
-    sides are connected) of size c < k has a cycle on each side.
+    A cyclic cut of fewer than k edges exists iff some bond (a cut whose
+    two sides are connected) of size c < k has a cycle on each side.  In a
+    cubic graph a connected side S with f boundary edges has (3|S| - f) / 2
+    edges, so it contains a cycle iff |S| >= f, and |S| = f (mod 2).
 
-    For each such c the search pairs a connected source seed X containing
-    vertex 0 with each disjoint connected sink seed Y that meets D, of
-    max(1, c - 1) and max(1, c - 2) vertices, and reads the minimum X-Y cut
-    with the largest sink side (`_splits_cyclically`).  D is a feedback
-    vertex set, found greedily once per call (`_feedback_vertices`).
+    Cuts of at most three edges are read from `_cut_labels`, which are
+    exact: a set of edges is a cut iff their labels XOR to 0.
+    - A zero label is a bridge, a bond of one edge; each side has at least
+      one vertex, so the bridge is cyclic, and k >= 2 fails.
+    - In a bridgeless graph two equal labels are a cut of two edges; it is
+      a bond, since neither edge is a cut alone.  Each side has an even
+      number of vertices, so at least 2, and the cut is cyclic: k >= 3
+      fails.
+    - With neither, every cut of three edges (`_three_cuts`) is a bond, as
+      no smaller cut lies in it.  Its sides have an odd number of vertices,
+      so it is cyclic iff neither side is a single vertex, iff it is not
+      the star of a vertex, which `_three_cuts` leaves out: k >= 4 fails
+      at the first cut it yields.
 
+    Bonds of c = 4 and 5 edges (k = 5, 6) are found by flow, after Dvořák,
+    Kára, Král' and Pangrác, "An algorithm for cyclic edge connectivity of
+    cubic graphs" (SWAT 2004, LNCS 3111).  The search pairs a connected
+    source seed X containing vertex 0 with each disjoint connected sink
+    seed Y that meets D, of c - 1 and c - 2 vertices, and reads the minimum
+    X-Y cut with the largest sink side (`_splits_cyclically`).  D is a
+    feedback vertex set, found greedily once per call
+    (`_feedback_vertices`).
     - Sound: a minimum cut between connected seeds is a bond, whichever
-      seeds are tried.  In a cubic graph a connected side S with f boundary
-      edges has (3|S| - f) / 2 edges, so it contains a cycle iff |S| >= f;
-      both sides are checked.
+      seeds are tried; both of its sides are checked for a cycle.
     - Complete: let the bond have c edges, cycles on both sides and vertex
       0 on side S.  Each side has at least c vertices, so some X fits in S.
       The other side T contains a cycle, so it meets D; T is connected and
-      has at least c vertices, so some Y of max(1, c - 2) vertices that
-      holds that vertex of D fits in T.  A side that is a tree has two
-      vertices fewer than the cut has edges.  The minimum X-Y cut has
-      f <= c edges and its source side holds at least c - 1 >= f - 1
-      vertices.  If f = c, the bond is a minimum cut, so the largest sink
-      side contains T; if f < c, that side holds at least c - 2 >= f - 1
-      vertices.  Either way neither side is a tree.
-    - Covered passes: a pass c below min(3, k - 1) is skipped, because a
-      later pass finds what it would.  Pass 1 pairs the same seeds as pass
-      2, and a flow that stops at value f <= 1 makes the same check in
-      both.  Pass 3 finds every cyclic bond of c <= 2 edges: in a loopless
-      cubic graph a side that holds a cycle has at least 2 vertices, so
-      some X = {0, w} of pass 3 fits in S, and a vertex of D in T is a Y
-      of pass 3.  The minimum X-Y cut has f <= c <= 2 edges and its source
-      side holds 2 >= f vertices.  A side with f boundary edges has |side|
-      = f (mod 2), so the sink side, never empty, holds at least f
-      vertices too.
+      has at least c vertices, so some Y of c - 2 vertices that holds that
+      vertex of D fits in T.  A side that is a tree has two vertices fewer
+      than the cut has edges.  The minimum X-Y cut has f <= c edges and its
+      source side holds c - 1 >= f - 1 vertices.  If f = c, the bond is a
+      minimum cut, so the largest sink side contains T; if f < c, that side
+      holds at least c - 2 >= f - 1 vertices.  Either way neither side is
+      a tree.
 
-    For each c there are O(1) seeds X and O(|D|) seeds Y, not O(n), and
-    each flow stops after c + 1 breadth-first searches, so the test takes
-    O(|D| n) time for each k, quadratic in n at worst.  A feedback vertex
-    set of a cubic graph has at least (n + 2) / 4 vertices; the greedy one
-    has 52 of J51's 204.  The input must be 3-regular and loopless.
+    For k <= 4 the test takes O(m) labels of O(m) bits and a scan of the
+    edge pairs whose labels share their lowest bit, one dictionary lookup
+    each.  For k = 5, 6 each c gets O(1) seeds X and O(|D|) seeds Y, and
+    each flow runs at most c + 1 breadth-first searches, since at most c
+    edges leave a connected Y of c - 2 vertices, so the flows take O(|D| n)
+    time, quadratic in n at worst.  A feedback vertex set of a cubic graph
+    has at least (n + 2) / 4 vertices; the greedy one has 52 of J51's 204.
+    The input must be 3-regular and loopless.
     """
     if not isinstance(k, int) or not 1 <= k <= 6:
         raise GraphError(f"supported connectivity range is 1..6, got {k}")
@@ -433,16 +465,25 @@ def cyclic_edge_connectivity_at_least(g: CubicGraph, k: int) -> bool:
     n = g.num_vertices
     if n == 0:
         return True
+    label = _cut_labels(g)
+    if k > 1 and not all(label):
+        return False
+    if k > 2 and len(set(label)) < len(label):
+        return False
+    if k > 3 and next(_three_cuts(g, label), None) is not None:
+        return False
+    if k < 5:
+        return True
     arcs = [tuple((e, v, g.other_end(e, v), 1 if g.endpoints(e)[0] == v else -1)
                   for e in g.incident(v)) for v in g.vertices()]
     nbrs = [g.neighbors(v) for v in g.vertices()]
     feedback = _feedback_vertices(g)
-    for c in range(min(3, max(1, k - 1)), k):
-        sinks = [y for root in range(1, n) for y in _connected_sets(nbrs, root, max(1, c - 2))
+    for c in range(4, k):
+        sinks = [y for root in range(1, n) for y in _connected_sets(nbrs, root, c - 2)
                  if y & feedback]
-        for x in _connected_sets(nbrs, 0, max(1, c - 1)):
+        for x in _connected_sets(nbrs, 0, c - 1):
             for y in sinks:
-                if not x & y and _splits_cyclically(arcs, g.num_edges, x, y, c):
+                if not x & y and _splits_cyclically(arcs, g.num_edges, x, y):
                     return False
     return True
 

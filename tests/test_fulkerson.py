@@ -18,7 +18,7 @@ from fulkerson_lab.generators import (
     theta,
 )
 from fulkerson_lab.ffamily import DotStep, find_ffamily, iterate_dot_sequence
-from fulkerson_lab.graph_core import CubicGraph, GraphError, Matching
+from fulkerson_lab.graph_core import CubicGraph, GraphError, Matching, _cut_labels, _three_cuts
 from fulkerson_lab.matchcolor import (
     PerfectMatching,
     color_classes_as_matchings,
@@ -833,6 +833,11 @@ class TestExactCoverEngine:
         assert [[m.members for m in c.matchings] for c in res_all.value] == [[frozenset()] * 6]
 
 
+def three_cuts(g):
+    """Every cut `graph_core._three_cuts` yields, in its order."""
+    return list(_three_cuts(g, _cut_labels(g)))
+
+
 class TestThreeCuts:
     """A perfect matching meets a cut of three edges in one or three of
     them, and the six of a covering meet it six times, once each, so the
@@ -841,20 +846,16 @@ class TestThreeCuts:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_the_cuts_are_the_brute_force_ones(self, data):
-        import fulkerson_lab.fulkerson as fulkerson
-
         g = random_cubic_multigraph(data, max_order=12, loops=True)
-        cuts = fulkerson._three_cuts(g)
+        cuts = three_cuts(g)
         assert len(cuts) == len(set(cuts))
         assert set(cuts) == naive_three_cuts(g)
 
     def test_the_named_graphs(self):
-        import fulkerson_lab.fulkerson as fulkerson
-
         # J3's central triangle; J5 and J7 are cyclically 4-edge-connected
-        assert [len(fulkerson._three_cuts(flower_snark(k))) for k in (3, 5, 7)] == [1, 0, 0]
-        assert [len(fulkerson._three_cuts(goldberg(k))) for k in (5, 7)] == [9, 11]
-        assert fulkerson._three_cuts(petersen()) == fulkerson._three_cuts(k33()) == []
+        assert [len(three_cuts(flower_snark(k))) for k in (3, 5, 7)] == [1, 0, 0]
+        assert [len(three_cuts(goldberg(k))) for k in (5, 7)] == [9, 11]
+        assert three_cuts(petersen()) == three_cuts(k33()) == []
 
     # (nodes spent with the skip, and without it)
     @pytest.mark.parametrize("make,spent", [
@@ -870,7 +871,7 @@ class TestThreeCuts:
         g = make()
         budget = Budget()
         res = find_fulkerson_covering(g, "exact2cover", budget)
-        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g: [])
+        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g, label: iter(()))
         unskipped = Budget()
         assert find_fulkerson_covering(g, "exact2cover", unskipped) == res
         assert (budget.spent, unskipped.spent) == spent
@@ -882,7 +883,7 @@ class TestThreeCuts:
         budget = Budget()
         every = enumerate_fulkerson_coverings(g, budget)
         assert every.complete and len(every.value) == 10
-        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g: [])
+        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g, label: iter(()))
         unskipped = Budget()
         assert enumerate_fulkerson_coverings(g, unskipped) == every
         assert (budget.spent, unskipped.spent) == (1263, 1426)
@@ -897,7 +898,7 @@ class TestThreeCuts:
         budget = Budget(limit=1000)
         res = find_fulkerson_covering(g, "exact2cover", budget)
         assert res.found and verify_covering(g, res.value).ok and budget.spent == 533
-        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g: [])
+        monkeypatch.setattr(fulkerson, "_three_cuts", lambda g, label: iter(()))
         assert find_fulkerson_covering(g, "exact2cover", Budget(limit=20_000)).unknown
 
 

@@ -219,16 +219,23 @@ class TestCyclicEdgeConnectivity:
         with pytest.raises(GraphError):
             cyclic_edge_connectivity_at_least(CubicGraph(4, [(0, 1)] * 3 + [(2, 3)] * 3), 2)
 
-    def test_covered_passes_are_skipped(self, monkeypatch):
-        # at k = 4 pass 3 covers passes 1 and 2, so only its flows run
+    def test_cuts_of_at_most_three_edges_run_no_flow(self, monkeypatch):
+        # the cut labels decide every cut of at most three edges, so flows
+        # run only for bonds of four and five edges; a flow for c edges
+        # pairs a source seed of c - 1 vertices with a sink seed of c - 2
         import fulkerson_lab.graph_core as graph_core
 
-        flows = []
+        seeds = []
         splits = graph_core._splits_cyclically
         monkeypatch.setattr(graph_core, "_splits_cyclically",
-                            lambda *args: flows.append(args[4]) or splits(*args))
-        assert cyclic_edge_connectivity_at_least(flower_snark(51), 4)
-        assert len(flows) == 154 and set(flows) == {3}
+                            lambda *args: seeds.append((len(args[2]), len(args[3])))
+                            or splits(*args))
+        for g in (flower_snark(51), flower_snark(3), goldberg(5)):
+            for k in range(1, 5):
+                cyclic_edge_connectivity_at_least(g, k)
+        assert seeds == []
+        assert cyclic_edge_connectivity_at_least(flower_snark(51), 5)
+        assert len(seeds) == 1360 and set(seeds) == {(3, 2)}
 
     def test_edgeless_graph_has_no_cyclic_cut(self):
         assert cyclic_edge_connectivity_at_least(CubicGraph(0, []), 6)
@@ -278,6 +285,53 @@ class TestCyclicEdgeConnectivityOracle:
         assert values == oracle_by_k(g)
 
 
+def label_sweep(n):
+    """Seeded cubic multigraphs of order n, six with bridges allowed and six
+    bridgeless; digons stay, so many have a cut of two edges."""
+    return [seeded_cubic_multigraph(n, seed, bridgeless)
+            for bridgeless in (False, True) for seed in range(6)]
+
+
+class TestCutLabelPass:
+    """Cuts of at most three edges are read from the cut labels: a zero
+    label is a bridge, two equal labels a cut of two edges, and a cut of
+    three edges that is not a vertex's star splits off a cycle."""
+
+    @staticmethod
+    def values(g):
+        return [cyclic_edge_connectivity_at_least(g, k) for k in (2, 3, 4)]
+
+    @staticmethod
+    def oracle(g):
+        # the brute force at k = 2, 3, 4; after its first False the rest are False
+        values = []
+        for k in (2, 3, 4):
+            values.append((not values or values[-1])
+                          and naive_cyclic_edge_connectivity_at_least(g, k))
+        return values
+
+    @pytest.mark.parametrize("n", [14, 16, 18, 20, 22, 24])
+    def test_agrees_with_brute_force_past_the_hypothesis_orders(self, n):
+        for g in label_sweep(n):
+            assert self.values(g) == self.oracle(g)
+
+    def test_the_sweep_reaches_every_check(self):
+        # each of the three checks decides some graph above, and some pass all three
+        reached = {sum(self.values(g)) for n in (14, 16, 18, 20, 22, 24) for g in label_sweep(n)}
+        assert reached == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("make,first_false", [
+        (lambda: seeded_cubic_multigraph(14, 5), 2),  # a bridge
+        (lambda: doubled_matching_cycle(6), 3),  # a cut of two edges
+        (lambda: goldberg(5), 3),
+        (lambda: flower_snark(3), 4),  # the cut of three edges round its central triangle
+        (lambda: flower_snark(5), 5),
+    ], ids=["bridge", "dmc6", "G5", "J3", "J5"])
+    def test_one_graph_per_check(self, make, first_false):
+        g = make()
+        assert self.values(g) == self.oracle(g) == [k < first_false for k in (2, 3, 4)]
+
+
 class TestFeedbackSinks:
     """A pass pairs the source seeds only with the sink seeds that meet the
     greedy feedback vertex set; D = V gives back every sink seed."""
@@ -305,7 +359,9 @@ class TestFeedbackSinks:
         pytest.param(flower_snark(9), id="J9"),
     ])
     def test_agrees_with_every_sink_seed(self, g, monkeypatch):
-        # past the brute force's reach: the old seed family, D = V, is the reference
+        # past the brute force's reach: the old seed family, D = V, is the
+        # reference.  Up to k = 4 the cut labels decide and no flow runs, so
+        # the two seed families are compared at k = 5 and 6 only.
         import fulkerson_lab.graph_core as graph_core
 
         values = [cyclic_edge_connectivity_at_least(g, k) for k in range(1, 7)]
